@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .logics import arith, dep
 from .refiner import Refiner, UnknownRuleName
-from .script import ParseError, compile_script, parse_script
+from .script import compile_script, parse_script
 from .state import (
     Bot,
     Fail,
@@ -57,13 +57,15 @@ def execute(config: RunConfig) -> RunOutcome:
     module = LOGICS.get(config.logic)
     if module is None:
         raise UsageError(f"unknown logic {config.logic!r}")
+    if config.fuel < 0:
+        raise UsageError(f"fuel must be at least 0, not {config.fuel}")
     structure = module.STRUCTURE
     refiner = Refiner(structure, dict(module.RULES))
     try:
         goal = module.parse_goal(config.goal)
         ast = parse_script(config.script)
         tactic = compile_script(structure, refiner.lookup, ast)
-    except (ValueError, ParseError, UnknownRuleName) as err:
+    except (ValueError, UnknownRuleName) as err:
         raise UsageError(str(err)) from err
 
     if config.trace:

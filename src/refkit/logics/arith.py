@@ -10,18 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
+from ..refiner import Refiner
 from ..rule import Rule, clause_rule
+from ..script import compile_script, parse_script
 from ..state import Bot, Subgoals, TeleCons, TeleNil
-from ..tactic import (
-    Tactic,
-    all_mt,
-    from_rule,
-    id_tactic,
-    orelse,
-    repeat,
-    repeat_multitactic,
-    seq,
-)
+from ..syntax import Cursor, ParseError, lex
+from ..tactic import Tactic
 from ..theory import (
     App,
     Context,
@@ -268,29 +262,29 @@ RULES: dict[str, Rule] = {
 }
 
 
-AUTO_SCRIPT = "id; all(num_eval | plus_eval | add)*"
-AUTO_NAIVE_SCRIPT = "(num_eval | plus_eval | add)*"
+_STEP = "num_eval | plus_eval | add"
+AUTO_SCRIPT = f"id; all({_STEP})*"
+AUTO_NAIVE_SCRIPT = f"({_STEP})*"
+
+
+def _compile(text: str) -> Tactic:
+    lookup = Refiner(STRUCTURE, RULES).lookup
+    return compile_script(STRUCTURE, lookup, parse_script(text))
 
 
 def aux_tactic() -> Tactic:
     """First rule that forms subgoals wins: numerals, then +, then sums."""
-    return orelse(
-        orelse(from_rule(NUM_EVAL), from_rule(PLUS_EVAL)), from_rule(ADD)
-    )
+    return _compile(_STEP)
 
 
 def auto_naive() -> Tactic:
     """Depth-first automation; freezes on goals blocked by open outputs."""
-    return repeat(STRUCTURE, aux_tactic())
+    return _compile(AUTO_NAIVE_SCRIPT)
 
 
 def auto() -> Tactic:
     """Round-based automation: retries every goal after each flattening."""
-    return seq(
-        STRUCTURE,
-        id_tactic(STRUCTURE),
-        repeat_multitactic(STRUCTURE, all_mt(STRUCTURE, aux_tactic())),
-    )
+    return _compile(AUTO_SCRIPT)
 
 
 def eval_oracle(t: Term) -> tuple[int, int]:
@@ -307,67 +301,35 @@ def eval_oracle(t: Term) -> tuple[int, int]:
 
 def parse_goal(text: str):
     """Parse `eval <expr>` or `add <nat> <nat>` over the empty context."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty goal")
-    head = tokens[0]
-    if head == "eval":
-        expr, rest = _parse_expr(tokens[1:])
-        if rest:
-            raise ValueError(f"trailing input after expression: {rest[0]!r}")
-        return EvalGoal(Context(), expr)
-    if head == "add":
-        if len(tokens) != 3 or not tokens[1].isdigit() or not tokens[2].isdigit():
-            raise ValueError("expected: add <nat> <nat>")
-        return AddGoal(Context(), nat(int(tokens[1])), nat(int(tokens[2])))
-    raise ValueError(f"unknown goal form {head!r}")
+    cur = Cursor(lex(text, "()+"))
+    if cur.take("ident", "eval"):
+        goal = EvalGoal(Context(), _parse_expr(cur))
+    elif cur.take("ident", "add"):
+        goal = AddGoal(Context(), _parse_nat(cur), _parse_nat(cur))
+    else:
+        tok = cur.peek()
+        raise ParseError(f"unknown goal form {tok.text!r}", tok.offset)
+    cur.expect_end()
+    return goal
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()+":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in goal")
-    return out
+def _parse_expr(cur: Cursor) -> Term:
+    term = _parse_atom(cur)
+    while cur.take("+"):
+        term = plus(term, _parse_atom(cur))
+    return term
 
 
-def _parse_expr(tokens: list[str]) -> tuple[Term, list[str]]:
-    term, rest = _parse_atom(tokens)
-    while rest and rest[0] == "+":
-        right, rest = _parse_atom(rest[1:])
-        term = plus(term, right)
-    return term, rest
+def _parse_atom(cur: Cursor) -> Term:
+    if cur.take("ident", "num"):
+        return App(NUM_OP, (_parse_nat(cur),))
+    if cur.take("("):
+        expr = _parse_expr(cur)
+        cur.expect(")")
+        return expr
+    tok = cur.peek()
+    raise ParseError(f"expected an expression, found {tok.text!r}", tok.offset)
 
 
-def _parse_atom(tokens: list[str]) -> tuple[Term, list[str]]:
-    if not tokens:
-        raise ValueError("expected an expression")
-    if tokens[0] == "num":
-        if len(tokens) < 2 or not tokens[1].isdigit():
-            raise ValueError("num needs a numeral")
-        return num(int(tokens[1])), tokens[2:]
-    if tokens[0] == "(":
-        expr, rest = _parse_expr(tokens[1:])
-        if not rest or rest[0] != ")":
-            raise ValueError("unclosed parenthesis")
-        return expr, rest[1:]
-    raise ValueError(f"unexpected token {tokens[0]!r}")
+def _parse_nat(cur: Cursor) -> Term:
+    return nat(int(cur.expect("nat").text))

@@ -5,8 +5,9 @@ may mention the evidence x of A.  Internally the bound occurrence is a
 reserved slot variable that user identifiers cannot collide with; the
 pack/unpack helpers move between that encoding and BoundTerm.
 
-One known encoding limit: the body of a sig nested inside another sig
-cannot mention the outer binder, since the inner slot shadows it.
+A sig body's scope holds only its own binder, because a nested sig's
+slot would capture an outer one: the parser rejects a body that mentions
+an outer binder.  A nested sig's base keeps the enclosing scope.
 """
 
 from __future__ import annotations
@@ -14,17 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
+from ..refiner import Refiner
 from ..rule import Rule, clause_rule
+from ..script import compile_script, parse_script
 from ..state import Bot, Subgoals, TeleCons, TeleNil
-from ..tactic import (
-    Tactic,
-    all_mt,
-    from_rule,
-    id_tactic,
-    orelse,
-    repeat_multitactic,
-    seq,
-)
+from ..syntax import Cursor, ParseError, lex
+from ..tactic import Tactic
 from ..theory import (
     App,
     BoundTerm,
@@ -360,22 +356,21 @@ RULES: dict[str, Rule] = {
     "sig_i": SIG_I,
 }
 
-AUTO_SCRIPT = "id; all(top_i | or_i1 | eq_refl | sig_i)*"
+_STEP = "top_i | or_i1 | eq_refl | sig_i"
+AUTO_SCRIPT = f"id; all({_STEP})*"
+
+
+def _compile(text: str) -> Tactic:
+    lookup = Refiner(STRUCTURE, RULES).lookup
+    return compile_script(STRUCTURE, lookup, parse_script(text))
 
 
 def aux_tactic() -> Tactic:
-    tac = from_rule(TOP_I)
-    for rule in (OR_I1, EQ_REFL, SIG_I):
-        tac = orelse(tac, from_rule(rule))
-    return tac
+    return _compile(_STEP)
 
 
 def auto() -> Tactic:
-    return seq(
-        STRUCTURE,
-        id_tactic(STRUCTURE),
-        repeat_multitactic(STRUCTURE, all_mt(STRUCTURE, aux_tactic())),
-    )
+    return _compile(AUTO_SCRIPT)
 
 
 def prove_oracle(t: Term) -> Term | None:
@@ -403,99 +398,59 @@ def prove_oracle(t: Term) -> Term | None:
 
 def parse_goal(text: str):
     """Parse `true <prop>` over the empty context."""
-    tokens = _tokenize(text)
-    if not tokens or tokens[0] != "true":
-        raise ValueError("expected: true <proposition>")
-    prop, rest = _parse_prop(tokens[1:], {})
-    if rest:
-        raise ValueError(f"trailing input after proposition: {rest[0]!r}")
+    cur = Cursor(lex(text, "(),."))
+    if not cur.take("ident", "true"):
+        raise ParseError("expected: true <proposition>", cur.peek().offset)
+    prop = _parse_prop(cur, None)
+    cur.expect_end()
     return TruthGoal(Context(), prop)
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),.":
-            out.append(ch)
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in goal")
-    return out
+def _parse_prop(cur: Cursor, bound: str | None) -> Term:
+    """A proposition; `bound` names the binder of the innermost sig body."""
+    tok = cur.expect("ident")
+    match tok.text:
+        case "top":
+            return top()
+        case "or":
+            return or_(*_parse_args(cur, _parse_prop, bound, 2))
+        case "eq":
+            return eq(*_parse_args(cur, _parse_exp, bound, 2))
+        case "sig":
+            cur.expect("(")
+            binder = cur.expect("ident")
+            if not binder.text.isidentifier():
+                raise ParseError(f"bad binder {binder.text!r}", binder.offset)
+            cur.expect(".")
+            body = _parse_prop(cur, binder.text)
+            cur.expect(",")
+            base = _parse_prop(cur, bound)
+            cur.expect(")")
+            return App(SIG_OP, (base, body))
+    raise ParseError(f"unknown proposition form {tok.text!r}", tok.offset)
 
 
-def _parse_prop(tokens: list[str], scope: dict[str, Sort]):
-    if not tokens:
-        raise ValueError("expected a proposition")
-    head, rest = tokens[0], tokens[1:]
-    if head == "top":
-        return top(), rest
-    if head == "or":
-        (a, b), rest = _parse_args(rest, scope, (_parse_prop, _parse_prop))
-        return or_(a, b), rest
-    if head == "eq":
-        (a, b), rest = _parse_args(rest, scope, (_parse_exp, _parse_exp))
-        return eq(a, b), rest
-    if head == "sig":
-        if not rest or rest[0] != "(":
-            raise ValueError("sig needs parenthesized arguments")
-        rest = rest[1:]
-        if len(rest) < 2 or not rest[0].isidentifier() or rest[1] != ".":
-            raise ValueError("sig needs a binder: sig(x. body, base)")
-        binder = rest[0]
-        inner = dict(scope)
-        inner[binder] = EXP
-        body, rest = _parse_prop(rest[2:], inner)
-        if not rest or rest[0] != ",":
-            raise ValueError("sig needs two arguments")
-        base, rest = _parse_prop(rest[1:], scope)
-        if not rest or rest[0] != ")":
-            raise ValueError("unclosed sig")
-        return (
-            pack_sig(BoundTerm(Context(((binder, EXP),)), body), base),
-            rest[1:],
-        )
-    raise ValueError(f"unknown proposition form {head!r}")
+def _parse_exp(cur: Cursor, bound: str | None) -> Term:
+    tok = cur.expect("ident")
+    match tok.text:
+        case "tt":
+            return tt()
+        case "refl":
+            return refl()
+        case "inl":
+            return inl(*_parse_args(cur, _parse_exp, bound, 1))
+        case "pair":
+            return pair(*_parse_args(cur, _parse_exp, bound, 2))
+        case name if name == bound:
+            return SLOT
+    raise ParseError(f"unknown or unbound name {tok.text!r}", tok.offset)
 
 
-def _parse_exp(tokens: list[str], scope: dict[str, Sort]):
-    if not tokens:
-        raise ValueError("expected an expression")
-    head, rest = tokens[0], tokens[1:]
-    if head == "tt":
-        return tt(), rest
-    if head == "refl":
-        return refl(), rest
-    if head == "inl":
-        (a,), rest = _parse_args(rest, scope, (_parse_exp,))
-        return inl(a), rest
-    if head == "pair":
-        (a, b), rest = _parse_args(rest, scope, (_parse_exp, _parse_exp))
-        return pair(a, b), rest
-    if head in scope:
-        return Var(head, scope[head]), rest
-    raise ValueError(f"unknown or unbound name {head!r}")
-
-
-def _parse_args(tokens, scope, parsers):
-    if not tokens or tokens[0] != "(":
-        raise ValueError("expected parenthesized arguments")
-    rest = tokens[1:]
-    values = []
-    for k, parse in enumerate(parsers):
-        value, rest = parse(rest, scope)
-        values.append(value)
-        want = "," if k + 1 < len(parsers) else ")"
-        if not rest or rest[0] != want:
-            raise ValueError(f"expected {want!r} in argument list")
-        rest = rest[1:]
-    return tuple(values), rest
+def _parse_args(cur: Cursor, parse, bound: str | None, count: int) -> list[Term]:
+    cur.expect("(")
+    args = [parse(cur, bound)]
+    for _ in range(count - 1):
+        cur.expect(",")
+        args.append(parse(cur, bound))
+    cur.expect(")")
+    return args

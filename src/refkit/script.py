@@ -21,6 +21,7 @@ from typing import Callable, Union
 
 from .judgment import JudgmentStructure
 from .rule import Rule
+from .syntax import Cursor, ParseError, Token, lex
 from .tactic import (
     Tactic,
     all_mt,
@@ -32,12 +33,6 @@ from .tactic import (
     repeat_multitactic,
     seq,
 )
-
-
-class ParseError(Exception):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
 
 
 @dataclass(frozen=True)
@@ -86,131 +81,81 @@ TacticAst = Union[RuleName, IdTac, OrElse, Star, SeqTac]
 MultiAst = Union[AllM, EachM, MStar]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "|;*()[],":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if not word.islower() and not word.isdigit():
-                # identifiers are lower case by convention; reject shouting
-                raise ParseError(f"bad identifier {word!r}", i)
-            tokens.append(_Token("ident", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.position)
-        self.pos += 1
-        return tok
-
-    def tactic(self) -> TacticAst:
-        left = self.seqpart()
-        while self.peek().kind == "|":
-            self.take("|")
-            left = OrElse(left, self.seqpart())
-        return left
-
-    def seqpart(self) -> TacticAst:
-        first = self.starred()
-        while self.peek().kind == ";":
-            self.take(";")
-            first = SeqTac(first, self.mtac())
-        return first
-
-    def starred(self) -> TacticAst:
-        body = self.atom()
-        while self.peek().kind == "*":
-            self.take("*")
-            body = Star(body)
-        return body
-
-    def atom(self) -> TacticAst:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.take("ident")
-            if tok.text == "id":
-                return IdTac()
-            if tok.text == "all":
-                raise ParseError("'all' starts a multitactic", tok.position)
-            return RuleName(tok.text)
-        if tok.kind == "(":
-            self.take("(")
-            inner = self.tactic()
-            self.take(")")
-            return inner
-        raise ParseError(f"expected a tactic, found {tok.text!r}", tok.position)
-
-    def mtac(self) -> MultiAst:
-        body = self.mcore()
-        while self.peek().kind == "*":
-            self.take("*")
-            body = MStar(body)
-        return body
-
-    def mcore(self) -> MultiAst:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "all":
-            self.take("ident")
-            self.take("(")
-            inner = self.tactic()
-            self.take(")")
-            return AllM(inner)
-        if tok.kind == "[":
-            self.take("[")
-            if self.peek().kind == "]":
-                self.take("]")
-                return EachM(())
-            bodies = [self.tactic()]
-            while self.peek().kind == ",":
-                self.take(",")
-                bodies.append(self.tactic())
-            self.take("]")
-            return EachM(tuple(bodies))
-        raise ParseError(
-            f"expected a multitactic, found {tok.text!r}", tok.position
-        )
+def _vetted(tok: Token) -> Token:
+    # rule names are lower-case identifiers, and scripts have no numerals
+    if tok.kind == "nat":
+        raise ParseError(f"unexpected character {tok.text[0]!r}", tok.offset)
+    if tok.kind == "ident" and not tok.text.islower():
+        raise ParseError(f"bad identifier {tok.text!r}", tok.offset)
+    return tok
 
 
 def parse_script(text: str) -> TacticAst:
-    parser = _Parser(_lex(text))
-    out = parser.tactic()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.position)
+    cur = Cursor(map(_vetted, lex(text, "|;*()[],")))
+    out = _tactic(cur)
+    cur.expect_end()
     return out
+
+
+def _tactic(cur: Cursor) -> TacticAst:
+    left = _seqpart(cur)
+    while cur.take("|"):
+        left = OrElse(left, _seqpart(cur))
+    return left
+
+
+def _seqpart(cur: Cursor) -> TacticAst:
+    first = _starred(cur)
+    while cur.take(";"):
+        first = SeqTac(first, _mtac(cur))
+    return first
+
+
+def _starred(cur: Cursor) -> TacticAst:
+    body = _atom(cur)
+    while cur.take("*"):
+        body = Star(body)
+    return body
+
+
+def _atom(cur: Cursor) -> TacticAst:
+    tok = cur.peek()
+    if cur.take("ident"):
+        if tok.text == "id":
+            return IdTac()
+        if tok.text == "all":
+            raise ParseError("'all' starts a multitactic", tok.offset)
+        return RuleName(tok.text)
+    if cur.take("("):
+        inner = _tactic(cur)
+        cur.expect(")")
+        return inner
+    raise ParseError(f"expected a tactic, found {tok.text!r}", tok.offset)
+
+
+def _mtac(cur: Cursor) -> MultiAst:
+    body = _mcore(cur)
+    while cur.take("*"):
+        body = MStar(body)
+    return body
+
+
+def _mcore(cur: Cursor) -> MultiAst:
+    tok = cur.peek()
+    if cur.take("ident", "all"):
+        cur.expect("(")
+        inner = _tactic(cur)
+        cur.expect(")")
+        return AllM(inner)
+    if cur.take("["):
+        if cur.take("]"):
+            return EachM(())
+        bodies = [_tactic(cur)]
+        while cur.take(","):
+            bodies.append(_tactic(cur))
+        cur.expect("]")
+        return EachM(tuple(bodies))
+    raise ParseError(f"expected a multitactic, found {tok.text!r}", tok.offset)
 
 
 # precedence levels for printing: 1 alternation, 2 sequencing, 3 star

@@ -430,12 +430,8 @@ def state_approx(
 ) -> bool:
     """Information order: Bot is below every state at the same boundary."""
     if isinstance(a, Bot):
-        return a.context == b.context and a.target == state_target(b)
+        return a.context == b.context and a.target == b.target
     return state_alpha_eq(structure, a, b)
-
-
-def state_target(state: ProofState) -> Context:
-    return state.target
 
 
 def pretty_state(structure: JudgmentStructure, state: ProofState) -> str:
@@ -471,7 +467,7 @@ class StateStructure(JudgmentStructure):
         return state_subst(self.base, judgment, s)
 
     def output(self, judgment: ProofState) -> Context:
-        return state_target(judgment)
+        return judgment.target
 
     def approx(self, a: ProofState, b: ProofState) -> bool:
         return state_approx(self.base, a, b)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Union
 
-from .judgment import JudgmentStructure, LabeledJudgment
+from .judgment import JudgmentStructure
 from .state import (
     Bot,
     Fail,
@@ -25,7 +25,6 @@ from .state import (
     TeleCons,
     TeleNil,
     Telescope,
-    label_state,
     state_alpha_eq,
     state_mul,
     state_unit,
@@ -185,26 +184,10 @@ def try_tactic(structure: JudgmentStructure, t: Tactic) -> Tactic:
     return orelse(t, id_tactic(structure))
 
 
-def const_tactic(t: Tactic) -> Tactic:
-    def chi(ctx: Context, lg: LabeledJudgment) -> Delayed:
-        return t(ctx, lg.inner)
+def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
+    """Run t on every subgoal in place, awaiting each.
 
-    return chi
-
-
-def proj_tactics(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Tactic:
-    def chi(ctx: Context, lg: LabeledJudgment) -> Delayed:
-        if 0 <= lg.index < len(tactics):
-            return tactics[lg.index](ctx, lg.inner)
-        return Now(state_unit(structure, lg.inner))
-
-    return chi
-
-
-def st_apply(structure: JudgmentStructure, chi: Tactic) -> Multitactic:
-    """Run a labeled tactic on every subgoal in place, awaiting each.
-
-    Goals are handed to chi exactly as they stand in the telescope; the
+    Goals are handed to t exactly as they stand in the telescope; the
     binders and validation are kept, so the result is a state whose goals
     are the per-subgoal answer states.
     """
@@ -212,34 +195,29 @@ def st_apply(structure: JudgmentStructure, chi: Tactic) -> Multitactic:
     def mt(ctx: Context, state: ProofState) -> Delayed:
         if isinstance(state, (Fail, Bot)):
             return Now(state)
-        labeled = label_state(state)
-        assert isinstance(labeled, Subgoals)
+        assert isinstance(state, Subgoals)
 
         def go(tele: Telescope) -> Delayed:
             if isinstance(tele, TeleNil):
                 return Now(tele)
             assert isinstance(tele, TeleCons)
-            lg = tele.goal
+            goal = tele.goal
 
             def with_head(result: ProofState) -> Delayed:
-                _fire_trace(lg.inner, result)
+                _fire_trace(goal, result)
                 return bind(
                     go(tele.rest),
                     lambda rest: Now(TeleCons(tele.names, result, rest)),
                 )
 
-            return bind(chi(lg.context, lg), with_head)
+            return bind(t(goal.context, goal), with_head)
 
         return bind(
-            go(labeled.telescope),
-            lambda t: Now(Subgoals(t, labeled.validation)),
+            go(state.telescope),
+            lambda tele: Now(Subgoals(tele, state.validation)),
         )
 
     return mt
-
-
-def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
-    return st_apply(structure, const_tactic(t))
 
 
 def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitactic:

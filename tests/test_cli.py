@@ -155,6 +155,8 @@ def test_main_usage_errors_exit_five(capsys):
         ["--logic", "arith", "--goal", "eval num 1", "--script-file",
          "no/such/file.tac"],
         ["--logic", "nope", "--goal", "eval num 1", "--script", "id"],
+        ["--logic", "arith", "--goal", "eval num 4", "--script", "num_eval",
+         "--fuel", "-5"],
     ]
     for argv in cases:
         assert main(argv) == 5, argv

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from refkit.cli import RunConfig, execute, main
 from refkit.logics import arith, dep
+from refkit.script import ParseError
 from refkit.state import (
     Bot,
     Fail,
@@ -156,9 +158,24 @@ def test_arith_parse_goal():
 
 
 def test_arith_parse_goal_rejects_junk():
-    for text in ("eval num", "frob 1", "eval (num 1", "add x y", "add 1", ""):
-        with pytest.raises(ValueError):
+    for text in (
+        "eval num", "frob 1", "eval (num 1", "add x y", "add 1", "", "eval _x",
+    ):
+        with pytest.raises(ParseError) as err:
             arith.parse_goal(text)
+        assert 0 <= err.value.position <= len(text)
+    with pytest.raises(ParseError) as err:
+        arith.parse_goal("eval num 1 + ?")
+    assert err.value.position == 13
+
+
+def test_goals_read_back_from_their_rendering():
+    rng = random.Random(4242)
+    for _ in range(300):
+        goal = arith.EvalGoal(EMPTY, rand_closed_expr(rng, 4))
+        assert arith.parse_goal(J.render(goal)) == goal
+        goal = dep.TruthGoal(EMPTY, rand_dep_closed_prop(rng, 4))
+        assert dep.parse_goal(D.render(goal)) == goal
 
 
 # ------------------------------------------------------------------ dep
@@ -261,6 +278,28 @@ def test_dep_parse_goal_scoping_and_errors():
         "maybe top",
         "true or(top)",
         "true",
+        "true eq(1, tt)",       # no numerals in this logic
+        "true sig(x². top, top)",  # a binder must be a Python identifier
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as err:
             dep.parse_goal(text)
+        assert 0 <= err.value.position <= len(text)
+    with pytest.raises(ParseError) as err:
+        dep.parse_goal("true eq(1, tt)")
+    assert err.value.position == 8
+
+
+def test_a_nested_sig_body_cannot_capture_the_outer_binder(capsys):
+    captured = "true sig(x. sig(y. eq(x, inl(tt)), top), or(top, top))"
+    with pytest.raises(ParseError):
+        dep.parse_goal(captured)
+    argv = ["--logic", "dep", "--goal", captured, "--script", dep.AUTO_SCRIPT]
+    assert main(argv) == 5
+    assert capsys.readouterr().out == ""
+    # the outer binder may appear in the nested sig's base instead
+    goal = "true sig(x. sig(y. eq(y, refl), eq(x, inl(tt))), or(top, top))"
+    out = execute(RunConfig("dep", goal, dep.AUTO_SCRIPT))
+    assert out.status == "complete"
+    want = dep.pair(dep.inl(dep.tt()), dep.pair(dep.refl(), dep.refl()))
+    assert out.state.validation.terms == (want,)
+    assert dep.prove_oracle(dep.parse_goal(goal).prop) == want

@@ -80,7 +80,11 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse_script("a Q")
     assert err.value.position == 2
-    for text in ("a |", "(a", "a)", "all(a)", "a; all(b", ""):
+    # a numeral is rejected where it stands, ahead of the parse error at 3
+    with pytest.raises(ParseError) as err:
+        parse_script("a; b 12")
+    assert err.value.position == 5
+    for text in ("a |", "(a", "a)", "all(a)", "a; all(b", "", "12", "a Q"):
         with pytest.raises(ParseError):
             parse_script(text)
 

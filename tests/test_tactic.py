@@ -36,7 +36,6 @@ from refkit.tactic import (
     run_delayed,
     seq,
     set_trace_hook,
-    st_apply,
     then_tactic,
     thenl_tactic,
     try_tactic,
