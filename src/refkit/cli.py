@@ -2,7 +2,9 @@
 
 Exit codes: 0 the goal was fully discharged, 1 subgoals remain, 2 the
 script failed, 3 the script answered with the undetermined state, 4 the
-fuel ran out, 5 the goal or script did not parse (or usage was wrong).
+fuel ran out, 5 the goal or script did not parse, nested too deeply, or
+usage was wrong, 6 an internal error stopped the run (one line on stderr,
+`error: internal: <type>: <message>`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def execute(config: RunConfig) -> RunOutcome:
         tactic = compile_script(structure, refiner.lookup, ast)
     except (ValueError, UnknownRuleName) as err:
         raise UsageError(str(err)) from err
+    except RecursionError as err:
+        raise UsageError("nesting too deep in the goal or the script") from err
 
     if config.trace:
         counter = [0]
@@ -203,14 +207,20 @@ def main(argv: list[str] | None = None) -> int:
             trace=args.trace,
         )
         outcome = execute(config)
+        structure = LOGICS[config.logic].STRUCTURE
+        if args.json:
+            report = render_json(structure, outcome)
+        else:
+            report = render_pretty(structure, outcome)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 5
-    structure = LOGICS[config.logic].STRUCTURE
-    if args.json:
-        print(render_json(structure, outcome))
-    else:
-        print(render_pretty(structure, outcome))
+    except Exception as err:
+        # a fault of refkit itself: exit 1 would read as "subgoals remain"
+        message = str(err).replace("\n", " ")
+        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
+        return 6
+    print(report)
     return outcome.exit_code
 
 

@@ -19,13 +19,16 @@ from .judgment import JudgmentStructure, LabeledJudgment
 from .theory import (
     Context,
     ContextMismatch,
+    NameSupply,
     Sort,
     Substitution,
+    Term,
     TheoryError,
     Var,
     ctx_concat,
     fresh_name,
     render_term,
+    subst_apply,
     subst_compose,
     subst_extend_binder,
     subst_identity,
@@ -106,22 +109,32 @@ def tele_entries(
 
 
 def tele_goals(tele: Telescope) -> list[tuple[tuple[str, ...], Any]]:
-    out = []
+    return _tele_parts(tele)[0]
+
+
+def _tele_parts(tele: Telescope) -> tuple[list[tuple[tuple[str, ...], Any]], TeleNil]:
+    """The entries of a telescope, in order, and its closing TeleNil."""
+    goals = []
     while isinstance(tele, TeleCons):
-        out.append((tele.names, tele.goal))
+        goals.append((tele.names, tele.goal))
         tele = tele.rest
-    return out
+    if not isinstance(tele, TeleNil):
+        raise TheoryError(f"not a telescope: {tele!r}")
+    return goals, tele
+
+
+def _tele_from(goals: list[tuple[tuple[str, ...], Any]], tail: Telescope) -> Telescope:
+    """The telescope of the given entries, in order, in front of tail."""
+    for names, goal in reversed(goals):
+        tail = TeleCons(names, goal, tail)
+    return tail
 
 
 def tele_concat(front: Telescope, back: Telescope) -> Telescope:
-    match front:
-        case TeleNil(ctx):
-            if tele_context(back) != ctx:
-                raise ContextMismatch("telescope halves do not meet")
-            return back
-        case TeleCons(names, goal, rest):
-            return TeleCons(names, goal, tele_concat(rest, back))
-    raise TheoryError(f"not a telescope: {front!r}")
+    goals, end = _tele_parts(front)
+    if tele_context(back) != end.context:
+        raise ContextMismatch("telescope halves do not meet")
+    return _tele_from(goals, back)
 
 
 def check_state(structure: JudgmentStructure, state: ProofState) -> None:
@@ -195,25 +208,21 @@ def tele_subst(
     Returns the new telescope together with the extension of s to the
     full flat contexts, for composing onto the validation.
     """
-    match tele:
-        case TeleNil(_):
-            return TeleNil(s.source), s
-        case TeleCons(names, goal, rest):
-            new_goal = structure.subst(goal, s)
-            output = structure.output(goal)
-            taken = set(s.source.names)
-            fresh = []
-            for name in names:
-                picked = fresh_name(name, taken)
-                taken.add(picked)
-                fresh.append(picked)
-            binder = tuple(
-                (n, srt) for n, (_, srt) in zip(names, output.entries)
-            )
-            extended = subst_extend_binder(s, binder, tuple(fresh))
-            new_rest, full = tele_subst(structure, rest, extended)
-            return TeleCons(tuple(fresh), new_goal, new_rest), full
-    raise TheoryError(f"not a telescope: {tele!r}")
+    goals, _ = _tele_parts(tele)
+    moved = []
+    for names, goal in goals:
+        new_goal = structure.subst(goal, s)
+        output = structure.output(goal)
+        taken = set(s.source.names)
+        fresh = []
+        for name in names:
+            picked = fresh_name(name, taken)
+            taken.add(picked)
+            fresh.append(picked)
+        binder = tuple((n, srt) for n, (_, srt) in zip(names, output.entries))
+        s = subst_extend_binder(s, binder, tuple(fresh))
+        moved.append((tuple(fresh), new_goal))
+    return _tele_from(moved, TeleNil(s.source)), s
 
 
 def state_subst(
@@ -239,20 +248,13 @@ def state_map(f: Callable[[Any], Any], state: ProofState) -> ProofState:
     The replacement must preserve the goal's context and output context;
     nothing here re-checks that, the caller owns it.
     """
-
-    def go(tele: Telescope) -> Telescope:
-        match tele:
-            case TeleNil(_):
-                return tele
-            case TeleCons(names, goal, rest):
-                return TeleCons(names, f(goal), go(rest))
-        raise TheoryError(f"not a telescope: {tele!r}")
-
     match state:
         case Fail(_, _) | Bot(_, _):
             return state
         case Subgoals(tele, validation):
-            return Subgoals(go(tele), validation)
+            goals, end = _tele_parts(tele)
+            mapped = [(names, f(goal)) for names, goal in goals]
+            return Subgoals(_tele_from(mapped, end), validation)
     raise TheoryError(f"not a proof state: {state!r}")
 
 
@@ -293,7 +295,11 @@ def state_obstruction(
     raise TheoryError(f"not a proof state: {state!r}")
 
 
-def state_mul(structure: JudgmentStructure, outer: ProofState) -> ProofState:
+def state_mul(
+    structure: JudgmentStructure,
+    outer: ProofState,
+    before: Telescope | None = None,
+) -> ProofState:
     """Flatten a state whose subgoals are themselves states.
 
     A failed or undetermined inner state poisons the whole result; an
@@ -303,61 +309,123 @@ def state_mul(structure: JudgmentStructure, outer: ProofState) -> ProofState:
     spliced prefix takes precedence, so that flattening nested layers
     reports the dependency-leftmost obstruction no matter which layer is
     flattened first.
+
+    `before` may give the goals the outer entries answer, one for one
+    under the same binders.  A Fail or Bot entry then refuses its goal
+    instead of poisoning the result: the goal stays in place, reindexed,
+    under fresh binders named after its outputs, just as if the entry
+    had answered with the goal's unit state.  If the binders of `before`
+    do not line up with the outer entries, it is ignored.
     """
     match outer:
         case Fail(_, _) | Bot(_, _):
             return outer
         case Subgoals(tele, validation):
-            return _mul_tele(structure, tele, validation)
+            if before is not None and not _same_binders(tele, before):
+                before = None
+            return _mul_tele(structure, tele, validation, before)
     raise TheoryError(f"not a proof state: {outer!r}")
 
 
+def _same_binders(a: Telescope, b: Telescope) -> bool:
+    while isinstance(a, TeleCons) and isinstance(b, TeleCons):
+        if a.names != b.names:
+            return False
+        a, b = a.rest, b.rest
+    return isinstance(a, TeleNil) and isinstance(b, TeleNil)
+
+
 def _mul_tele(
-    structure: JudgmentStructure, tele: Telescope, validation: Substitution
+    structure: JudgmentStructure,
+    tele: Telescope,
+    validation: Substitution,
+    before: Telescope | None,
 ) -> ProofState:
     if isinstance(tele, TeleNil):
         return Subgoals(tele, validation)
     root = tele_context(tele)
-    # one pass left to right: sigma carries each old flat prefix over to
-    # the new one, so every entry is reindexed exactly once
-    sigma = subst_identity(root)
+    # one pass left to right.  image sends each old name in scope to its
+    # term over the new flat context, scope hands out the new binders and
+    # prefix is the new flat context so far.  Every goal is reindexed
+    # exactly once; the only work per goal that grows with the context is
+    # its reindexing and its own new context.
+    image: dict[str, Term] = {name: Var(name, sort) for name, sort in root.entries}
+    scope = NameSupply(root.names)
+    prefix = root
     spliced: list[tuple[tuple[str, ...], Any]] = []
+
+    def splice(goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]) -> None:
+        # the goal reindexed onto the new prefix, under binders named
+        # after bases that stand for the old names binds from here on
+        nonlocal prefix
+        moved = structure.subst(goal, _reindexing(prefix, goal.context, image))
+        binder = []
+        for base, old, (_, sort) in zip(
+            bases, binds, structure.output(goal).entries
+        ):
+            name = scope.fresh(base)
+            binder.append((name, sort))
+            image[old] = Var(name, sort)
+        spliced.append((tuple(name for name, _ in binder), moved))
+        prefix = Context._extended(prefix, tuple(binder))
+
     walk = tele
     while isinstance(walk, TeleCons):
         head = walk.goal
-        if not isinstance(head, (Fail, Bot, Subgoals)):
+        if isinstance(head, Subgoals):
+            inner = head.telescope
+            bound: list[str] = []
+            while isinstance(inner, TeleCons):
+                splice(inner.goal, inner.names, inner.names)
+                bound.extend(inner.names)
+                inner = inner.rest
+            # walk.names bind head's outputs over the rest; from here on
+            # they stand for what the inner validation produced
+            reindex = _reindexing(prefix, head.validation.source, image)
+            outputs = [subst_apply(t, reindex) for t in head.validation.terms]
+            for name in bound:
+                del image[name]
+            image.update(zip(walk.names, outputs))
+        elif not isinstance(head, (Fail, Bot)):
             raise TheoryError(f"subgoal is not a proof state: {head!r}")
-        shifted = state_subst(structure, head, sigma)
-        match shifted:
-            case Fail(_, _) | Bot(_, _):
-                # an absorbing goal already spliced in sits earlier in
-                # dependency order, so its kind wins over the collapse
-                kind = "fail" if isinstance(shifted, Fail) else "bot"
-                for _, goal in spliced:
-                    found = structure.obstruction(goal)
-                    if found is not None:
-                        kind = found
-                        break
-                wrap = Fail if kind == "fail" else Bot
-                return wrap(root, validation.target)
-            case Subgoals(inner_tele, inner_val):
-                spliced.extend(tele_goals(inner_tele))
-                # walk.names bind head's outputs over the rest; from here
-                # on they stand for what the inner validation produced
-                binder = tuple(
-                    (n, s)
-                    for n, (_, s) in zip(walk.names, inner_val.target.entries)
-                )
-                sigma = Substitution._trusted(
-                    inner_val.source,
-                    ctx_concat(sigma.target, Context(binder)),
-                    sigma.terms + inner_val.terms,
-                )
+        elif before is not None:
+            # a refusal leaves the goal standing, as its unit state would
+            goal = before.goal
+            splice(goal, structure.output(goal).names, walk.names)
+        else:
+            # an absorbing goal already spliced in sits earlier in
+            # dependency order, so its kind wins over the collapse
+            kind = "fail" if isinstance(head, Fail) else "bot"
+            for _, goal in spliced:
+                found = structure.obstruction(goal)
+                if found is not None:
+                    kind = found
+                    break
+            wrap = Fail if kind == "fail" else Bot
+            return wrap(root, validation.target)
         walk = walk.rest
-    flat: Telescope = TeleNil(sigma.source)
-    for names, goal in reversed(spliced):
-        flat = TeleCons(names, goal, flat)
-    return Subgoals(flat, subst_compose(sigma, validation))
+        if before is not None:
+            before = before.rest
+    return Subgoals(
+        _tele_from(spliced, TeleNil(prefix)),
+        subst_compose(_reindexing(prefix, walk.context, image), validation),
+    )
+
+
+def _reindexing(
+    source: Context, target: Context, image: dict[str, Term]
+) -> Substitution:
+    # image covers exactly the old names in scope, so a target of the
+    # same length all of whose names it covers is that scope
+    try:
+        terms = tuple(map(image.__getitem__, target.names))
+    except KeyError as err:
+        raise ContextMismatch(
+            f"variable {err.args[0]!r} is not in the flattened context"
+        ) from None
+    if len(terms) != len(image):
+        raise ContextMismatch("subgoal context out of place in flattening")
+    return Substitution._trusted(source, target, terms)
 
 
 def state_alpha_eq(
@@ -369,60 +437,41 @@ def state_alpha_eq(
             return ca == cb and ta == tb
         case Bot(ca, ta), Bot(cb, tb):
             return ca == cb and ta == tb
-        case Subgoals(ta_, va), Subgoals(tb_, vb):
+        case Subgoals(ta, va), Subgoals(tb, vb):
             if a.context != b.context or va.target != vb.target:
                 return False
+            # ra, rb rename each side's binders so far onto a shared @k spine
             ra = subst_identity(a.context)
             rb = subst_identity(b.context)
-            counter = [0]
-            ok, ra, rb = _tele_alpha(structure, ta_, tb_, ra, rb, counter)
-            if not ok:
+            spine = 0
+            while isinstance(ta, TeleCons) and isinstance(tb, TeleCons):
+                if len(ta.names) != len(tb.names):
+                    return False
+                sorts_a = tuple(s for _, s in structure.output(ta.goal).entries)
+                sorts_b = tuple(s for _, s in structure.output(tb.goal).entries)
+                if sorts_a != sorts_b:
+                    return False
+                ga_canon = structure.subst(ta.goal, ra)
+                gb_canon = structure.subst(tb.goal, rb)
+                if not structure.alpha_eq(ga_canon, gb_canon):
+                    return False
+                # nested comparisons may already have @k names in scope, so
+                # the shared spine has to steer around both sides' sources
+                taken = set(ra.source.names) | set(rb.source.names)
+                picked = []
+                for i in range(len(ta.names)):
+                    name = fresh_name(f"@{spine + i}", taken)
+                    taken.add(name)
+                    picked.append(name)
+                canon = tuple(picked)
+                spine += len(ta.names)
+                ra = subst_extend_binder(ra, tuple(zip(ta.names, sorts_a)), canon)
+                rb = subst_extend_binder(rb, tuple(zip(tb.names, sorts_b)), canon)
+                ta, tb = ta.rest, tb.rest
+            if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
                 return False
             return subst_compose(ra, va) == subst_compose(rb, vb)
     return False
-
-
-def _tele_alpha(
-    structure: JudgmentStructure,
-    ta: Telescope,
-    tb: Telescope,
-    ra: Substitution,
-    rb: Substitution,
-    counter: list[int],
-) -> tuple[bool, Substitution, Substitution]:
-    # ra, rb rename each side's binders so far onto a shared @k spine
-    match ta, tb:
-        case TeleNil(_), TeleNil(_):
-            return True, ra, rb
-        case TeleCons(na, ga, resta), TeleCons(nb, gb, restb):
-            if len(na) != len(nb):
-                return False, ra, rb
-            out_a = structure.output(ga)
-            out_b = structure.output(gb)
-            sorts_a = tuple(s for _, s in out_a.entries)
-            sorts_b = tuple(s for _, s in out_b.entries)
-            if sorts_a != sorts_b:
-                return False, ra, rb
-            ga_canon = structure.subst(ga, ra)
-            gb_canon = structure.subst(gb, rb)
-            if not structure.alpha_eq(ga_canon, gb_canon):
-                return False, ra, rb
-            # nested comparisons may already have @k names in scope, so the
-            # shared spine has to steer around both sides' sources
-            taken = set(ra.source.names) | set(rb.source.names)
-            picked = []
-            for i in range(len(na)):
-                name = fresh_name(f"@{counter[0] + i}", taken)
-                taken.add(name)
-                picked.append(name)
-            canon = tuple(picked)
-            counter[0] += len(na)
-            binder_a = tuple((n, s) for n, s in zip(na, sorts_a))
-            binder_b = tuple((n, s) for n, s in zip(nb, sorts_b))
-            ra2 = subst_extend_binder(ra, binder_a, canon)
-            rb2 = subst_extend_binder(rb, binder_b, canon)
-            return _tele_alpha(structure, resta, restb, ra2, rb2, counter)
-    return False, ra, rb
 
 
 def state_approx(

@@ -13,6 +13,7 @@ application (each) all arise this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence, Union
 
 from .judgment import JudgmentStructure
@@ -184,6 +185,46 @@ def try_tactic(structure: JudgmentStructure, t: Tactic) -> Tactic:
     return orelse(t, id_tactic(structure))
 
 
+# given an entry and the memo: the goal handed over, its delayed answer,
+# and the memo for the next entry as a function of the answer
+_Attack = Callable[[TeleCons, Any], tuple[Any, Delayed, Callable[[ProofState], Any]]]
+
+
+def _sweep(state: ProofState, attack: _Attack, memo: Any) -> Delayed:
+    """Answer the entries of a state's telescope left to right, in place.
+
+    An answer that is already resolved is taken in the same loop; one
+    still running is awaited with a single bind whose continuation
+    resumes the loop, so each step costs one unit of fuel and no chain of
+    binds grows with the telescope.
+    """
+    if isinstance(state, (Fail, Bot)):
+        return Now(state)
+    assert isinstance(state, Subgoals)
+
+    def resume(tele: Telescope, memo: Any, done: Any) -> Delayed:
+        # done holds the answered entries, newest first, as nested pairs
+        while isinstance(tele, TeleCons):
+            goal, answer, settle = attack(tele, memo)
+            if not isinstance(answer, Now):
+                return bind(answer, partial(answered, tele, goal, settle, done))
+            result = answer.value
+            _fire_trace(goal, result)
+            memo = settle(result)
+            done = ((tele.names, result), done)
+            tele = tele.rest
+        while done is not None:
+            (names, result), done = done
+            tele = TeleCons(names, result, tele)
+        return Now(Subgoals(tele, state.validation))
+
+    def answered(tele, goal, settle, done, result: ProofState) -> Delayed:
+        _fire_trace(goal, result)
+        return resume(tele.rest, settle(result), ((tele.names, result), done))
+
+    return resume(state.telescope, memo, None)
+
+
 def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
     """Run t on every subgoal in place, awaiting each.
 
@@ -192,30 +233,15 @@ def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
     are the per-subgoal answer states.
     """
 
+    def keep(result: ProofState) -> None:
+        return None
+
+    def attack(entry: TeleCons, memo: None):
+        goal = entry.goal
+        return goal, t(goal.context, goal), keep
+
     def mt(ctx: Context, state: ProofState) -> Delayed:
-        if isinstance(state, (Fail, Bot)):
-            return Now(state)
-        assert isinstance(state, Subgoals)
-
-        def go(tele: Telescope) -> Delayed:
-            if isinstance(tele, TeleNil):
-                return Now(tele)
-            assert isinstance(tele, TeleCons)
-            goal = tele.goal
-
-            def with_head(result: ProofState) -> Delayed:
-                _fire_trace(goal, result)
-                return bind(
-                    go(tele.rest),
-                    lambda rest: Now(TeleCons(tele.names, result, rest)),
-                )
-
-            return bind(t(goal.context, goal), with_head)
-
-        return bind(
-            go(state.telescope),
-            lambda tele: Now(Subgoals(tele, state.validation)),
-        )
+        return _sweep(state, attack, None)
 
     return mt
 
@@ -229,55 +255,40 @@ def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitac
     answered with the unit state of the instantiated goal.
     """
 
-    def mt(ctx: Context, state: ProofState) -> Delayed:
-        if isinstance(state, (Fail, Bot)):
-            return Now(state)
-        assert isinstance(state, Subgoals)
-
-        def go(tele: Telescope, pending: dict, index: int) -> Delayed:
-            if isinstance(tele, TeleNil):
-                return Now(tele)
-            assert isinstance(tele, TeleCons)
-            ctx_k = tele.goal.context
-            sub = Substitution(
-                ctx_k,
-                ctx_k,
-                tuple(
-                    pending.get(name, Var(name, sort))
-                    for name, sort in ctx_k.entries
-                ),
-            )
-            goal = structure.subst(tele.goal, sub)
-            if index < len(tactics):
-                answer = tactics[index](ctx_k, goal)
-            else:
-                answer = Now(state_unit(structure, goal))
-
-            def with_head(result: ProofState) -> Delayed:
-                _fire_trace(goal, result)
-                new_pending = pending
-                if isinstance(result, Subgoals) and isinstance(
-                    result.telescope, TeleNil
-                ):
-                    # entry fully discharged: record its evidence for
-                    # instantiating the goals that bound these names
-                    resolved = tuple(
-                        subst_apply(t, sub) for t in result.validation.terms
-                    )
-                    new_pending = dict(pending)
-                    for name, term in zip(tele.names, resolved):
-                        new_pending[name] = term
-                return bind(
-                    go(tele.rest, new_pending, index + 1),
-                    lambda rest: Now(TeleCons(tele.names, result, rest)),
-                )
-
-            return bind(answer, with_head)
-
-        return bind(
-            go(state.telescope, {}, 0),
-            lambda t: Now(Subgoals(t, state.validation)),
+    # the memo is the evidence of the discharged binders, by name, and
+    # the position of the entry
+    def attack(entry: TeleCons, memo: tuple[dict, int]):
+        pending, index = memo
+        ctx_k = entry.goal.context
+        sub = Substitution(
+            ctx_k,
+            ctx_k,
+            tuple(
+                pending.get(name, Var(name, sort)) for name, sort in ctx_k.entries
+            ),
         )
+        goal = structure.subst(entry.goal, sub)
+        if index < len(tactics):
+            answer = tactics[index](ctx_k, goal)
+        else:
+            answer = Now(state_unit(structure, goal))
+
+        def settle(result: ProofState) -> tuple[dict, int]:
+            if isinstance(result, Subgoals) and isinstance(
+                result.telescope, TeleNil
+            ):
+                # entry fully discharged: record its evidence for
+                # instantiating the goals that bound these names
+                resolved = tuple(
+                    subst_apply(t, sub) for t in result.validation.terms
+                )
+                return pending | dict(zip(entry.names, resolved)), index + 1
+            return pending, index + 1
+
+        return goal, answer, settle
+
+    def mt(ctx: Context, state: ProofState) -> Delayed:
+        return _sweep(state, attack, ({}, 0))
 
     return mt
 
@@ -334,30 +345,53 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
     )
 
 
-def _recover_entries(
-    structure: JudgmentStructure, before: Subgoals, after: ProofState
-) -> ProofState:
-    # replace per-entry refusals by the untouched goal, where the round
-    # kept the telescope's shape; a restructured answer passes through
-    if not isinstance(after, Subgoals):
-        return after
-    orig = tele_goals(before.telescope)
-    res = tele_goals(after.telescope)
-    if len(orig) != len(res):
-        return after
-    if any(na != nb for (na, _), (nb, _) in zip(orig, res)):
-        return after
+def _unit_of(goal: Any, answer: Subgoals) -> bool:
+    """Whether answer is goal itself under binders handed straight back."""
+    tele = answer.telescope
+    if not (
+        isinstance(tele, TeleCons)
+        and tele.goal is goal
+        and isinstance(tele.rest, TeleNil)
+    ):
+        return False
+    sorts = (sort for _, sort in answer.validation.target.entries)
+    bound = tuple(Var(name, sort) for name, sort in zip(tele.names, sorts))
+    return answer.validation.terms == bound
 
-    def rebuild(tele: Telescope, i: int) -> Telescope:
-        if isinstance(tele, TeleNil):
-            return tele
-        assert isinstance(tele, TeleCons)
-        goal = tele.goal
-        if isinstance(goal, (Fail, Bot)):
-            goal = state_unit(structure, orig[i][1])
-        return TeleCons(tele.names, goal, rebuild(tele.rest, i + 1))
 
-    return Subgoals(rebuild(after.telescope, 0), after.validation)
+def _unmoved(answers: Subgoals, before: Subgoals) -> bool:
+    """Whether each entry refused its goal or answered with its unit state.
+
+    Flattening such a round gives back the state before it up to
+    renaming, entry by entry, without comparing the two.
+    """
+    if answers.validation != before.validation:
+        return False
+    a, b = answers.telescope, before.telescope
+    while isinstance(a, TeleCons) and isinstance(b, TeleCons):
+        if a.names != b.names:
+            return False
+        if not isinstance(a.goal, (Fail, Bot)) and not _unit_of(b.goal, a.goal):
+            return False
+        a, b = a.rest, b.rest
+    return isinstance(a, TeleNil) and isinstance(b, TeleNil)
+
+
+def _next_round(
+    structure: JudgmentStructure, state: Subgoals, answers: ProofState
+) -> tuple[ProofState, bool]:
+    """The state after one round of a repeated multitactic, and whether
+    the repetition stops there."""
+    if isinstance(answers, (Fail, Bot)):
+        return state, True
+    advanced = state_mul(structure, answers, state.telescope)
+    if isinstance(advanced, (Fail, Bot)):
+        return state, True
+    if _unmoved(answers, state):
+        return advanced, True
+    if len(tele_goals(advanced.telescope)) != len(tele_goals(state.telescope)):
+        return advanced, False
+    return advanced, state_alpha_eq(structure, advanced, state)
 
 
 def repeat_multitactic(
@@ -366,23 +400,20 @@ def repeat_multitactic(
     """Iterate a multitactic over the flattened state until it is stable.
 
     Each productive round costs one step.  A round that fails outright,
-    or whose flattening collapses, leaves the previous state standing;
-    per-entry refusals are healed entry by entry so that one stuck goal
-    does not poison the progress made on its siblings.  The stable state
-    is handed back under the unit, ready for the caller's flattening.
+    or whose flattening collapses, leaves the previous state standing.
+    An entry that refuses its goal (Fail or Bot) while the round keeps
+    the telescope's binders leaves that goal in place, so that one stuck
+    goal does not poison the progress made on its siblings.  The loop
+    stops once a round leaves the state unchanged up to renaming, and
+    hands the stable state back under the unit, ready for the caller's
+    flattening.
     """
     outer = StateStructure(structure)
 
     def loop(ctx: Context, state: ProofState) -> Delayed:
-        def after(ss: ProofState) -> Delayed:
-            if isinstance(ss, (Fail, Bot)):
-                return Now(state_unit(outer, state))
-            assert isinstance(state, Subgoals)
-            healed = _recover_entries(structure, state, ss)
-            advanced = state_mul(structure, healed)
-            if isinstance(advanced, (Fail, Bot)):
-                return Now(state_unit(outer, state))
-            if state_alpha_eq(structure, advanced, state):
+        def after(answers: ProofState) -> Delayed:
+            advanced, stop = _next_round(structure, state, answers)
+            if stop:
                 return Now(state_unit(outer, advanced))
             return Later(lambda: loop(ctx, advanced))
 

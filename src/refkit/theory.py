@@ -9,7 +9,7 @@ tuples of terms aligned with their target context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 
 class TheoryError(Exception):
@@ -99,11 +99,13 @@ class Context:
     entries: tuple[tuple[str, Sort], ...] = ()
 
     def __post_init__(self) -> None:
-        index: dict[str, Sort] = {}
-        for name, sort in self.entries:
+        # _index gives each name's position, for lookups here and in the
+        # substitutions that target this context
+        index: dict[str, int] = {}
+        for position, (name, _) in enumerate(self.entries):
             if name in index:
                 raise ContextMismatch(f"duplicate variable {name!r} in context")
-            index[name] = sort
+            index[name] = position
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_names", tuple(index))
 
@@ -113,10 +115,12 @@ class Context:
     ) -> "Context":
         # same distinctness guarantee as __init__, reusing the base index
         index = dict(base._index)
-        for name, sort in extra:
+        position = len(base.entries)
+        for name, _ in extra:
             if name in index:
                 raise ContextMismatch(f"duplicate variable {name!r} in context")
-            index[name] = sort
+            index[name] = position
+            position += 1
         self = object.__new__(cls)
         object.__setattr__(self, "entries", base.entries + extra)
         object.__setattr__(self, "_index", index)
@@ -128,7 +132,8 @@ class Context:
         return self._names
 
     def lookup(self, name: str) -> Sort | None:
-        return self._index.get(name)
+        position = self._index.get(name)
+        return None if position is None else self.entries[position][1]
 
     def extend(self, name: str, sort: Sort) -> "Context":
         return Context._extended(self, ((name, sort),))
@@ -187,7 +192,6 @@ class Substitution:
                     f"expected {sort.name}"
                 )
             check_term(self.source, t)
-        object.__setattr__(self, "_map", dict(zip(self.target.names, self.terms)))
 
     @classmethod
     def _trusted(
@@ -199,11 +203,11 @@ class Substitution:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_map", dict(zip(target.names, terms)))
         return self
 
     def lookup(self, name: str) -> Term | None:
-        return self._map.get(name)
+        position = self.target._index.get(name)
+        return None if position is None else self.terms[position]
 
 
 def subst_identity(ctx: Context) -> Substitution:
@@ -230,17 +234,22 @@ def subst_weaken(source: Context, target: Context) -> Substitution:
 
 
 def subst_apply(t: Term, s: Substitution) -> Term:
-    """Carry a term over s.target to a term over s.source."""
-    match t:
-        case Var(name, _):
-            replacement = s.lookup(name)
-            if replacement is None:
-                raise ContextMismatch(
-                    f"variable {name!r} not covered by substitution"
-                )
-            return replacement
-        case App(op, args):
-            return App(op, tuple(subst_apply(a, s) for a in args))
+    """Carry a term over s.target to a term over s.source.
+
+    A subterm the substitution leaves unchanged is handed back as it is,
+    not rebuilt.
+    """
+    if isinstance(t, Var):
+        replacement = s.lookup(t.name)
+        if replacement is None:
+            raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
+        return replacement
+    if isinstance(t, App):
+        args = tuple([subst_apply(a, s) for a in t.args])
+        for new, old in zip(args, t.args):
+            if new is not old:
+                return App(t.op, args)
+        return t
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
@@ -303,6 +312,32 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     while f"{stem}'{i}" in avoid:
         i += 1
     return f"{stem}'{i}"
+
+
+class NameSupply:
+    """A set of names in scope that only grows, handing out fresh names.
+
+    fresh(base) returns fresh_name(base, names) and takes it into scope.
+    Since names are never released, every primed name below the last one
+    handed out for a stem stays taken, so the search for a stem resumes
+    there instead of rescanning from the first prime.
+    """
+
+    def __init__(self, names: Iterable[str]):
+        self.names = set(names)
+        self._next: dict[str, int] = {}
+
+    def fresh(self, base: str) -> str:
+        stem = base.split("'", 1)[0] or "x"
+        names = self.names
+        if stem in names:
+            i = self._next.get(stem, 1)
+            while f"{stem}'{i}" in names:
+                i += 1
+            self._next[stem] = i + 1
+            stem = f"{stem}'{i}"
+        names.add(stem)
+        return stem
 
 
 def freshen_context(

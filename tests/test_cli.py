@@ -157,12 +157,40 @@ def test_main_usage_errors_exit_five(capsys):
         ["--logic", "nope", "--goal", "eval num 1", "--script", "id"],
         ["--logic", "arith", "--goal", "eval num 4", "--script", "num_eval",
          "--fuel", "-5"],
+        ["--logic", "arith", "--goal", "eval num 1", "--script",
+         "(" * 300 + "num_eval" + ")" * 300],
     ]
     for argv in cases:
         assert main(argv) == 5, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err.lower()
+
+
+def test_too_deep_nesting_is_a_usage_error(capsys):
+    deep_goal = "eval " + "(" * 1000 + "num 1" + ")" * 1000
+    deep_script = "(" * 300 + "num_eval" + ")" * 300
+    for goal, script in [(deep_goal, "num_eval"), ("eval num 1", deep_script)]:
+        code = main(["--logic", "arith", "--goal", goal, "--script", script])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nesting too deep" in captured.err
+
+
+def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
+    from refkit.logics import arith
+    from refkit.rule import Rule
+
+    def broken(ctx, goal):
+        raise RuntimeError("rule exploded")
+
+    monkeypatch.setattr(arith, "RULES", {"num_eval": Rule("num_eval", broken)})
+    code = main(["--logic", "arith", "--goal", "eval num 1", "--script", "num_eval"])
+    assert code == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: rule exploded\n"
 
 
 def test_module_entry_point_matches_main():

@@ -1,15 +1,23 @@
 """Delayed computations, tacticals, and repetition."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from refkit.cli import RunConfig, execute
 from refkit.logics import arith
 from refkit.state import (
     Bot,
     Fail,
     StateStructure,
     Subgoals,
+    TeleCons,
     TeleNil,
+    pretty_state,
     state_alpha_eq,
+    state_mul,
     state_unit,
     tele_goals,
 )
@@ -40,7 +48,9 @@ from refkit.tactic import (
     thenl_tactic,
     try_tactic,
 )
-from refkit.theory import Context, Substitution
+from refkit.theory import Context, Substitution, render_term
+
+from strategies import arith_state, rand_context, rand_num_term
 
 J = arith.STRUCTURE
 K = StateStructure(J)
@@ -49,6 +59,8 @@ EMPTY = Context(())
 NUM_EVAL = from_rule(arith.NUM_EVAL)
 PLUS_EVAL = from_rule(arith.PLUS_EVAL)
 ADD = from_rule(arith.ADD)
+
+FOUR_LEAVES = "eval num 1 + num 2 + (num 3 + num 4)"
 
 
 def eval_goal(expr):
@@ -275,3 +287,185 @@ def test_trace_hook_fires_once_per_subgoal_answer():
     assert len(fired) == 5
     goals = [J.render(g) for g, _ in fired]
     assert goals[0].startswith("eval")
+
+
+# the reference semantics of one round of repeat_multitactic: rebuild
+# refused entries as unit states, flatten, compare with the state before
+def _recover_entries(structure, before, after):
+    if not isinstance(after, Subgoals):
+        return after
+    orig = tele_goals(before.telescope)
+    res = tele_goals(after.telescope)
+    if len(orig) != len(res):
+        return after
+    if any(na != nb for (na, _), (nb, _) in zip(orig, res)):
+        return after
+    rebuilt = []
+    for (_, goal), (names, answer) in zip(orig, res):
+        if isinstance(answer, (Fail, Bot)):
+            answer = state_unit(structure, goal)
+        rebuilt.append((names, answer))
+    return Subgoals(telescope(rebuilt, after), after.validation)
+
+
+def telescope(entries, like):
+    """The telescope of entries, closed by the flat context of state like."""
+    tele = like.telescope
+    while isinstance(tele, TeleCons):
+        tele = tele.rest
+    for names, goal in reversed(entries):
+        tele = TeleCons(names, goal, tele)
+    return tele
+
+
+def reference_round(structure, state, answers):
+    if isinstance(answers, (Fail, Bot)):
+        return state, True
+    advanced = state_mul(structure, _recover_entries(structure, state, answers))
+    if isinstance(advanced, (Fail, Bot)):
+        return state, True
+    return advanced, state_alpha_eq(structure, advanced, state)
+
+
+def one_round(structure, state, answers):
+    """The state after repeat_multitactic's first round on the given
+    answers, and whether it stopped there."""
+
+    def mt(ctx, current):
+        if current is state:
+            return Now(answers)
+        return Now(Fail(current.context, current.target))
+
+    got = run_delayed(repeat_multitactic(structure, mt)(state.context, state), 1)
+    assert isinstance(got, Resolved)
+    [(_, settled)] = tele_goals(got.value.telescope)
+    return settled, got.steps == 0
+
+
+def rand_answer(rng, goal):
+    roll = rng.randrange(7)
+    output = J.output(goal)
+    if roll == 0:
+        return Fail(goal.context, output)
+    if roll == 1:
+        return Bot(goal.context, output)
+    if roll == 2:
+        return state_unit(J, goal)
+    if roll == 3:
+        # the goal itself, but its outputs are not handed straight back
+        unit = state_unit(J, goal)
+        flat = unit.validation.source
+        terms = tuple(rand_num_term(rng, flat) for _ in output.entries)
+        return Subgoals(unit.telescope, Substitution(flat, output, terms))
+    if roll == 4:
+        rule = rng.choice((arith.NUM_EVAL, arith.PLUS_EVAL, arith.ADD))
+        return rule.run(goal.context, goal)
+    inner = arith_state(rng, goal.context, max_goals=3, terminal_chance=0.0)
+    flat = inner.validation.source
+    terms = tuple(rand_num_term(rng, flat) for _ in output.entries)
+    return Subgoals(inner.telescope, Substitution(flat, output, terms))
+
+
+def rand_answers(rng, state):
+    roll = rng.random()
+    refusal = rng.choice((Fail, Bot))(state.context, state.target)
+    if roll < 0.05:
+        return refusal
+    if roll < 0.1:
+        return state_unit(K, state)
+    if roll < 0.15:
+        # one refused entry under binders of its own: nothing to heal
+        return state_unit(K, refusal)
+    entries = [
+        (names, rand_answer(rng, goal)) for names, goal in tele_goals(state.telescope)
+    ]
+    validation = state.validation
+    if rng.random() < 0.1:
+        flat = validation.source
+        validation = Substitution(
+            flat,
+            validation.target,
+            tuple(rand_num_term(rng, flat) for _ in validation.target.entries),
+        )
+    return Subgoals(telescope(entries, state), validation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_round_matches_the_heal_flatten_compare_reference(seed):
+    rng = random.Random(seed)
+    state = arith_state(
+        rng, rand_context(rng), max_goals=4, terminal_chance=0.0
+    )
+    answers = rand_answers(rng, state)
+    want, want_stop = reference_round(J, state, answers)
+    got, got_stop = one_round(J, state, answers)
+    assert pretty_state(J, got) == pretty_state(J, want)
+    assert got == want
+    assert got_stop == want_stop
+
+
+def test_a_round_of_refusals_and_units_stops_without_comparing(monkeypatch):
+    import refkit.tactic as tactic
+
+    goal = eval_goal(arith.plus(arith.num(2), arith.plus(arith.num(3), arith.num(4))))
+    split = final(PLUS_EVAL, goal)
+    entries = [
+        (names, state_unit(J, g) if i % 2 else Bot(g.context, J.output(g)))
+        for i, (names, g) in enumerate(tele_goals(split.telescope))
+    ]
+    answers = Subgoals(telescope(entries, split), split.validation)
+    want, want_stop = reference_round(J, split, answers)
+    assert want_stop
+
+    def no_compare(*args):
+        raise AssertionError("an unmoved round needs no comparison")
+
+    monkeypatch.setattr(tactic, "state_alpha_eq", no_compare)
+    settled, stopped = one_round(J, split, answers)
+    assert stopped
+    assert settled == want
+
+
+def test_id_star_stops_before_the_first_step():
+    out = execute(RunConfig("arith", FOUR_LEAVES, "id; all(id)*"))
+    assert out.status == "incomplete"
+    assert out.steps == 0
+    [(_, goal)] = tele_goals(out.state.telescope)
+    assert J.render(goal) == FOUR_LEAVES
+
+
+def test_plus_eval_star_leaves_a_byte_exact_residual():
+    out = execute(RunConfig("arith", FOUR_LEAVES, "id; all(plus_eval)*"))
+    assert out.status == "incomplete"
+    assert out.steps == 2
+    assert pretty_state(J, out.state) == (
+        "[c, v] : eval num 1.\n"
+        "[c'1, v'1] : eval num 2.\n"
+        "n : add c c'1.\n"
+        "n'1 : add 1 n.\n"
+        "n'2 : add v v'1.\n"
+        "[c'2, v'2] : eval num 3.\n"
+        "[c'3, v'3] : eval num 4.\n"
+        "n'3 : add c'2 c'3.\n"
+        "n'4 : add 1 n'3.\n"
+        "n'5 : add v'2 v'3.\n"
+        "n'6 : add n'1 n'4.\n"
+        "n'7 : add 1 n'6.\n"
+        "n'8 : add n'2 n'5.\n"
+        "▹ [n'7, n'8]"
+    )
+
+
+def balanced_sum(depth):
+    if depth == 0:
+        return "num 1"
+    half = balanced_sum(depth - 1)
+    return f"({half}) + ({half})"
+
+
+def test_breadth_first_auto_closes_a_balanced_tree_of_255_additions():
+    out = execute(RunConfig("arith", f"eval {balanced_sum(8)}", arith.AUTO_SCRIPT))
+    assert out.status == "complete"
+    assert out.steps == 25
+    assert [render_term(t) for t in out.state.validation.terms] == ["255", "256"]

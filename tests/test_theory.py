@@ -11,6 +11,7 @@ from refkit.theory import (
     BoundTerm,
     Context,
     ContextMismatch,
+    NameSupply,
     Operator,
     Sort,
     Substitution,
@@ -156,6 +157,21 @@ def test_fresh_name_prefers_the_bare_stem():
 def test_fresh_name_strips_old_primes_and_empty_stems():
     assert fresh_name("n'3", {"n"}) == "n'1"
     assert fresh_name("", set()) == "x"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_name_supply_picks_what_fresh_name_picks(seed):
+    rng = random.Random(seed)
+    stems = ["x", "n", "c", "", "x'2", "n'1"]
+    taken = {rng.choice(("x", "n", "x'1", "x'3", "n'2", "c")) for _ in range(4)}
+    supply = NameSupply(taken)
+    for _ in range(30):
+        base = rng.choice(stems)
+        want = fresh_name(base, taken)
+        taken.add(want)
+        assert supply.fresh(base) == want
+    assert supply.names == taken
 
 
 def test_freshen_context_avoids_collisions_consistently():
