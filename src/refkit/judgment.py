@@ -8,7 +8,6 @@ outputs it synthesizes, and compare candidate results.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any
 
 from .theory import Context, ContextMismatch, Substitution
@@ -60,40 +59,3 @@ def require_boundary(judgment: Any, s: Substitution) -> None:
         raise ContextMismatch(
             "substitution target does not match the judgment context"
         )
-
-
-@dataclass(frozen=True)
-class LabeledJudgment:
-    """A judgment tagged with the index of the subgoal it came from."""
-
-    inner: Any
-    index: int
-
-    @property
-    def context(self) -> Context:
-        return self.inner.context
-
-
-class LabeledStructure(JudgmentStructure):
-    """Lift a judgment structure to labeled judgments, preserving labels."""
-
-    def __init__(self, base: JudgmentStructure):
-        self.base = base
-
-    def check(self, judgment: LabeledJudgment) -> None:
-        self.base.check(judgment.inner)
-
-    def subst(self, judgment: LabeledJudgment, s: Substitution) -> LabeledJudgment:
-        return LabeledJudgment(self.base.subst(judgment.inner, s), judgment.index)
-
-    def output(self, judgment: LabeledJudgment) -> Context:
-        return self.base.output(judgment.inner)
-
-    def approx(self, a: LabeledJudgment, b: LabeledJudgment) -> bool:
-        return a.index == b.index and self.base.approx(a.inner, b.inner)
-
-    def alpha_eq(self, a: LabeledJudgment, b: LabeledJudgment) -> bool:
-        return a.index == b.index and self.base.alpha_eq(a.inner, b.inner)
-
-    def render(self, judgment: LabeledJudgment) -> str:
-        return f"{judgment.index}:{self.base.render(judgment.inner)}"

@@ -19,6 +19,7 @@ from ..tactic import Tactic
 from ..theory import (
     App,
     Context,
+    NameSupply,
     Operator,
     Sort,
     Substitution,
@@ -28,7 +29,6 @@ from ..theory import (
     Var,
     check_term,
     ctx_concat,
-    fresh_name,
     subst_apply,
     term_sort,
 )
@@ -163,13 +163,10 @@ def _num_eval_build(ctx: Context, goal: EvalGoal) -> Subgoals:
 
 def _plus_eval_build(ctx: Context, goal: EvalGoal) -> Subgoals:
     e1, e2 = goal.expr.args
-    taken = set(ctx.names)
-    picked = []
-    for base in ("xc", "xv", "yc", "yv", "zc", "zc1", "zv"):
-        name = fresh_name(base, taken)
-        taken.add(name)
-        picked.append(name)
-    xc, xv, yc, yv, zc, zc1, zv = picked
+    scope = NameSupply(ctx.names)
+    xc, xv, yc, yv, zc, zc1, zv = map(
+        scope.fresh, ("xc", "xv", "yc", "yv", "zc", "zc1", "zv")
+    )
     g0 = ctx
     g1 = ctx_concat(g0, Context(((xc, NUM), (xv, NUM))))
     g2 = ctx_concat(g1, Context(((yc, NUM), (yv, NUM))))

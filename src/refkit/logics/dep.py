@@ -2,8 +2,8 @@
 
 Propositions include a dependent pair former sig(x. B, A) whose body B
 may mention the evidence x of A.  Internally the bound occurrence is a
-reserved slot variable that user identifiers cannot collide with; the
-pack/unpack helpers move between that encoding and BoundTerm.
+reserved slot variable that user identifiers cannot collide with; only
+rendering gives it a printable name.
 
 A sig body's scope holds only its own binder, because a nested sig's
 slot would capture an outer one: the parser rejects a body that mentions
@@ -23,8 +23,8 @@ from ..syntax import Cursor, ParseError, lex
 from ..tactic import Tactic
 from ..theory import (
     App,
-    BoundTerm,
     Context,
+    NameSupply,
     Operator,
     Sort,
     Substitution,
@@ -101,26 +101,6 @@ def _replace_var(t: Term, name: str, replacement: Term) -> Term:
     raise TheoryError(f"not a term: {t!r}")
 
 
-def pack_sig(bound: BoundTerm, a: Term) -> Term:
-    """Build a sig proposition from a one-variable body and its base."""
-    if len(bound.binder) != 1 or not isinstance(bound.body, (Var, App)):
-        raise UnsortedTerm("sig body must bind exactly one variable")
-    (name, sort), = bound.binder.entries
-    if sort != EXP:
-        raise UnsortedTerm("the sig binder ranges over evidence")
-    return App(SIG_OP, (a, _replace_var(bound.body, name, SLOT)))
-
-
-def unpack_sig(t: Term, avoid: set[str]) -> tuple[BoundTerm, Term]:
-    """Expose a sig body as a BoundTerm with a printable binder name."""
-    if not (isinstance(t, App) and t.op == SIG_OP):
-        raise UnsortedTerm("not a sig proposition")
-    a, b = t.args
-    name = fresh_name("x", avoid | term_vars(b))
-    body = _replace_var(b, SLOT.name, Var(name, EXP))
-    return BoundTerm(Context(((name, EXP),)), body), a
-
-
 def slot_extend(ctx: Context) -> Context:
     entries = tuple(e for e in ctx.entries if e[0] != SLOT.name)
     return Context(entries + ((SLOT.name, EXP),))
@@ -133,7 +113,9 @@ def _slot_subst(s: Substitution) -> Substitution:
         for t, e in zip(s.terms, s.target.entries)
         if e[0] != SLOT.name
     )
-    return Substitution(
+    # every substituent is already checked over s.source, and the slot
+    # extension keeps every entry of s.source but the slot, which it re-adds
+    return Substitution._trusted(
         slot_extend(s.source),
         Context(tuple(e for _, e in kept) + ((SLOT.name, EXP),)),
         tuple(t for t, _ in kept) + (SLOT,),
@@ -213,10 +195,10 @@ def render_prop(t: Term) -> str:
             return name
         case App(op, ()) :
             return op.name
-        case App(op, _) if op == SIG_OP:
-            bound, a = unpack_sig(t, set())
-            (name, _), = bound.binder.entries
-            return f"sig({name}. {render_prop(bound.body)}, {render_prop(a)})"
+        case App(op, (a, b)) if op == SIG_OP:
+            name = fresh_name("x", term_vars(b))
+            body = _replace_var(b, SLOT.name, Var(name, EXP))
+            return f"sig({name}. {render_prop(body)}, {render_prop(a)})"
         case App(op, args):
             parts = ", ".join(
                 render_prop(a) if srt == PROP else render_exp(a)
@@ -268,7 +250,7 @@ def _top_i_build(ctx: Context, g: TruthGoal) -> Subgoals:
 
 def _or_i1_build(ctx: Context, g: TruthGoal) -> Subgoals:
     left, _ = g.prop.args
-    name = fresh_name("x", set(ctx.names))
+    name = NameSupply(ctx.names).fresh("x")
     flat = ctx_concat(ctx, Context(((name, EXP),)))
     tele = TeleCons((name,), TruthGoal(ctx, left), TeleNil(flat))
     validation = Substitution(flat, TRUTH_OUTPUT, (inl(Var(name, EXP)),))
@@ -291,9 +273,10 @@ def _eq_refl_open(ctx: Context, g) -> bool:
 
 def _sig_i_build(ctx: Context, g: TruthGoal) -> Subgoals:
     a, b = g.prop.args
-    m = fresh_name("m", set(ctx.names))
+    scope = NameSupply(ctx.names)
+    m = scope.fresh("m")
+    n = scope.fresh("n")
     ctx_m = ctx_concat(ctx, Context(((m, EXP),)))
-    n = fresh_name("n", set(ctx_m.names))
     flat = ctx_concat(ctx_m, Context(((n, EXP),)))
     open_slot = Substitution(
         ctx_m,

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .judgment import JudgmentStructure, LabeledJudgment
+from .judgment import JudgmentStructure
 from .state import (
     Fail,
     ProofState,
-    label_state,
     state_approx,
     state_map,
     state_mul,
@@ -80,30 +79,25 @@ def check_lax_naturality(
     return failures
 
 
-def proj_rules(structure: JudgmentStructure, rules: Sequence[Rule]) -> Rule:
-    """Dispatch on a labeled goal's index; out of range acts as the unit."""
-
-    def run(ctx: Context, goal: LabeledJudgment) -> ProofState:
-        if 0 <= goal.index < len(rules):
-            return rules[goal.index].run(ctx, goal.inner)
-        return state_unit(structure, goal.inner)
-
-    names = ", ".join(r.name for r in rules)
-    return Rule(f"[{names}]", run)
-
-
 def rule_seq(
     structure: JudgmentStructure, first: Rule, rest: Sequence[Rule]
 ) -> Rule:
-    """Run first, then the i-th of rest on the i-th subgoal, and flatten."""
-    dispatch = proj_rules(structure, rest)
+    """Run first, then the i-th of rest on the i-th subgoal, and flatten.
+
+    Subgoals past the end of rest stay open, as their unit states.
+    """
 
     def run(ctx: Context, goal: Any) -> ProofState:
-        state = first.run(ctx, goal)
-        labeled = label_state(state)
-        applied = state_map(
-            lambda lg: dispatch.run(lg.context, lg), labeled
-        )
-        return state_mul(structure, applied)
+        # state_map visits the subgoals left to right, once each
+        rules = iter(rest)
 
-    return Rule(f"{first.name} ; {dispatch.name}", run)
+        def dispatch(subgoal: Any) -> ProofState:
+            rule = next(rules, None)
+            if rule is None:
+                return state_unit(structure, subgoal)
+            return rule.run(subgoal.context, subgoal)
+
+        return state_mul(structure, state_map(dispatch, first.run(ctx, goal)))
+
+    names = ", ".join(r.name for r in rest)
+    return Rule(f"{first.name} ; [{names}]", run)

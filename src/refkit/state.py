@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
-from .judgment import JudgmentStructure, LabeledJudgment
+from .judgment import JudgmentStructure
 from .theory import (
     Context,
     ContextMismatch,
@@ -26,12 +26,9 @@ from .theory import (
     TheoryError,
     Var,
     ctx_concat,
-    fresh_name,
     render_term,
     subst_apply,
     subst_compose,
-    subst_extend_binder,
-    subst_identity,
 )
 
 
@@ -170,12 +167,8 @@ def state_unit(structure: JudgmentStructure, goal: Any) -> Subgoals:
     """One-subgoal state whose validation hands the outputs straight back."""
     ambient = goal.context
     output = structure.output(goal)
-    taken = set(ambient.names)
-    names = []
-    for name, _ in output.entries:
-        fresh = fresh_name(name, taken)
-        taken.add(fresh)
-        names.append(fresh)
+    scope = NameSupply(ambient.names)
+    names = [scope.fresh(name) for name in output.names]
     binder = tuple((n, s) for n, (_, s) in zip(names, output.entries))
     flat = ctx_concat(ambient, Context(binder))
     tele = TeleCons(tuple(names), goal, TeleNil(flat))
@@ -200,35 +193,13 @@ def wk_state(
     raise TheoryError(f"not a proof state: {state!r}")
 
 
-def tele_subst(
-    structure: JudgmentStructure, tele: Telescope, s: Substitution
-) -> tuple[Telescope, Substitution]:
-    """Reindex a telescope along s, freshening binders against s.source.
-
-    Returns the new telescope together with the extension of s to the
-    full flat contexts, for composing onto the validation.
-    """
-    goals, _ = _tele_parts(tele)
-    moved = []
-    for names, goal in goals:
-        new_goal = structure.subst(goal, s)
-        output = structure.output(goal)
-        taken = set(s.source.names)
-        fresh = []
-        for name in names:
-            picked = fresh_name(name, taken)
-            taken.add(picked)
-            fresh.append(picked)
-        binder = tuple((n, srt) for n, (_, srt) in zip(names, output.entries))
-        s = subst_extend_binder(s, binder, tuple(fresh))
-        moved.append((tuple(fresh), new_goal))
-    return _tele_from(moved, TeleNil(s.source)), s
-
-
 def state_subst(
     structure: JudgmentStructure, state: ProofState, s: Substitution
 ) -> ProofState:
-    """Reindex a whole state from s.target over to s.source."""
+    """Reindex a whole state from s.target over to s.source.
+
+    Binders are freshened against s.source and the binders before them.
+    """
     if state.context != s.target:
         raise ContextMismatch("substitution target does not match the state")
     match state:
@@ -237,8 +208,11 @@ def state_subst(
         case Bot(_, target):
             return Bot(s.source, target)
         case Subgoals(tele, validation):
-            new_tele, full = tele_subst(structure, tele, s)
-            return Subgoals(new_tele, subst_compose(full, validation))
+            moving = _Splice(structure, dict(zip(s.target.names, s.terms)), s.source)
+            while isinstance(tele, TeleCons):
+                moving.splice(tele.goal, tele.names, tele.names)
+                tele = tele.rest
+            return moving.close(tele_context(tele), validation)
     raise TheoryError(f"not a proof state: {state!r}")
 
 
@@ -256,18 +230,6 @@ def state_map(f: Callable[[Any], Any], state: ProofState) -> ProofState:
             mapped = [(names, f(goal)) for names, goal in goals]
             return Subgoals(_tele_from(mapped, end), validation)
     raise TheoryError(f"not a proof state: {state!r}")
-
-
-def label_state(state: ProofState) -> ProofState:
-    """Tag each subgoal with its position, left to right from zero."""
-    counter = [0]
-
-    def tag(goal: Any) -> LabeledJudgment:
-        labeled = LabeledJudgment(goal, counter[0])
-        counter[0] += 1
-        return labeled
-
-    return state_map(tag, state)
 
 
 def tele_obstruction(
@@ -335,6 +297,52 @@ def _same_binders(a: Telescope, b: Telescope) -> bool:
     return isinstance(a, TeleNil) and isinstance(b, TeleNil)
 
 
+class _Splice:
+    """A telescope being moved onto a new flat context, entry by entry.
+
+    image sends each old name in scope to its term over the new flat
+    context, scope hands out the new binders and prefix is the new flat
+    context so far.  Every goal is reindexed exactly once; the only work
+    per goal that grows with the context is its reindexing and its own new
+    context.
+    """
+
+    def __init__(
+        self, structure: JudgmentStructure, image: dict[str, Term], prefix: Context
+    ):
+        self.structure = structure
+        self.image = image
+        self.scope = NameSupply(prefix.names)
+        self.prefix = prefix
+        self.spliced: list[tuple[tuple[str, ...], Any]] = []
+
+    def splice(self, goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]) -> None:
+        """Append goal, reindexed onto the prefix, under fresh binders
+        named after bases that stand for the old names binds from here on."""
+        moved = self.structure.subst(goal, self.reindexing(goal.context))
+        binder = []
+        for base, old, (_, sort) in zip(
+            bases, binds, self.structure.output(goal).entries
+        ):
+            name = self.scope.fresh(base)
+            binder.append((name, sort))
+            self.image[old] = Var(name, sort)
+        self.spliced.append((tuple(name for name, _ in binder), moved))
+        self.prefix = Context._extended(self.prefix, tuple(binder))
+
+    def reindexing(self, target: Context) -> Substitution:
+        """Sends target, the old names in scope in any order, onto the prefix."""
+        return _reindexing(self.prefix, target, self.image)
+
+    def close(self, tail: Context, validation: Substitution) -> Subgoals:
+        """The state of the spliced goals, validation read over the old
+        flat context tail."""
+        return Subgoals(
+            _tele_from(self.spliced, TeleNil(self.prefix)),
+            subst_compose(self.reindexing(tail), validation),
+        )
+
+
 def _mul_tele(
     structure: JudgmentStructure,
     tele: Telescope,
@@ -344,31 +352,8 @@ def _mul_tele(
     if isinstance(tele, TeleNil):
         return Subgoals(tele, validation)
     root = tele_context(tele)
-    # one pass left to right.  image sends each old name in scope to its
-    # term over the new flat context, scope hands out the new binders and
-    # prefix is the new flat context so far.  Every goal is reindexed
-    # exactly once; the only work per goal that grows with the context is
-    # its reindexing and its own new context.
     image: dict[str, Term] = {name: Var(name, sort) for name, sort in root.entries}
-    scope = NameSupply(root.names)
-    prefix = root
-    spliced: list[tuple[tuple[str, ...], Any]] = []
-
-    def splice(goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]) -> None:
-        # the goal reindexed onto the new prefix, under binders named
-        # after bases that stand for the old names binds from here on
-        nonlocal prefix
-        moved = structure.subst(goal, _reindexing(prefix, goal.context, image))
-        binder = []
-        for base, old, (_, sort) in zip(
-            bases, binds, structure.output(goal).entries
-        ):
-            name = scope.fresh(base)
-            binder.append((name, sort))
-            image[old] = Var(name, sort)
-        spliced.append((tuple(name for name, _ in binder), moved))
-        prefix = Context._extended(prefix, tuple(binder))
-
+    moving = _Splice(structure, image, root)
     walk = tele
     while isinstance(walk, TeleCons):
         head = walk.goal
@@ -376,12 +361,12 @@ def _mul_tele(
             inner = head.telescope
             bound: list[str] = []
             while isinstance(inner, TeleCons):
-                splice(inner.goal, inner.names, inner.names)
+                moving.splice(inner.goal, inner.names, inner.names)
                 bound.extend(inner.names)
                 inner = inner.rest
             # walk.names bind head's outputs over the rest; from here on
             # they stand for what the inner validation produced
-            reindex = _reindexing(prefix, head.validation.source, image)
+            reindex = moving.reindexing(head.validation.source)
             outputs = [subst_apply(t, reindex) for t in head.validation.terms]
             for name in bound:
                 del image[name]
@@ -391,12 +376,12 @@ def _mul_tele(
         elif before is not None:
             # a refusal leaves the goal standing, as its unit state would
             goal = before.goal
-            splice(goal, structure.output(goal).names, walk.names)
+            moving.splice(goal, structure.output(goal).names, walk.names)
         else:
             # an absorbing goal already spliced in sits earlier in
             # dependency order, so its kind wins over the collapse
             kind = "fail" if isinstance(head, Fail) else "bot"
-            for _, goal in spliced:
+            for _, goal in moving.spliced:
                 found = structure.obstruction(goal)
                 if found is not None:
                     kind = found
@@ -406,10 +391,7 @@ def _mul_tele(
         walk = walk.rest
         if before is not None:
             before = before.rest
-    return Subgoals(
-        _tele_from(spliced, TeleNil(prefix)),
-        subst_compose(_reindexing(prefix, walk.context, image), validation),
-    )
+    return moving.close(walk.context, validation)
 
 
 def _reindexing(
@@ -440,37 +422,26 @@ def state_alpha_eq(
         case Subgoals(ta, va), Subgoals(tb, vb):
             if a.context != b.context or va.target != vb.target:
                 return False
-            # ra, rb rename each side's binders so far onto a shared @k spine
-            ra = subst_identity(a.context)
-            rb = subst_identity(b.context)
-            spine = 0
+            # b is renamed onto a, binder by binder: image sends each of
+            # b's names in scope to a's
+            image: dict[str, Term] = {
+                name: Var(name, sort) for name, sort in b.context.entries
+            }
             while isinstance(ta, TeleCons) and isinstance(tb, TeleCons):
                 if len(ta.names) != len(tb.names):
                     return False
-                sorts_a = tuple(s for _, s in structure.output(ta.goal).entries)
-                sorts_b = tuple(s for _, s in structure.output(tb.goal).entries)
-                if sorts_a != sorts_b:
+                sorts = tuple(s for _, s in structure.output(ta.goal).entries)
+                if sorts != tuple(s for _, s in structure.output(tb.goal).entries):
                     return False
-                ga_canon = structure.subst(ta.goal, ra)
-                gb_canon = structure.subst(tb.goal, rb)
-                if not structure.alpha_eq(ga_canon, gb_canon):
+                renamed = _reindexing(ta.goal.context, tb.goal.context, image)
+                if not structure.alpha_eq(ta.goal, structure.subst(tb.goal, renamed)):
                     return False
-                # nested comparisons may already have @k names in scope, so
-                # the shared spine has to steer around both sides' sources
-                taken = set(ra.source.names) | set(rb.source.names)
-                picked = []
-                for i in range(len(ta.names)):
-                    name = fresh_name(f"@{spine + i}", taken)
-                    taken.add(name)
-                    picked.append(name)
-                canon = tuple(picked)
-                spine += len(ta.names)
-                ra = subst_extend_binder(ra, tuple(zip(ta.names, sorts_a)), canon)
-                rb = subst_extend_binder(rb, tuple(zip(tb.names, sorts_b)), canon)
+                for old, new, sort in zip(tb.names, ta.names, sorts):
+                    image[old] = Var(new, sort)
                 ta, tb = ta.rest, tb.rest
             if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
                 return False
-            return subst_compose(ra, va) == subst_compose(rb, vb)
+            return va == subst_compose(_reindexing(ta.context, tb.context, image), vb)
     return False
 
 

@@ -266,39 +266,6 @@ def subst_compose(s1: Substitution, s2: Substitution) -> Substitution:
     )
 
 
-def subst_extend_binder(
-    s: Substitution,
-    binder: tuple[tuple[str, Sort], ...],
-    fresh_names: tuple[str, ...],
-) -> Substitution:
-    """Push a substitution under a binder, renaming the bound variables.
-
-    Given s : A -> B and binder entries x1..xn over B, produce
-    A, x1'..xn' -> B, x1..xn mapping each xi to its renamed copy xi'.
-    """
-    if len(binder) != len(fresh_names):
-        raise ContextMismatch("binder and fresh name list differ in length")
-    new_source = Context._extended(
-        s.source,
-        tuple((f, srt) for f, (_, srt) in zip(fresh_names, binder)),
-    )
-    new_target = Context._extended(s.target, tuple(binder))
-    extra = tuple(Var(f, srt) for f, (_, srt) in zip(fresh_names, binder))
-    return Substitution._trusted(new_source, new_target, s.terms + extra)
-
-
-@dataclass(frozen=True)
-class BoundTerm:
-    """A context of bound variables packaged with a body they scope over.
-
-    The body may be a single term or a whole substitution; either way the
-    binder names are not significant, see alpha_eq.
-    """
-
-    binder: Context
-    body: Union[Term, Substitution]
-
-
 def fresh_name(base: str, avoid: set[str]) -> str:
     """A name not in avoid, derived from base by priming.
 
@@ -347,46 +314,14 @@ def freshen_context(
 
     Returns the renamed entries and the old-name to new-name map.
     """
-    taken = set(avoid)
+    scope = NameSupply(avoid)
     out = []
     rename: dict[str, str] = {}
     for name, sort in entries:
-        new = fresh_name(name, taken)
-        taken.add(new)
+        new = scope.fresh(name)
         out.append((new, sort))
         rename[name] = new
     return tuple(out), rename
-
-
-def _canonical_binder(bt: BoundTerm) -> BoundTerm:
-    canon = Context(
-        tuple((f"@{i}", sort) for i, (_, sort) in enumerate(bt.binder.entries))
-    )
-    rename = Substitution(
-        canon,
-        bt.binder,
-        tuple(Var(f"@{i}", sort) for i, (_, sort) in enumerate(bt.binder.entries)),
-    )
-    match bt.body:
-        case Var(_, _) | App(_, _):
-            return BoundTerm(canon, subst_apply(bt.body, rename))
-        case Substitution(_, target, terms):
-            new_terms = tuple(subst_apply(t, rename) for t in terms)
-            return BoundTerm(canon, Substitution(canon, target, new_terms))
-    raise TheoryError(f"unsupported bound body: {bt.body!r}")
-
-
-def alpha_eq(a: object, b: object) -> bool:
-    """Equality up to bound-variable renaming.
-
-    Free variables are compared by name; the only binding construct at this
-    level is BoundTerm, whose binders are renamed to a canonical spine.
-    """
-    if isinstance(a, BoundTerm) and isinstance(b, BoundTerm):
-        if len(a.binder) != len(b.binder):
-            return False
-        return _canonical_binder(a) == _canonical_binder(b)
-    return a == b
 
 
 def render_term(t: Term) -> str:

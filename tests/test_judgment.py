@@ -1,13 +1,12 @@
-"""Judgment structure interface and labeled goals."""
+"""Judgment structure interface."""
 
 import pytest
 
-from refkit.judgment import LabeledJudgment, LabeledStructure, require_boundary
+from refkit.judgment import require_boundary
 from refkit.logics import arith
 from refkit.theory import Context, ContextMismatch, Substitution
 
 J = arith.STRUCTURE
-L = LabeledStructure(J)
 
 
 def _goal(ctx=Context(())):
@@ -26,39 +25,6 @@ def test_require_boundary_rejects_mismatch():
     bad = Substitution(Context(()), Context((("g0", arith.NUM),)), (arith.nat(1),))
     with pytest.raises(ContextMismatch):
         require_boundary(goal, bad)
-
-
-def test_labeled_judgment_exposes_inner_context():
-    goal = _goal()
-    labeled = LabeledJudgment(goal, 2)
-    assert labeled.context == goal.context
-    assert labeled.index == 2
-
-
-def test_labeled_structure_threads_the_base_structure():
-    goal = _goal()
-    labeled = LabeledJudgment(goal, 0)
-    L.check(labeled)
-    assert L.output(labeled) == J.output(goal)
-    assert L.render(labeled) == "0:" + J.render(goal)
-
-
-def test_labeled_substitution_keeps_the_index():
-    ctx = Context((("g0", arith.NUM),))
-    labeled = LabeledJudgment(_goal(ctx), 5)
-    s = Substitution(Context(()), ctx, (arith.nat(2),))
-    moved = L.subst(labeled, s)
-    assert moved.index == 5
-    assert moved.context == Context(())
-
-
-def test_labeled_comparisons_require_equal_indices():
-    a = LabeledJudgment(_goal(), 0)
-    b = LabeledJudgment(_goal(), 1)
-    assert L.approx(a, a)
-    assert not L.approx(a, b)
-    assert L.alpha_eq(a, a)
-    assert not L.alpha_eq(a, b)
 
 
 def test_plain_judgments_have_no_buried_obstruction():

@@ -16,13 +16,7 @@ from refkit.state import (
     tele_goals,
 )
 from refkit.tactic import Resolved, run_delayed
-from refkit.theory import (
-    App,
-    BoundTerm,
-    Context,
-    Var,
-    alpha_eq,
-)
+from refkit.theory import App, Context, Var
 
 from strategies import rand_closed_expr, rand_dep_closed_prop
 
@@ -188,16 +182,6 @@ def test_prop_rendering_reads_back():
     assert D.render(dep.parse_goal("true or(top, eq(tt, refl))")) == (
         "true or(top, eq(tt, refl))"
     )
-
-
-def test_pack_and_unpack_sig_round_trip():
-    bound = BoundTerm(
-        Context((("y", dep.EXP),)), dep.eq(Var("y", dep.EXP), dep.tt())
-    )
-    packed = dep.pack_sig(bound, dep.top())
-    got_bound, base = dep.unpack_sig(packed, set())
-    assert base == dep.top()
-    assert alpha_eq(got_bound, bound)
 
 
 def test_top_i_closes_with_canonical_evidence():

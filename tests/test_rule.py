@@ -2,19 +2,18 @@
 
 import random
 
-from refkit.judgment import LabeledJudgment
 from refkit.logics import arith, dep
 from refkit.rule import (
     Rule,
     check_lax_naturality,
     clause_rule,
-    proj_rules,
     rule_seq,
 )
 from refkit.state import (
     Bot,
     Fail,
     Subgoals,
+    pretty_state,
     state_alpha_eq,
     state_unit,
     tele_goals,
@@ -64,20 +63,45 @@ def test_clause_order_is_first_match_wins():
     assert isinstance(got, Bot)
 
 
-def test_proj_rules_dispatches_on_the_label():
-    bot_rule = Rule("stuck", lambda ctx, g: Bot(ctx, J.output(g)))
-    fail_rule = Rule("dead", lambda ctx, g: Fail(ctx, J.output(g)))
-    dispatch = proj_rules(J, (bot_rule, fail_rule))
-    goal = arith.EvalGoal(EMPTY, arith.num(1))
-    assert isinstance(run_on(dispatch, LabeledJudgment(goal, 0)), Bot)
-    assert isinstance(run_on(dispatch, LabeledJudgment(goal, 1)), Fail)
+def test_rule_seq_dispatches_by_position():
+    seen = []
+
+    def recorder(tag):
+        def run(ctx, g):
+            seen.append((tag, J.render(g)))
+            return state_unit(J, g)
+
+        return Rule(tag, run)
+
+    goal = arith.EvalGoal(EMPTY, arith.plus(arith.num(2), arith.num(3)))
+    composed = rule_seq(J, arith.PLUS_EVAL, (recorder("a"), recorder("b")))
+    assert composed.name == "plus_eval ; [a, b]"
+    run_on(composed, goal)
+    assert seen == [("a", "eval num 2"), ("b", "eval num 3")]
+    # a refusal lands on the subgoal at its own position
+    stuck = Rule("stuck", lambda ctx, g: Bot(ctx, J.output(g)))
+    dead = Rule("dead", lambda ctx, g: Fail(ctx, J.output(g)))
+    assert isinstance(run_on(rule_seq(J, arith.PLUS_EVAL, (arith.NUM_EVAL, stuck)), goal), Bot)
+    assert isinstance(run_on(rule_seq(J, arith.PLUS_EVAL, (arith.NUM_EVAL, dead)), goal), Fail)
+    assert isinstance(run_on(rule_seq(J, arith.PLUS_EVAL, (stuck, dead)), goal), Bot)
+    assert isinstance(run_on(rule_seq(J, arith.PLUS_EVAL, (dead, stuck)), goal), Fail)
 
 
-def test_proj_rules_out_of_range_leaves_the_goal_open():
-    dispatch = proj_rules(J, ())
-    goal = arith.EvalGoal(EMPTY, arith.num(1))
-    got = run_on(dispatch, LabeledJudgment(goal, 3))
-    assert state_alpha_eq(J, got, state_unit(J, goal))
+def test_rule_seq_leaves_goals_past_the_list_open():
+    goal = arith.EvalGoal(EMPTY, arith.plus(arith.num(2), arith.num(3)))
+    split = run_on(arith.PLUS_EVAL, goal)
+    got = run_on(rule_seq(J, arith.PLUS_EVAL, ()), goal)
+    assert state_alpha_eq(J, got, split)
+    # an open goal stays as its unit state, under binders named after
+    # its outputs
+    one = run_on(rule_seq(J, arith.PLUS_EVAL, (arith.NUM_EVAL,)), goal)
+    assert pretty_state(J, one) == (
+        "[c, v] : eval num 3.\n"
+        "n : add 0 c.\n"
+        "n'1 : add 1 n.\n"
+        "n'2 : add 2 v.\n"
+        "▹ [n'1, n'2]"
+    )
 
 
 def test_rule_seq_threads_resolved_outputs_forward():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refkit.judgment import LabeledJudgment
 from refkit.logics import arith
 from refkit.state import (
     Bot,
@@ -16,7 +15,6 @@ from refkit.state import (
     TeleCons,
     TeleNil,
     check_state,
-    label_state,
     pretty_state,
     state_alpha_eq,
     state_approx,
@@ -35,6 +33,8 @@ from refkit.theory import (
     ContextMismatch,
     Substitution,
     Var,
+    ctx_concat,
+    fresh_name,
     subst_compose,
     subst_identity,
     subst_weaken,
@@ -45,6 +45,8 @@ from strategies import (
     arith_state_of_states,
     arith_state_of_states_of_states,
     rand_context,
+    rand_expr,
+    rand_num_term,
     rand_subst,
 )
 
@@ -152,21 +154,6 @@ def test_state_subst_checks_the_boundary():
     s = Substitution(EMPTY, Z, (arith.nat(0),))
     with pytest.raises(ContextMismatch):
         state_subst(J, state, s)
-
-
-def test_label_state_counts_left_to_right():
-    rng = random.Random(11)
-    for _ in range(20):
-        state = arith_state(rng, EMPTY)
-        labeled = label_state(state)
-        if isinstance(state, (Fail, Bot)):
-            assert labeled == state
-            continue
-        indices = [g.index for _, g in tele_goals(labeled.telescope)]
-        assert indices == list(range(len(indices)))
-        assert all(
-            isinstance(g, LabeledJudgment) for _, g in tele_goals(labeled.telescope)
-        )
 
 
 def test_state_map_keeps_binders_and_validation():
@@ -340,3 +327,223 @@ def test_weakening_prefix_drops_into_a_larger_context():
     moved = state_subst(J, state, subst_weaken(wide, EMPTY))
     assert moved.context == wide
     check_state(J, moved) if isinstance(moved, Subgoals) else None
+
+
+# the reference versions of state_subst and state_alpha_eq: push the
+# substitution under one binder at a time, and compare both sides renamed
+# onto a shared @k spine
+
+
+def _extend_binder(s, binder, fresh_names):
+    """s : A -> B pushed under binder over B, its names renamed to fresh_names."""
+    renamed = tuple((f, srt) for f, (_, srt) in zip(fresh_names, binder))
+    return Substitution(
+        ctx_concat(s.source, Context(renamed)),
+        ctx_concat(s.target, Context(binder)),
+        s.terms + tuple(Var(f, srt) for f, srt in renamed),
+    )
+
+
+def _push_under(structure, tele, s, pick):
+    """The goals of tele moved along s, binders renamed by pick(name, taken)."""
+    moved = []
+    for names, goal in tele_goals(tele):
+        new_goal = structure.subst(goal, s)
+        output = structure.output(goal)
+        taken = set(s.source.names)
+        fresh = []
+        for name in names:
+            picked = pick(name, taken)
+            taken.add(picked)
+            fresh.append(picked)
+        binder = tuple((n, srt) for n, (_, srt) in zip(names, output.entries))
+        s = _extend_binder(s, binder, tuple(fresh))
+        moved.append((tuple(fresh), new_goal))
+    out = TeleNil(s.source)
+    for names, goal in reversed(moved):
+        out = TeleCons(names, goal, out)
+    return out, s
+
+
+def reference_state_subst(structure, state, s):
+    if state.context != s.target:
+        raise ContextMismatch("substitution target does not match the state")
+    match state:
+        case Fail(_, target):
+            return Fail(s.source, target)
+        case Bot(_, target):
+            return Bot(s.source, target)
+        case Subgoals(tele, validation):
+            new_tele, full = _push_under(structure, tele, s, fresh_name)
+            return Subgoals(new_tele, subst_compose(full, validation))
+    raise AssertionError(state)
+
+
+def reference_state_alpha_eq(structure, a, b):
+    match a, b:
+        case Fail(ca, ta), Fail(cb, tb):
+            return ca == cb and ta == tb
+        case Bot(ca, ta), Bot(cb, tb):
+            return ca == cb and ta == tb
+        case Subgoals(ta, va), Subgoals(tb, vb):
+            if a.context != b.context or va.target != vb.target:
+                return False
+            ra = subst_identity(a.context)
+            rb = subst_identity(b.context)
+            spine = 0
+            while isinstance(ta, TeleCons) and isinstance(tb, TeleCons):
+                if len(ta.names) != len(tb.names):
+                    return False
+                sorts_a = tuple(s for _, s in structure.output(ta.goal).entries)
+                sorts_b = tuple(s for _, s in structure.output(tb.goal).entries)
+                if sorts_a != sorts_b:
+                    return False
+                ga_canon = structure.subst(ta.goal, ra)
+                gb_canon = structure.subst(tb.goal, rb)
+                if not structure.alpha_eq(ga_canon, gb_canon):
+                    return False
+                taken = set(ra.source.names) | set(rb.source.names)
+                picked = []
+                for i in range(len(ta.names)):
+                    name = fresh_name(f"@{spine + i}", taken)
+                    taken.add(name)
+                    picked.append(name)
+                canon = tuple(picked)
+                spine += len(ta.names)
+                ra = _extend_binder(ra, tuple(zip(ta.names, sorts_a)), canon)
+                rb = _extend_binder(rb, tuple(zip(tb.names, sorts_b)), canon)
+                ta, tb = ta.rest, tb.rest
+            if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
+                return False
+            return subst_compose(ra, va) == subst_compose(rb, vb)
+    return False
+
+
+class ReferenceStates(StateStructure):
+    """States seen as judgments, moved and compared by the references."""
+
+    def subst(self, judgment, s):
+        return reference_state_subst(self.base, judgment, s)
+
+    def alpha_eq(self, a, b):
+        return reference_state_alpha_eq(self.base, a, b)
+
+
+# each level of nesting: how to draw a state, the structure its goals
+# live in, and the same structure for the references
+LEVELS = (
+    (arith_state, J, J),
+    (arith_state_of_states, K, ReferenceStates(J)),
+    (arith_state_of_states_of_states, KK, ReferenceStates(ReferenceStates(J))),
+)
+
+
+def colliding_subst(rng, target):
+    """A substitution into target whose source binds the names the
+    binders of arith states are made from, so moved binders get primed."""
+    pool = ["c", "v", "n", "c'1", "n'1", "o0", "xc", "xv", "zc1", "g0"]
+    rng.shuffle(pool)
+    source = Context(
+        tuple((name, rng.choice((NUM, arith.EXP))) for name in pool[: rng.randrange(6)])
+    )
+    terms = tuple(
+        rand_num_term(rng, source) if sort == NUM else rand_expr(rng, source, 2)
+        for _, sort in target.entries
+    )
+    return Substitution(source, target, terms)
+
+
+def rename_binders(structure, state, rng):
+    """A copy of state with its binders renamed at random."""
+    if not isinstance(state, Subgoals):
+        return state
+
+    def pick(name, taken):
+        return fresh_name(rng.choice(("r", "c", "n", "v", "@0", name)), taken)
+
+    tele, full = _push_under(
+        structure, state.telescope, subst_identity(state.context), pick
+    )
+    return Subgoals(tele, subst_compose(full, state.validation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_state_subst_matches_the_reference(seed):
+    rng = random.Random(seed)
+    draw, structure, reference = rng.choice(LEVELS)
+    ctx = rand_context(rng)
+    state = draw(rng, ctx)
+    s = colliding_subst(rng, ctx) if rng.random() < 0.5 else rand_subst(rng, ctx)
+    got = state_subst(structure, state, s)
+    want = reference_state_subst(reference, state, s)
+    assert pretty_state(structure, got) == pretty_state(structure, want)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_state_alpha_eq_matches_the_reference(seed):
+    rng = random.Random(seed)
+    draw, structure, reference = rng.choice(LEVELS)
+    ctx = rand_context(rng)
+    a = draw(rng, ctx)
+    roll = rng.randrange(4)
+    if roll == 0:
+        b = a
+    elif roll == 1:
+        b = rename_binders(reference, a, rng)
+    elif roll == 2:
+        # a renamed copy of a whose validation may differ
+        b = rename_binders(reference, a, rng)
+        if isinstance(b, Subgoals):
+            flat = b.validation.source
+            terms = tuple(rand_num_term(rng, flat) for _ in b.target.entries)
+            b = Subgoals(b.telescope, Substitution(flat, b.target, terms))
+    else:
+        # any other state over the same context: goals of other arities,
+        # telescopes of other lengths, other targets
+        b = draw(rng, ctx)
+    want = reference_state_alpha_eq(reference, a, b)
+    assert state_alpha_eq(structure, a, b) == want
+    assert state_alpha_eq(structure, b, a) == want
+    if roll < 2:
+        assert want
+
+
+def test_state_alpha_eq_matches_the_reference_when_binder_sorts_differ():
+    # one refused goal each, with targets of equal arity but other sorts
+    exp_out = Context((("o0", arith.EXP),))
+    num_out = Context((("o0", NUM),))
+    for ctx in (EMPTY, Context((("g0", NUM),))):
+        states = []
+        for out, sort in ((num_out, NUM), (exp_out, arith.EXP)):
+            for refusal in (Fail, Bot):
+                flat = ctx_concat(ctx, Context((("p", sort),)))
+                states.append(
+                    Subgoals(
+                        TeleCons(("p",), refusal(ctx, out), TeleNil(flat)),
+                        Substitution(flat, Z, (arith.nat(1),)),
+                    )
+                )
+        for a in states:
+            for b in states:
+                want = reference_state_alpha_eq(ReferenceStates(J), a, b)
+                assert state_alpha_eq(K, a, b) == want
+                assert want == (a == b)
+
+
+def test_state_subst_primes_binders_the_source_already_binds():
+    g0 = Context((("g0", arith.EXP),))
+    goal = arith.EvalGoal(g0, arith.plus(Var("g0", arith.EXP), arith.num(1)))
+    answer = arith.PLUS_EVAL.run(g0, goal)
+    source = Context((("xc", NUM), ("xv", arith.EXP), ("xc'1", NUM)))
+    s = Substitution(source, g0, (Var("xv", arith.EXP),))
+    assert pretty_state(J, state_subst(J, answer, s)) == (
+        "[xc'2, xv'1] : eval xv.\n"
+        "[yc, yv] : eval num 1.\n"
+        "zc : add xc'2 yc.\n"
+        "zc1 : add 1 zc.\n"
+        "zv : add xv'1 yv.\n"
+        "▹ [zc1, zv]"
+    )

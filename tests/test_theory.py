@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from refkit.theory import (
     App,
-    BoundTerm,
     Context,
     ContextMismatch,
     NameSupply,
@@ -17,7 +16,6 @@ from refkit.theory import (
     Substitution,
     UnsortedTerm,
     Var,
-    alpha_eq,
     check_term,
     ctx_concat,
     fresh_name,
@@ -25,7 +23,6 @@ from refkit.theory import (
     render_term,
     subst_apply,
     subst_compose,
-    subst_extend_binder,
     subst_identity,
     subst_weaken,
     term_sort,
@@ -138,16 +135,6 @@ def test_compose_agrees_with_sequential_application(seed):
     assert subst_apply(t, composed) == subst_apply(subst_apply(t, s2), s1)
 
 
-def test_extend_binder_keeps_binder_entries_fixed():
-    target = Context((("x", EXP),))
-    source = Context(())
-    s = Substitution(source, target, (App(LIT, (App(ZERO, ()),)),))
-    binder = (("b", NUM),)
-    wide = subst_extend_binder(s, binder, ("b",))
-    assert wide.target.names == ("x", "b")
-    assert subst_apply(Var("b", NUM), wide) == Var("b", NUM)
-
-
 def test_fresh_name_prefers_the_bare_stem():
     assert fresh_name("x", set()) == "x"
     assert fresh_name("x", {"x"}) == "x'1"
@@ -180,20 +167,6 @@ def test_freshen_context_avoids_collisions_consistently():
     assert renamed[0][0] != "x"
     assert renamed[1][0] == "y"
     assert rename["x"] == renamed[0][0]
-
-
-def test_alpha_equality_ignores_binder_names():
-    body_x = App(LIT, (Var("n", NUM),))
-    body_m = App(LIT, (Var("m", NUM),))
-    a = BoundTerm(Context((("n", NUM),)), body_x)
-    b = BoundTerm(Context((("m", NUM),)), body_m)
-    assert alpha_eq(a, b)
-    assert not alpha_eq(a, BoundTerm(Context((("m", EXP),)), Var("m", EXP)))
-
-
-def test_alpha_equality_is_structural_elsewhere():
-    assert alpha_eq(Var("x", NUM), Var("x", NUM))
-    assert not alpha_eq(Var("x", NUM), Var("y", NUM))
 
 
 def test_render_term_uses_prefix_form():
