@@ -21,7 +21,7 @@ from refkit.state import (
     tele_goals,
 )
 from refkit.tactic import Resolved, each_mt, from_rule, run_delayed
-from refkit.theory import Context
+from refkit.theory import Context, render_term
 
 EMPTY = Context(())
 
@@ -68,7 +68,7 @@ def main() -> int:
     show("after reflexivity", final)
 
     (extract,) = final.validation.terms
-    print(f"extract: {dep.render_exp(extract)}")
+    print(f"extract: {render_term(extract)}")
     return 0
 
 

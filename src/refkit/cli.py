@@ -199,6 +199,8 @@ def main(argv: list[str] | None = None) -> int:
                     script = handle.read()
             except OSError as err:
                 raise UsageError(str(err)) from err
+            except UnicodeDecodeError as err:
+                raise UsageError(f"{args.script_file}: {err}") from err
         config = RunConfig(
             logic=args.logic,
             goal=args.goal,

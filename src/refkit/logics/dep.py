@@ -1,18 +1,21 @@
 """Dependent logic: truth goals whose evidence feeds later goals.
 
 Propositions include a dependent pair former sig(x. B, A) whose body B
-may mention the evidence x of A.  Internally the bound occurrence is a
-reserved slot variable that user identifiers cannot collide with; only
-rendering gives it a printable name.
+may mention the evidence x of A.  Internally the bound occurrence is one
+bound index, the slot variable SLOT, which user identifiers cannot
+collide with; only rendering gives it a printable name.  One walk both
+opens a body with a term and carries a substitution past the binder.
 
 A sig body's scope holds only its own binder, because a nested sig's
 slot would capture an outer one: the parser rejects a body that mentions
-an outer binder.  A nested sig's base keeps the enclosing scope.
+an outer binder.  A nested sig's base keeps the enclosing scope.  The
+expression forms tt, refl, inl and pair are reserved: none is a binder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..judgment import JudgmentStructure, require_boundary
 from ..refiner import Refiner
@@ -24,6 +27,7 @@ from ..tactic import Tactic
 from ..theory import (
     App,
     Context,
+    ContextMismatch,
     NameSupply,
     Operator,
     Sort,
@@ -35,7 +39,7 @@ from ..theory import (
     check_term,
     ctx_concat,
     fresh_name,
-    subst_apply,
+    render_term,
     term_sort,
     term_vars,
 )
@@ -86,40 +90,9 @@ def pair(a: Term, b: Term) -> Term:
     return App(PAIR_OP, (a, b))
 
 
-def _replace_var(t: Term, name: str, replacement: Term) -> Term:
-    match t:
-        case Var(n, _):
-            return replacement if n == name else t
-        case App(op, args) if op == SIG_OP:
-            a, b = args
-            new_a = _replace_var(a, name, replacement)
-            # the inner slot shadows: never rewrite "$x" under another sig
-            new_b = b if name == SLOT.name else _replace_var(b, name, replacement)
-            return App(op, (new_a, new_b))
-        case App(op, args):
-            return App(op, tuple(_replace_var(a, name, replacement) for a in args))
-    raise TheoryError(f"not a term: {t!r}")
-
-
 def slot_extend(ctx: Context) -> Context:
     entries = tuple(e for e in ctx.entries if e[0] != SLOT.name)
     return Context(entries + ((SLOT.name, EXP),))
-
-
-def _slot_subst(s: Substitution) -> Substitution:
-    """Push a substitution under a sig binder, fixing the slot."""
-    kept = tuple(
-        (t, e)
-        for t, e in zip(s.terms, s.target.entries)
-        if e[0] != SLOT.name
-    )
-    # every substituent is already checked over s.source, and the slot
-    # extension keeps every entry of s.source but the slot, which it re-adds
-    return Substitution._trusted(
-        slot_extend(s.source),
-        Context(tuple(e for _, e in kept) + ((SLOT.name, EXP),)),
-        tuple(t for t, _ in kept) + (SLOT,),
-    )
 
 
 def check_prop(ctx: Context, t: Term) -> None:
@@ -139,21 +112,43 @@ def check_prop(ctx: Context, t: Term) -> None:
             raise TheoryError(f"not a term: {t!r}")
 
 
-def subst_prop(t: Term, s: Substitution) -> Term:
-    match t:
-        case Var(_, _):
-            return subst_apply(t, s)
-        case App(op, (a, b)) if op == SIG_OP:
-            return App(op, (subst_prop(a, s), subst_prop(b, _slot_subst(s))))
-        case App(op, args):
-            return App(
-                op,
-                tuple(
-                    subst_prop(a, s) if srt == PROP else subst_apply(a, s)
-                    for a, srt in zip(args, op.arg_sorts)
-                ),
-            )
+def _walk(
+    t: Term, lookup: Callable[[Var], Term | None], slot: Term | None
+) -> Term:
+    """The one traversal of a proposition past sig binders.
+
+    A free `$x` becomes `slot` when one is given; every other variable
+    goes through `lookup`, and one it does not cover is an error.  A
+    nested sig's body keeps its own slot.  A subterm the walk leaves
+    unchanged is handed back as it is, not rebuilt.
+    """
+    if isinstance(t, Var):
+        if slot is not None and t.name == SLOT.name:
+            return slot
+        found = lookup(t)
+        if found is None:
+            raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
+        return found
+    if isinstance(t, App):
+        if t.op == SIG_OP:
+            a, b = t.args
+            args = (_walk(a, lookup, slot), _walk(b, lookup, SLOT))
+        else:
+            args = tuple([_walk(a, lookup, slot) for a in t.args])
+        for new, old in zip(args, t.args):
+            if new is not old:
+                return App(t.op, args)
+        return t
     raise TheoryError(f"not a term: {t!r}")
+
+
+def _open(body: Term, witness: Term) -> Term:
+    """The body of a sig with its slot filled by the witness."""
+    return _walk(body, lambda v: v, witness)
+
+
+def subst_prop(t: Term, s: Substitution) -> Term:
+    return _walk(t, lambda v: s.lookup(v.name), None)
 
 
 @dataclass(frozen=True)
@@ -191,32 +186,14 @@ class DepStructure(JudgmentStructure):
 
 def render_prop(t: Term) -> str:
     match t:
-        case Var(name, _):
-            return name
-        case App(op, ()) :
-            return op.name
         case App(op, (a, b)) if op == SIG_OP:
             name = fresh_name("x", term_vars(b))
-            body = _replace_var(b, SLOT.name, Var(name, EXP))
+            body = _open(b, Var(name, EXP))
             return f"sig({name}. {render_prop(body)}, {render_prop(a)})"
-        case App(op, args):
-            parts = ", ".join(
-                render_prop(a) if srt == PROP else render_exp(a)
-                for a, srt in zip(args, op.arg_sorts)
-            )
+        case App(op, args) if PROP in op.arg_sorts:
+            parts = ", ".join(render_prop(a) for a in args)
             return f"{op.name}({parts})"
-    raise TheoryError(f"not a proposition: {t!r}")
-
-
-def render_exp(t: Term) -> str:
-    match t:
-        case Var(name, _):
-            return name
-        case App(op, ()):
-            return op.name
-        case App(op, args):
-            return f"{op.name}({', '.join(render_exp(a) for a in args)})"
-    raise TheoryError(f"not an expression: {t!r}")
+    return render_term(t)
 
 
 STRUCTURE = DepStructure()
@@ -278,12 +255,10 @@ def _sig_i_build(ctx: Context, g: TruthGoal) -> Subgoals:
     n = scope.fresh("n")
     ctx_m = ctx_concat(ctx, Context(((m, EXP),)))
     flat = ctx_concat(ctx_m, Context(((n, EXP),)))
-    open_slot = Substitution(
-        ctx_m,
-        slot_extend(ctx),
-        tuple(Var(nm, srt) for nm, srt in ctx.entries) + (Var(m, EXP),),
+    # a body variable outside the goal's context is an error
+    body = _walk(
+        b, lambda v: v if ctx.lookup(v.name) is not None else None, Var(m, EXP)
     )
-    body = subst_prop(b, open_slot)
     tele = TeleCons(
         (m,),
         TruthGoal(ctx, a),
@@ -374,7 +349,7 @@ def prove_oracle(t: Term) -> Term | None:
             ev_a = prove_oracle(a)
             if ev_a is None:
                 return None
-            ev_b = prove_oracle(_replace_var(b, SLOT.name, ev_a))
+            ev_b = prove_oracle(_open(b, ev_a))
             return pair(ev_a, ev_b) if ev_b is not None else None
     return None
 
@@ -387,6 +362,10 @@ def parse_goal(text: str):
     prop = _parse_prop(cur, None)
     cur.expect_end()
     return TruthGoal(Context(), prop)
+
+
+# the expression forms, which _parse_exp reads before it looks for a binder
+_EXP_FORMS = ("tt", "refl", "inl", "pair")
 
 
 def _parse_prop(cur: Cursor, bound: str | None) -> Term:
@@ -402,7 +381,7 @@ def _parse_prop(cur: Cursor, bound: str | None) -> Term:
         case "sig":
             cur.expect("(")
             binder = cur.expect("ident")
-            if not binder.text.isidentifier():
+            if not binder.text.isidentifier() or binder.text in _EXP_FORMS:
                 raise ParseError(f"bad binder {binder.text!r}", binder.offset)
             cur.expect(".")
             body = _parse_prop(cur, binder.text)

@@ -20,7 +20,6 @@ from .theory import (
     Context,
     ContextMismatch,
     NameSupply,
-    Sort,
     Substitution,
     Term,
     TheoryError,
@@ -85,24 +84,6 @@ def tele_context(tele: Telescope) -> Context:
         case TeleCons(_, goal, _):
             return goal.context
     raise TheoryError(f"not a telescope: {tele!r}")
-
-
-def tele_entries(
-    structure: JudgmentStructure, tele: Telescope
-) -> tuple[tuple[str, Sort], ...]:
-    """All binder entries of the telescope, in order."""
-    out: list[tuple[str, Sort]] = []
-    while isinstance(tele, TeleCons):
-        output = structure.output(tele.goal)
-        if len(tele.names) != len(output.entries):
-            raise ContextMismatch(
-                "binder names do not match the goal's output arity"
-            )
-        out.extend(
-            (name, sort) for name, (_, sort) in zip(tele.names, output.entries)
-        )
-        tele = tele.rest
-    return tuple(out)
 
 
 def tele_goals(tele: Telescope) -> list[tuple[tuple[str, ...], Any]]:

@@ -257,3 +257,25 @@ def rand_dep_prop(rng: random.Random, ctx: Context, depth: int) -> Term:
 
 def rand_dep_closed_prop(rng: random.Random, depth: int) -> Term:
     return rand_dep_prop(rng, Context(()), depth)
+
+
+# names that collide with sig_i's m/n and render_prop's x on purpose
+DEP_NAMES = ("g0", "m", "n", "x", "m'1")
+
+
+def rand_dep_context(rng: random.Random, max_len: int = 3) -> Context:
+    from refkit.logics import dep
+
+    names = rng.sample(DEP_NAMES, rng.randrange(max_len + 1))
+    return Context(tuple((name, dep.EXP) for name in names))
+
+
+def rand_dep_subst(rng: random.Random, target: Context) -> Substitution:
+    """A substitution into `target` whose terms are expressions over a
+    freshly generated source."""
+    source = rand_dep_context(rng)
+    return Substitution(
+        source,
+        target,
+        tuple(rand_dep_exp(rng, source, 2) for _ in target.entries),
+    )

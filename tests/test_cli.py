@@ -145,7 +145,9 @@ def test_main_script_file(tmp_path, capsys):
     assert "complete" in capsys.readouterr().out
 
 
-def test_main_usage_errors_exit_five(capsys):
+def test_main_usage_errors_exit_five(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.tac"
+    not_utf8.write_bytes(b"\xff\xfe bad")
     cases = [
         ["--logic", "arith", "--goal", "eval num 1"],
         ["--logic", "arith", "--goal", "eval num 1", "--script", "id",
@@ -159,12 +161,15 @@ def test_main_usage_errors_exit_five(capsys):
          "--fuel", "-5"],
         ["--logic", "arith", "--goal", "eval num 1", "--script",
          "(" * 300 + "num_eval" + ")" * 300],
+        ["--logic", "arith", "--goal", "eval num 1", "--script-file",
+         str(not_utf8)],
     ]
     for argv in cases:
         assert main(argv) == 5, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err.lower()
+        assert "internal" not in captured.err, argv
 
 
 def test_too_deep_nesting_is_a_usage_error(capsys):

@@ -11,14 +11,35 @@ from refkit.state import (
     Bot,
     Fail,
     Subgoals,
+    TeleCons,
     TeleNil,
+    pretty_state,
     state_alpha_eq,
     tele_goals,
 )
 from refkit.tactic import Resolved, run_delayed
-from refkit.theory import App, Context, Var
+from refkit.theory import (
+    App,
+    Context,
+    ContextMismatch,
+    NameSupply,
+    Substitution,
+    UnsortedTerm,
+    Var,
+    ctx_concat,
+    fresh_name,
+    render_term,
+    subst_apply,
+    term_vars,
+)
 
-from strategies import rand_closed_expr, rand_dep_closed_prop
+from strategies import (
+    rand_closed_expr,
+    rand_dep_closed_prop,
+    rand_dep_context,
+    rand_dep_prop,
+    rand_dep_subst,
+)
 
 J = arith.STRUCTURE
 D = dep.STRUCTURE
@@ -271,6 +292,20 @@ def test_dep_parse_goal_scoping_and_errors():
     with pytest.raises(ParseError) as err:
         dep.parse_goal("true eq(1, tt)")
     assert err.value.position == 8
+    # an expression form never resolves to a binder of the same name
+    for text in (
+        "true sig(refl. eq(refl, refl), top)",
+        "true sig(tt. eq(tt, refl), top)",
+        "true sig(pair. eq(pair, tt), top)",
+        "true sig(inl. eq(tt, tt), top)",
+    ):
+        with pytest.raises(ParseError) as err:
+            dep.parse_goal(text)
+        assert err.value.position == len("true sig("), text
+    # a proposition form is not reserved, since a binder is only ever
+    # read where an expression is
+    goal = dep.parse_goal("true sig(top. eq(top, tt), top)")
+    assert goal.prop == App(dep.SIG_OP, (dep.top(), dep.eq(dep.SLOT, dep.tt())))
 
 
 def test_a_nested_sig_body_cannot_capture_the_outer_binder(capsys):
@@ -287,3 +322,217 @@ def test_a_nested_sig_body_cannot_capture_the_outer_binder(capsys):
     want = dep.pair(dep.inl(dep.tt()), dep.pair(dep.refl(), dep.refl()))
     assert out.state.validation.terms == (want,)
     assert dep.prove_oracle(dep.parse_goal(goal).prop) == want
+
+
+def _raises_exactly(cls, f, *args):
+    with pytest.raises(Exception) as err:
+        f(*args)
+    assert type(err.value) is cls, repr(err.value)
+
+
+def test_dep_check_accepts_context_variables_and_nested_sigs():
+    ctx = Context((("y", dep.EXP),))
+    y = Var("y", dep.EXP)
+    nested = App(dep.SIG_OP, (dep.eq(y, dep.tt()), dep.eq(dep.SLOT, y)))
+    prop = App(dep.SIG_OP, (dep.top(), dep.or_(dep.eq(dep.SLOT, y), nested)))
+    D.check(dep.TruthGoal(ctx, prop))
+    D.check(dep.parse_goal("true sig(x. sig(y. eq(y, tt), eq(x, tt)), top)"))
+
+
+def test_dep_check_rejects_ill_scoped_and_ill_sorted_props():
+    y = Var("y", dep.EXP)
+    stray = dep.eq(dep.SLOT, dep.tt())
+    body_prop = App(dep.SIG_OP, (dep.top(), Var(dep.SLOT.name, dep.PROP)))
+    for ctx, prop, cls in [
+        (EMPTY, dep.eq(y, dep.tt()), ContextMismatch),
+        (EMPTY, App(dep.SIG_OP, (dep.top(), dep.eq(y, dep.SLOT))), ContextMismatch),
+        (EMPTY, stray, ContextMismatch),
+        (EMPTY, App(dep.SIG_OP, (stray, dep.top())), ContextMismatch),
+        (EMPTY, body_prop, UnsortedTerm),
+        (EMPTY, dep.tt(), UnsortedTerm),
+        (Context((("y", dep.EXP),)), y, UnsortedTerm),
+    ]:
+        _raises_exactly(cls, D.check, dep.TruthGoal(ctx, prop))
+
+
+def test_sig_i_rejects_a_body_variable_outside_the_goal_context():
+    y = Var("y", dep.EXP)
+    goal = dep.TruthGoal(EMPTY, App(dep.SIG_OP, (dep.top(), dep.eq(y, dep.SLOT))))
+    _raises_exactly(ContextMismatch, dep.SIG_I.run, EMPTY, goal)
+    # bound in the goal's context, the same variable is carried over as is
+    ctx = Context((("y", dep.EXP),))
+    state = dep.SIG_I.run(ctx, dep.TruthGoal(ctx, goal.prop))
+    [_, (_, second)] = tele_goals(state.telescope)
+    assert second.prop == dep.eq(y, Var("m", dep.EXP))
+
+
+# ------------------------------------------ dep: the replaced slot walks
+# The three walks that one slot-aware walk in dep replaced, kept as the
+# references it must agree with: opening a body by renaming, pushing a
+# substitution under a binder through a slot-extended substitution, and
+# sig_i's body opened through a checked substitution out of the slot.
+
+
+def ref_replace_var(t, name, replacement):
+    match t:
+        case Var(n, _):
+            return replacement if n == name else t
+        case App(op, args) if op == dep.SIG_OP:
+            a, b = args
+            new_a = ref_replace_var(a, name, replacement)
+            # the inner slot shadows: never rewrite "$x" under another sig
+            new_b = (
+                b if name == dep.SLOT.name else ref_replace_var(b, name, replacement)
+            )
+            return App(op, (new_a, new_b))
+        case App(op, args):
+            return App(
+                op, tuple(ref_replace_var(a, name, replacement) for a in args)
+            )
+
+
+def ref_slot_subst(s):
+    kept = [
+        (t, e) for t, e in zip(s.terms, s.target.entries) if e[0] != dep.SLOT.name
+    ]
+    return Substitution(
+        dep.slot_extend(s.source),
+        Context(tuple(e for _, e in kept) + ((dep.SLOT.name, dep.EXP),)),
+        tuple(t for t, _ in kept) + (dep.SLOT,),
+    )
+
+
+def ref_subst_prop(t, s):
+    match t:
+        case Var(_, _):
+            return subst_apply(t, s)
+        case App(op, (a, b)) if op == dep.SIG_OP:
+            inner = ref_slot_subst(s)
+            return App(op, (ref_subst_prop(a, s), ref_subst_prop(b, inner)))
+        case App(op, args):
+            return App(
+                op,
+                tuple(
+                    ref_subst_prop(a, s) if srt == dep.PROP else subst_apply(a, s)
+                    for a, srt in zip(args, op.arg_sorts)
+                ),
+            )
+
+
+def ref_sig_i_build(ctx, g):
+    a, b = g.prop.args
+    scope = NameSupply(ctx.names)
+    m = scope.fresh("m")
+    n = scope.fresh("n")
+    ctx_m = ctx_concat(ctx, Context(((m, dep.EXP),)))
+    flat = ctx_concat(ctx_m, Context(((n, dep.EXP),)))
+    open_slot = Substitution(
+        ctx_m,
+        dep.slot_extend(ctx),
+        tuple(Var(nm, srt) for nm, srt in ctx.entries) + (Var(m, dep.EXP),),
+    )
+    tele = TeleCons(
+        (m,),
+        dep.TruthGoal(ctx, a),
+        TeleCons(
+            (n,), dep.TruthGoal(ctx_m, ref_subst_prop(b, open_slot)), TeleNil(flat)
+        ),
+    )
+    validation = Substitution(
+        flat, dep.TRUTH_OUTPUT, (dep.pair(Var(m, dep.EXP), Var(n, dep.EXP)),)
+    )
+    return Subgoals(tele, validation)
+
+
+def ref_render_prop(t):
+    # expressions went through render_exp, which was render_term line for line
+    match t:
+        case Var(name, _):
+            return name
+        case App(op, ()):
+            return op.name
+        case App(op, (a, b)) if op == dep.SIG_OP:
+            name = fresh_name("x", term_vars(b))
+            body = ref_replace_var(b, dep.SLOT.name, Var(name, dep.EXP))
+            return f"sig({name}. {ref_render_prop(body)}, {ref_render_prop(a)})"
+        case App(op, args):
+            parts = ", ".join(
+                ref_render_prop(a) if srt == dep.PROP else render_term(a)
+                for a, srt in zip(args, op.arg_sorts)
+            )
+            return f"{op.name}({parts})"
+
+
+def ref_prove_oracle(t):
+    match t:
+        case App(op, ()) if op == dep.TOP_OP:
+            return dep.tt()
+        case App(op, (a, _)) if op == dep.OR_OP:
+            ev = ref_prove_oracle(a)
+            return dep.inl(ev) if ev is not None else None
+        case App(op, (a, b)) if op == dep.EQ_OP:
+            return dep.refl() if a == b else None
+        case App(op, (a, b)) if op == dep.SIG_OP:
+            ev_a = ref_prove_oracle(a)
+            if ev_a is None:
+                return None
+            ev_b = ref_prove_oracle(ref_replace_var(b, dep.SLOT.name, ev_a))
+            return dep.pair(ev_a, ev_b) if ev_b is not None else None
+    return None
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except ContextMismatch:
+        return "raised", ContextMismatch
+
+
+def test_subst_prop_matches_the_slot_subst_reference():
+    covered = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        target = rand_dep_context(rng)
+        prop = rand_dep_prop(rng, target, 4)
+        s = rand_dep_subst(rng, target)
+        want = ref_subst_prop(prop, s)
+        assert dep.subst_prop(prop, s) == want
+        goal = dep.TruthGoal(target, prop)
+        assert D.subst(goal, s) == dep.TruthGoal(s.source, want)
+        # a substitution that misses a variable raises the same way
+        short = Substitution(s.source, Context(target.entries[1:]), s.terms[1:])
+        got = _outcome(dep.subst_prop, prop, short)
+        assert got == _outcome(ref_subst_prop, prop, short)
+        covered += got[0] == "raised"
+    assert covered >= 30
+    # outside any body there is no slot to fill, so a stray one is unbound
+    stray = dep.eq(dep.SLOT, dep.tt())
+    nothing = Substitution(EMPTY, EMPTY, ())
+    _raises_exactly(ContextMismatch, dep.subst_prop, stray, nothing)
+
+
+def test_sig_i_matches_the_open_slot_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_dep_context(rng)
+        body = rand_dep_prop(rng, dep.slot_extend(ctx), 3)
+        prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
+        goal = dep.TruthGoal(ctx, prop)
+        got = dep.SIG_I.run(ctx, goal)
+        want = ref_sig_i_build(ctx, goal)
+        assert got == want
+        assert pretty_state(D, got) == pretty_state(D, want)
+
+
+def test_render_and_oracle_match_the_replace_var_reference():
+    provable = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_dep_context(rng)
+        prop = rand_dep_prop(rng, ctx, 4)
+        assert dep.render_prop(prop) == ref_render_prop(prop)
+        closed = rand_dep_closed_prop(rng, 4)
+        want = ref_prove_oracle(closed)
+        assert dep.prove_oracle(closed) == want
+        provable += want is not None
+    assert provable >= 30

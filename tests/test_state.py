@@ -24,7 +24,6 @@ from refkit.state import (
     state_subst,
     state_unit,
     tele_context,
-    tele_entries,
     tele_goals,
     wk_state,
 )
@@ -74,6 +73,7 @@ def test_state_unit_hands_outputs_straight_back():
     [(names, inner)] = tele_goals(s.telescope)
     assert inner is goal
     assert names == ("c", "v")
+    assert tele_context(s.telescope) == EMPTY
     assert s.validation.terms == (Var("c", NUM), Var("v", NUM))
     assert s.validation.target == arith.EVAL_OUTPUT
 
@@ -311,13 +311,6 @@ def test_state_structure_delegates_to_state_operations():
     assert K.alpha_eq(state, state)
     assert K.approx(Bot(EMPTY, state.target), state)
     assert K.render(state) == pretty_state(J, state)
-
-
-def test_tele_entries_tracks_every_binder():
-    goal = arith.EvalGoal(EMPTY, arith.num(2))
-    s = state_unit(J, goal)
-    assert tele_entries(J, s.telescope) == (("c", NUM), ("v", NUM))
-    assert tele_context(s.telescope) == EMPTY
 
 
 def test_weakening_prefix_drops_into_a_larger_context():
