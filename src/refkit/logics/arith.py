@@ -7,19 +7,19 @@ operands, so the cost output counts + nodes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
 from ..refiner import Refiner
 from ..rule import Rule, clause_rule
 from ..script import compile_script, parse_script
-from ..state import Bot, Subgoals, TeleCons, TeleNil
+from ..state import Bot, Subgoals, TeleBuilder, TeleNil
 from ..syntax import Cursor, ParseError, lex
 from ..tactic import Tactic
 from ..theory import (
     App,
     Context,
-    NameSupply,
     Operator,
     Sort,
     Substitution,
@@ -28,7 +28,6 @@ from ..theory import (
     UnsortedTerm,
     Var,
     check_term,
-    ctx_concat,
     subst_apply,
     term_sort,
 )
@@ -163,41 +162,13 @@ def _num_eval_build(ctx: Context, goal: EvalGoal) -> Subgoals:
 
 def _plus_eval_build(ctx: Context, goal: EvalGoal) -> Subgoals:
     e1, e2 = goal.expr.args
-    scope = NameSupply(ctx.names)
-    xc, xv, yc, yv, zc, zc1, zv = map(
-        scope.fresh, ("xc", "xv", "yc", "yv", "zc", "zc1", "zv")
-    )
-    g0 = ctx
-    g1 = ctx_concat(g0, Context(((xc, NUM), (xv, NUM))))
-    g2 = ctx_concat(g1, Context(((yc, NUM), (yv, NUM))))
-    g3 = ctx_concat(g2, Context(((zc, NUM),)))
-    g4 = ctx_concat(g3, Context(((zc1, NUM),)))
-    g5 = ctx_concat(g4, Context(((zv, NUM),)))
-    tele = TeleCons(
-        (xc, xv),
-        EvalGoal(g0, e1),
-        TeleCons(
-            (yc, yv),
-            EvalGoal(g1, e2),
-            TeleCons(
-                (zc,),
-                AddGoal(g2, Var(xc, NUM), Var(yc, NUM)),
-                TeleCons(
-                    (zc1,),
-                    AddGoal(g3, nat(1), Var(zc, NUM)),
-                    TeleCons(
-                        (zv,),
-                        AddGoal(g4, Var(xv, NUM), Var(yv, NUM)),
-                        TeleNil(g5),
-                    ),
-                ),
-            ),
-        ),
-    )
-    validation = Substitution(
-        g5, EVAL_OUTPUT, (Var(zc1, NUM), Var(zv, NUM))
-    )
-    return Subgoals(tele, validation)
+    b = TeleBuilder(STRUCTURE, ctx)
+    xc, xv = b.push(EvalGoal(b.prefix, e1), ("xc", "xv"))
+    yc, yv = b.push(EvalGoal(b.prefix, e2), ("yc", "yv"))
+    (zc,) = b.push(AddGoal(b.prefix, xc, yc), ("zc",))
+    (zc1,) = b.push(AddGoal(b.prefix, nat(1), zc), ("zc1",))
+    (zv,) = b.push(AddGoal(b.prefix, xv, yv), ("zv",))
+    return b.close(Substitution(b.prefix, EVAL_OUTPUT, (zc1, zv)))
 
 
 def _eval_goal_var(ctx: Context, goal) -> bool:
@@ -298,11 +269,11 @@ def eval_oracle(t: Term) -> tuple[int, int]:
 
 def parse_goal(text: str):
     """Parse `eval <expr>` or `add <nat> <nat>` over the empty context."""
-    cur = Cursor(lex(text, "()+"))
+    cur = _GoalCursor(lex(text, "()+"))
     if cur.take("ident", "eval"):
         goal = EvalGoal(Context(), _parse_expr(cur))
     elif cur.take("ident", "add"):
-        goal = AddGoal(Context(), _parse_nat(cur), _parse_nat(cur))
+        goal = AddGoal(Context(), cur.nat(), cur.nat())
     else:
         tok = cur.peek()
         raise ParseError(f"unknown goal form {tok.text!r}", tok.offset)
@@ -310,23 +281,42 @@ def parse_goal(text: str):
     return goal
 
 
-def _parse_expr(cur: Cursor) -> Term:
+class _GoalCursor(Cursor):
+    """A cursor over a goal that sums its numerals as it reads them.
+
+    Every numeral a run makes is a sum of some of the goal's numerals or
+    a count of its + nodes, so a goal is rejected at the numeral that
+    takes the sum past what Python prints (sys.get_int_max_str_digits).
+    """
+
+    total = 0
+
+    def nat(self) -> Term:
+        tok = self.expect("nat")
+        try:
+            value = int(tok.text)
+            self.total += value
+            str(self.total)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            message = f"a numeral or the sum of numerals passes {limit} digits"
+            raise ParseError(message, tok.offset) from None
+        return nat(value)
+
+
+def _parse_expr(cur: _GoalCursor) -> Term:
     term = _parse_atom(cur)
     while cur.take("+"):
         term = plus(term, _parse_atom(cur))
     return term
 
 
-def _parse_atom(cur: Cursor) -> Term:
+def _parse_atom(cur: _GoalCursor) -> Term:
     if cur.take("ident", "num"):
-        return App(NUM_OP, (_parse_nat(cur),))
+        return App(NUM_OP, (cur.nat(),))
     if cur.take("("):
         expr = _parse_expr(cur)
         cur.expect(")")
         return expr
     tok = cur.peek()
     raise ParseError(f"expected an expression, found {tok.text!r}", tok.offset)
-
-
-def _parse_nat(cur: Cursor) -> Term:
-    return nat(int(cur.expect("nat").text))

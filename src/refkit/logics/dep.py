@@ -21,7 +21,7 @@ from ..judgment import JudgmentStructure, require_boundary
 from ..refiner import Refiner
 from ..rule import Rule, clause_rule
 from ..script import compile_script, parse_script
-from ..state import Bot, Subgoals, TeleCons, TeleNil
+from ..state import Bot, Subgoals, TeleBuilder, TeleNil
 from ..syntax import Cursor, ParseError, lex
 from ..tactic import Tactic
 from ..theory import (
@@ -37,8 +37,6 @@ from ..theory import (
     UnsortedTerm,
     Var,
     check_term,
-    ctx_concat,
-    fresh_name,
     render_term,
     term_sort,
     term_vars,
@@ -187,7 +185,7 @@ class DepStructure(JudgmentStructure):
 def render_prop(t: Term) -> str:
     match t:
         case App(op, (a, b)) if op == SIG_OP:
-            name = fresh_name("x", term_vars(b))
+            name = NameSupply(term_vars(b)).fresh("x")
             body = _open(b, Var(name, EXP))
             return f"sig({name}. {render_prop(body)}, {render_prop(a)})"
         case App(op, args) if PROP in op.arg_sorts:
@@ -227,11 +225,9 @@ def _top_i_build(ctx: Context, g: TruthGoal) -> Subgoals:
 
 def _or_i1_build(ctx: Context, g: TruthGoal) -> Subgoals:
     left, _ = g.prop.args
-    name = NameSupply(ctx.names).fresh("x")
-    flat = ctx_concat(ctx, Context(((name, EXP),)))
-    tele = TeleCons((name,), TruthGoal(ctx, left), TeleNil(flat))
-    validation = Substitution(flat, TRUTH_OUTPUT, (inl(Var(name, EXP)),))
-    return Subgoals(tele, validation)
+    b = TeleBuilder(STRUCTURE, ctx)
+    (x,) = b.push(TruthGoal(b.prefix, left), ("x",))
+    return b.close(Substitution(b.prefix, TRUTH_OUTPUT, (inl(x),)))
 
 
 def _eq_refl_sides_equal(ctx: Context, g) -> bool:
@@ -249,25 +245,15 @@ def _eq_refl_open(ctx: Context, g) -> bool:
 
 
 def _sig_i_build(ctx: Context, g: TruthGoal) -> Subgoals:
-    a, b = g.prop.args
-    scope = NameSupply(ctx.names)
-    m = scope.fresh("m")
-    n = scope.fresh("n")
-    ctx_m = ctx_concat(ctx, Context(((m, EXP),)))
-    flat = ctx_concat(ctx_m, Context(((n, EXP),)))
+    base, body = g.prop.args
+    b = TeleBuilder(STRUCTURE, ctx)
+    (m,) = b.push(TruthGoal(b.prefix, base), ("m",))
     # a body variable outside the goal's context is an error
-    body = _walk(
-        b, lambda v: v if ctx.lookup(v.name) is not None else None, Var(m, EXP)
+    opened = _walk(
+        body, lambda v: v if ctx.lookup(v.name) is not None else None, m
     )
-    tele = TeleCons(
-        (m,),
-        TruthGoal(ctx, a),
-        TeleCons((n,), TruthGoal(ctx_m, body), TeleNil(flat)),
-    )
-    validation = Substitution(
-        flat, TRUTH_OUTPUT, (pair(Var(m, EXP), Var(n, EXP)),)
-    )
-    return Subgoals(tele, validation)
+    (n,) = b.push(TruthGoal(b.prefix, opened), ("n",))
+    return b.close(Substitution(b.prefix, TRUTH_OUTPUT, (pair(m, n),)))
 
 
 TOP_I = clause_rule(

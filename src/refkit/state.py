@@ -146,17 +146,10 @@ def check_state(structure: JudgmentStructure, state: ProofState) -> None:
 
 def state_unit(structure: JudgmentStructure, goal: Any) -> Subgoals:
     """One-subgoal state whose validation hands the outputs straight back."""
-    ambient = goal.context
     output = structure.output(goal)
-    scope = NameSupply(ambient.names)
-    names = [scope.fresh(name) for name in output.names]
-    binder = tuple((n, s) for n, (_, s) in zip(names, output.entries))
-    flat = ctx_concat(ambient, Context(binder))
-    tele = TeleCons(tuple(names), goal, TeleNil(flat))
-    validation = Substitution(
-        flat, output, tuple(Var(n, s) for n, s in binder)
-    )
-    return Subgoals(tele, validation)
+    b = TeleBuilder(structure, goal.context)
+    outputs = b.push(goal, output.names)
+    return b.close(Substitution(b.prefix, output, outputs))
 
 
 def wk_state(
@@ -189,11 +182,11 @@ def state_subst(
         case Bot(_, target):
             return Bot(s.source, target)
         case Subgoals(tele, validation):
-            moving = _Splice(structure, dict(zip(s.target.names, s.terms)), s.source)
+            b = TeleBuilder(structure, s.source, dict(zip(s.target.names, s.terms)))
             while isinstance(tele, TeleCons):
-                moving.splice(tele.goal, tele.names, tele.names)
+                b.splice(tele.goal, tele.names, tele.names)
                 tele = tele.rest
-            return moving.close(tele_context(tele), validation)
+            return b.close(subst_compose(b.reindexing(tele.context), validation))
     raise TheoryError(f"not a proof state: {state!r}")
 
 
@@ -278,50 +271,53 @@ def _same_binders(a: Telescope, b: Telescope) -> bool:
     return isinstance(a, TeleNil) and isinstance(b, TeleNil)
 
 
-class _Splice:
-    """A telescope being moved onto a new flat context, entry by entry.
+class TeleBuilder:
+    """A telescope built entry by entry over a growing flat context.
 
-    image sends each old name in scope to its term over the new flat
-    context, scope hands out the new binders and prefix is the new flat
-    context so far.  Every goal is reindexed exactly once; the only work
-    per goal that grows with the context is its reindexing and its own new
-    context.
+    prefix is the flat context so far.  A new binder is named after its
+    base by NameSupply.fresh, so the prefix does not bind it yet, and has
+    the sort of the output it stands for.  A telescope moved onto a new
+    context also keeps image, which sends each old name in scope to its
+    term over the prefix, so every moved goal is reindexed once.
     """
 
     def __init__(
-        self, structure: JudgmentStructure, image: dict[str, Term], prefix: Context
+        self,
+        structure: JudgmentStructure,
+        prefix: Context,
+        image: dict[str, Term] | None = None,
     ):
         self.structure = structure
-        self.image = image
-        self.scope = NameSupply(prefix.names)
         self.prefix = prefix
-        self.spliced: list[tuple[tuple[str, ...], Any]] = []
+        self.image = {} if image is None else image
+        self.scope = NameSupply(prefix.names)
+        self.entries: list[tuple[tuple[str, ...], Any]] = []
+
+    def push(self, goal: Any, bases: tuple[str, ...]) -> tuple[Var, ...]:
+        """Append goal, which lives over the prefix, under fresh binders
+        named after bases; the variables of the new binders."""
+        outputs = self.structure.output(goal).entries
+        binder = tuple(
+            (self.scope.fresh(base), sort)
+            for base, (_, sort) in zip(bases, outputs, strict=True)
+        )
+        self.entries.append((tuple([name for name, _ in binder]), goal))
+        self.prefix = Context._extended(self.prefix, binder)
+        return tuple([Var(name, sort) for name, sort in binder])
 
     def splice(self, goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]) -> None:
         """Append goal, reindexed onto the prefix, under fresh binders
         named after bases that stand for the old names binds from here on."""
         moved = self.structure.subst(goal, self.reindexing(goal.context))
-        binder = []
-        for base, old, (_, sort) in zip(
-            bases, binds, self.structure.output(goal).entries
-        ):
-            name = self.scope.fresh(base)
-            binder.append((name, sort))
-            self.image[old] = Var(name, sort)
-        self.spliced.append((tuple(name for name, _ in binder), moved))
-        self.prefix = Context._extended(self.prefix, tuple(binder))
+        self.image.update(zip(binds, self.push(moved, bases)))
 
     def reindexing(self, target: Context) -> Substitution:
         """Sends target, the old names in scope in any order, onto the prefix."""
         return _reindexing(self.prefix, target, self.image)
 
-    def close(self, tail: Context, validation: Substitution) -> Subgoals:
-        """The state of the spliced goals, validation read over the old
-        flat context tail."""
-        return Subgoals(
-            _tele_from(self.spliced, TeleNil(self.prefix)),
-            subst_compose(self.reindexing(tail), validation),
-        )
+    def close(self, validation: Substitution) -> Subgoals:
+        """The state of the goals pushed, with a validation over the prefix."""
+        return Subgoals(_tele_from(self.entries, TeleNil(self.prefix)), validation)
 
 
 def _mul_tele(
@@ -334,22 +330,21 @@ def _mul_tele(
         return Subgoals(tele, validation)
     root = tele_context(tele)
     image: dict[str, Term] = {name: Var(name, sort) for name, sort in root.entries}
-    moving = _Splice(structure, image, root)
+    b = TeleBuilder(structure, root, image)
     walk = tele
     while isinstance(walk, TeleCons):
         head = walk.goal
         if isinstance(head, Subgoals):
             inner = head.telescope
-            bound: list[str] = []
             while isinstance(inner, TeleCons):
-                moving.splice(inner.goal, inner.names, inner.names)
-                bound.extend(inner.names)
+                b.splice(inner.goal, inner.names, inner.names)
                 inner = inner.rest
             # walk.names bind head's outputs over the rest; from here on
-            # they stand for what the inner validation produced
-            reindex = moving.reindexing(head.validation.source)
+            # they stand for what the inner validation produced, and the
+            # inner binders leave scope
+            reindex = b.reindexing(head.validation.source)
             outputs = [subst_apply(t, reindex) for t in head.validation.terms]
-            for name in bound:
+            for name in inner.context.names[len(head.context):]:
                 del image[name]
             image.update(zip(walk.names, outputs))
         elif not isinstance(head, (Fail, Bot)):
@@ -357,12 +352,12 @@ def _mul_tele(
         elif before is not None:
             # a refusal leaves the goal standing, as its unit state would
             goal = before.goal
-            moving.splice(goal, structure.output(goal).names, walk.names)
+            b.splice(goal, structure.output(goal).names, walk.names)
         else:
             # an absorbing goal already spliced in sits earlier in
             # dependency order, so its kind wins over the collapse
             kind = "fail" if isinstance(head, Fail) else "bot"
-            for _, goal in moving.spliced:
+            for _, goal in b.entries:
                 found = structure.obstruction(goal)
                 if found is not None:
                     kind = found
@@ -372,7 +367,7 @@ def _mul_tele(
         walk = walk.rest
         if before is not None:
             before = before.rest
-    return moving.close(walk.context, validation)
+    return b.close(subst_compose(b.reindexing(walk.context), validation))
 
 
 def _reindexing(

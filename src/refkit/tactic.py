@@ -93,6 +93,8 @@ def force(m: Delayed) -> Delayed:
 
 
 def bind(m: Delayed, f: Callable[[Any], Delayed]) -> Delayed:
+    if m is NEVER:
+        return NEVER
     if isinstance(m, Now):
         return f(m.value)
     return Later(lambda: bind(force(m), f))
@@ -310,12 +312,6 @@ def seq(structure: JudgmentStructure, t: Tactic, mt: Multitactic) -> Tactic:
 
 def then_tactic(structure: JudgmentStructure, t1: Tactic, t2: Tactic) -> Tactic:
     return seq(structure, t1, all_mt(structure, t2))
-
-
-def thenl_tactic(
-    structure: JudgmentStructure, t1: Tactic, tactics: Sequence[Tactic]
-) -> Tactic:
-    return seq(structure, t1, each_mt(structure, tactics))
 
 
 def fix(transform: Callable[[Tactic], Tactic]) -> Tactic:

@@ -210,12 +210,6 @@ class Substitution:
         return None if position is None else self.terms[position]
 
 
-def subst_identity(ctx: Context) -> Substitution:
-    return Substitution._trusted(
-        ctx, ctx, tuple(Var(n, s) for n, s in ctx.entries)
-    )
-
-
 def subst_weaken(source: Context, target: Context) -> Substitution:
     """The substitution sending each target variable to itself over source.
 
@@ -266,28 +260,17 @@ def subst_compose(s1: Substitution, s2: Substitution) -> Substitution:
     )
 
 
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """A name not in avoid, derived from base by priming.
-
-    Deterministic: the result depends only on base and avoid.  The prime
-    character keeps generated names disjoint from user identifiers.
-    """
-    stem = base.split("'", 1)[0] or "x"
-    if stem not in avoid:
-        return stem
-    i = 1
-    while f"{stem}'{i}" in avoid:
-        i += 1
-    return f"{stem}'{i}"
-
-
 class NameSupply:
     """A set of names in scope that only grows, handing out fresh names.
 
-    fresh(base) returns fresh_name(base, names) and takes it into scope.
-    Since names are never released, every primed name below the last one
-    handed out for a stem stays taken, so the search for a stem resumes
-    there instead of rescanning from the first prime.
+    fresh(base) takes the stem of base, the part before its first prime
+    (or "x" when that is empty), and returns the first of stem, stem'1,
+    stem'2, ... not in scope, taking it into scope.  The result depends
+    only on base and the names in scope, and the prime keeps generated
+    names apart from user identifiers.  Since names are never released,
+    every primed name below the last one handed out for a stem stays
+    taken, so the search for a stem resumes there instead of rescanning
+    from the first prime.
     """
 
     def __init__(self, names: Iterable[str]):

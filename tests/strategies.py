@@ -25,11 +25,26 @@ from refkit.theory import (
     Term,
     Var,
     ctx_concat,
-    fresh_name,
 )
 
 NUM = arith.NUM
 EXP = arith.EXP
+
+
+def fresh_name(base: str, avoid: set[str]) -> str:
+    """A name not in avoid, derived from base by priming.
+
+    The naming rule written out as one search from the first prime: the
+    reference that NameSupply, which resumes its search, is checked
+    against.
+    """
+    stem = base.split("'", 1)[0] or "x"
+    if stem not in avoid:
+        return stem
+    i = 1
+    while f"{stem}'{i}" in avoid:
+        i += 1
+    return f"{stem}'{i}"
 
 
 def rand_num_term(rng: random.Random, ctx: Context) -> Term:
@@ -279,3 +294,14 @@ def rand_dep_subst(rng: random.Random, target: Context) -> Substitution:
         target,
         tuple(rand_dep_exp(rng, source, 2) for _ in target.entries),
     )
+
+
+# names that collide on purpose with the binders the rules and the unit
+# state pick: plus_eval's xc, xv, zc1, sig_i's m, n, or_i1's x, and the
+# outputs c, v of eval
+BINDER_NAMES = ("g0", "xc", "xc'1", "xv", "zc1", "m", "n", "x", "x'1", "c", "v")
+
+
+def rand_binder_context(rng: random.Random, sorts, max_len: int = 5) -> Context:
+    names = rng.sample(BINDER_NAMES, rng.randrange(max_len + 1))
+    return Context(tuple((name, rng.choice(sorts)) for name in names))

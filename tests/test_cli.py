@@ -145,6 +145,10 @@ def test_main_script_file(tmp_path, capsys):
     assert "complete" in capsys.readouterr().out
 
 
+# a numeral as long as Python prints (sys.get_int_max_str_digits)
+NINES = "9" * 4300
+
+
 def test_main_usage_errors_exit_five(tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.tac"
     not_utf8.write_bytes(b"\xff\xfe bad")
@@ -163,6 +167,13 @@ def test_main_usage_errors_exit_five(tmp_path, capsys):
          "(" * 300 + "num_eval" + ")" * 300],
         ["--logic", "arith", "--goal", "eval num 1", "--script-file",
          str(not_utf8)],
+        # sums that Python could not print
+        ["--logic", "arith", "--goal", f"add {NINES} {NINES}", "--script",
+         BREADTH],
+        ["--logic", "arith", "--goal", f"eval num {NINES} + num 1",
+         "--script", BREADTH],
+        ["--logic", "arith", "--goal", f"eval num 1{NINES}", "--script",
+         BREADTH],
     ]
     for argv in cases:
         assert main(argv) == 5, argv
@@ -170,6 +181,14 @@ def test_main_usage_errors_exit_five(tmp_path, capsys):
         assert captured.out == ""
         assert "error" in captured.err.lower()
         assert "internal" not in captured.err, argv
+
+
+def test_the_longest_printable_numeral_still_runs(capsys):
+    argv = ["--logic", "arith", "--goal", f"add {NINES} 0", "--script", BREADTH]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        f"status: complete\nsteps_used: 1\nextract: {NINES}\n"
+    )
 
 
 def test_too_deep_nesting_is_a_usage_error(capsys):

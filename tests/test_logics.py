@@ -27,18 +27,20 @@ from refkit.theory import (
     UnsortedTerm,
     Var,
     ctx_concat,
-    fresh_name,
     render_term,
     subst_apply,
     term_vars,
 )
 
 from strategies import (
+    fresh_name,
+    rand_binder_context,
     rand_closed_expr,
     rand_dep_closed_prop,
     rand_dep_context,
     rand_dep_prop,
     rand_dep_subst,
+    rand_expr,
 )
 
 J = arith.STRUCTURE
@@ -119,6 +121,20 @@ def test_plus_eval_freshens_binders_against_the_ambient_context():
     names = [n for ns, _ in tele_goals(state.telescope) for n in ns]
     assert "xc'1" in names and "yv'1" in names
     assert len(set(names)) == len(names)
+    # primes climb past the ones the context takes, and a base that ends
+    # in a digit is primed like any other
+    ctx = Context(
+        (("xc", arith.NUM), ("xc'1", arith.NUM), ("zc1", arith.NUM), ("g", arith.EXP))
+    )
+    goal = arith.EvalGoal(ctx, arith.plus(Var("g", arith.EXP), arith.num(1)))
+    assert pretty_state(J, arith.PLUS_EVAL.run(ctx, goal)) == (
+        "[xc'2, xv] : eval g.\n"
+        "[yc, yv] : eval num 1.\n"
+        "zc : add xc'2 yc.\n"
+        "zc1'1 : add 1 zc.\n"
+        "zv : add xv yv.\n"
+        "▹ [zc1'1, zv]"
+    )
 
 
 def test_add_rule_cases():
@@ -157,6 +173,11 @@ def test_depth_first_auto_leaves_the_known_residue():
     assert rendered == ["add 0 0", "add 1 n", "add 2 3"]
     binders = [n for ns, _ in tele_goals(got.telescope) for n in ns]
     assert binders == ["n", "n'1", "n'2"]
+    # a left comb of 64 additions: the star stalls after d + 2 steps
+    comb = "eval " + " + ".join(["num 1"] * 65)
+    out = execute(RunConfig("arith", comb, arith.AUTO_NAIVE_SCRIPT))
+    assert out.status == "incomplete"
+    assert out.steps == 66
 
 
 def test_arith_parse_goal():
@@ -536,3 +557,123 @@ def test_render_and_oracle_match_the_replace_var_reference():
         assert dep.prove_oracle(closed) == want
         provable += want is not None
     assert provable >= 30
+
+
+# the rule builders as they were before TeleBuilder, each naming its
+# binders and threading its flat contexts by hand
+
+
+def hand_plus_eval_build(ctx, goal):
+    e1, e2 = goal.expr.args
+    scope = NameSupply(ctx.names)
+    xc, xv, yc, yv, zc, zc1, zv = map(
+        scope.fresh, ("xc", "xv", "yc", "yv", "zc", "zc1", "zv")
+    )
+    NUM = arith.NUM
+    g0 = ctx
+    g1 = ctx_concat(g0, Context(((xc, NUM), (xv, NUM))))
+    g2 = ctx_concat(g1, Context(((yc, NUM), (yv, NUM))))
+    g3 = ctx_concat(g2, Context(((zc, NUM),)))
+    g4 = ctx_concat(g3, Context(((zc1, NUM),)))
+    g5 = ctx_concat(g4, Context(((zv, NUM),)))
+    tele = TeleCons(
+        (xc, xv),
+        arith.EvalGoal(g0, e1),
+        TeleCons(
+            (yc, yv),
+            arith.EvalGoal(g1, e2),
+            TeleCons(
+                (zc,),
+                arith.AddGoal(g2, Var(xc, NUM), Var(yc, NUM)),
+                TeleCons(
+                    (zc1,),
+                    arith.AddGoal(g3, arith.nat(1), Var(zc, NUM)),
+                    TeleCons(
+                        (zv,),
+                        arith.AddGoal(g4, Var(xv, NUM), Var(yv, NUM)),
+                        TeleNil(g5),
+                    ),
+                ),
+            ),
+        ),
+    )
+    validation = Substitution(
+        g5, arith.EVAL_OUTPUT, (Var(zc1, NUM), Var(zv, NUM))
+    )
+    return Subgoals(tele, validation)
+
+
+def hand_or_i1_build(ctx, g):
+    left, _ = g.prop.args
+    name = NameSupply(ctx.names).fresh("x")
+    flat = ctx_concat(ctx, Context(((name, dep.EXP),)))
+    tele = TeleCons((name,), dep.TruthGoal(ctx, left), TeleNil(flat))
+    validation = Substitution(flat, dep.TRUTH_OUTPUT, (dep.inl(Var(name, dep.EXP)),))
+    return Subgoals(tele, validation)
+
+
+def hand_sig_i_build(ctx, g):
+    a, b = g.prop.args
+    scope = NameSupply(ctx.names)
+    m = scope.fresh("m")
+    n = scope.fresh("n")
+    ctx_m = ctx_concat(ctx, Context(((m, dep.EXP),)))
+    flat = ctx_concat(ctx_m, Context(((n, dep.EXP),)))
+    body = dep._walk(
+        b, lambda v: v if ctx.lookup(v.name) is not None else None, Var(m, dep.EXP)
+    )
+    tele = TeleCons(
+        (m,),
+        dep.TruthGoal(ctx, a),
+        TeleCons((n,), dep.TruthGoal(ctx_m, body), TeleNil(flat)),
+    )
+    validation = Substitution(
+        flat, dep.TRUTH_OUTPUT, (dep.pair(Var(m, dep.EXP), Var(n, dep.EXP)),)
+    )
+    return Subgoals(tele, validation)
+
+
+def primed_binders(state):
+    return any("'" in n for names, _ in tele_goals(state.telescope) for n in names)
+
+
+def assert_matches_the_hand_built(rule, structure, draw, reference):
+    primed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        goal = draw(rng)
+        got = rule.run(goal.context, goal)
+        want = reference(goal.context, goal)
+        assert got == want
+        assert pretty_state(structure, got) == pretty_state(structure, want)
+        primed += primed_binders(got)
+    assert primed >= 50
+
+
+def test_plus_eval_matches_the_hand_built_reference():
+    def draw(rng):
+        ctx = rand_binder_context(rng, (arith.NUM, arith.EXP))
+        expr = arith.plus(rand_expr(rng, ctx, 2), rand_expr(rng, ctx, 2))
+        return arith.EvalGoal(ctx, expr)
+
+    assert_matches_the_hand_built(arith.PLUS_EVAL, J, draw, hand_plus_eval_build)
+
+
+def test_or_i1_matches_the_hand_built_reference():
+    def draw(rng):
+        ctx = rand_binder_context(rng, (dep.EXP,))
+        prop = dep.or_(rand_dep_prop(rng, ctx, 3), rand_dep_prop(rng, ctx, 3))
+        return dep.TruthGoal(ctx, prop)
+
+    assert_matches_the_hand_built(dep.OR_I1, D, draw, hand_or_i1_build)
+
+
+def test_sig_i_matches_the_hand_built_reference():
+    def draw(rng):
+        ctx = rand_binder_context(rng, (dep.EXP,))
+        body = rand_dep_prop(rng, dep.slot_extend(ctx), 3)
+        prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
+        return dep.TruthGoal(ctx, prop)
+
+    assert_matches_the_hand_built(dep.SIG_I, D, draw, hand_sig_i_build)
+

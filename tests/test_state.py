@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refkit.logics import arith
+from refkit.logics import arith, dep
 from refkit.state import (
     Bot,
     Fail,
@@ -30,12 +30,11 @@ from refkit.state import (
 from refkit.theory import (
     Context,
     ContextMismatch,
+    NameSupply,
     Substitution,
     Var,
     ctx_concat,
-    fresh_name,
     subst_compose,
-    subst_identity,
     subst_weaken,
 )
 
@@ -43,8 +42,12 @@ from strategies import (
     arith_state,
     arith_state_of_states,
     arith_state_of_states_of_states,
+    fresh_name,
+    rand_binder_context,
     rand_context,
+    rand_dep_prop,
     rand_expr,
+    rand_goal,
     rand_num_term,
     rand_subst,
 )
@@ -60,6 +63,10 @@ Z = Context((("z", NUM),))
 
 def unit_eta(structure):
     return lambda goal: state_unit(structure, goal)
+
+
+def identity(ctx):
+    return Substitution(ctx, ctx, tuple(Var(n, srt) for n, srt in ctx.entries))
 
 
 def complete(ctx, target, terms):
@@ -83,6 +90,43 @@ def test_state_unit_freshens_colliding_binder_names():
     s = state_unit(J, arith.EvalGoal(ctx, arith.num(1)))
     [(names, _)] = tele_goals(s.telescope)
     assert names == ("c'1", "v")
+
+
+def hand_state_unit(structure, goal):
+    """state_unit as it was before TeleBuilder: binders named and the
+    flat context threaded by hand."""
+    ambient = goal.context
+    output = structure.output(goal)
+    scope = NameSupply(ambient.names)
+    names = [scope.fresh(name) for name in output.names]
+    binder = tuple((n, s) for n, (_, s) in zip(names, output.entries))
+    flat = ctx_concat(ambient, Context(binder))
+    tele = TeleCons(tuple(names), goal, TeleNil(flat))
+    validation = Substitution(flat, output, tuple(Var(n, s) for n, s in binder))
+    return Subgoals(tele, validation)
+
+
+def test_state_unit_matches_the_hand_built_reference():
+    primed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_binder_context(rng, (NUM, arith.EXP))
+        roll = rng.randrange(3)
+        if roll == 0:
+            structure, goal = J, rand_goal(rng, ctx, 2)
+        elif roll == 1:
+            structure, goal = K, arith_state(rng, ctx)
+        else:
+            ctx = rand_binder_context(rng, (dep.EXP,))
+            goal = dep.TruthGoal(ctx, rand_dep_prop(rng, ctx, 3))
+            structure = dep.STRUCTURE
+        got = state_unit(structure, goal)
+        want = hand_state_unit(structure, goal)
+        assert got == want
+        assert pretty_state(structure, got) == pretty_state(structure, want)
+        [(names, _)] = tele_goals(got.telescope)
+        primed += any("'" in n for n in names)
+    assert primed >= 30
 
 
 def test_check_state_rejects_a_misplaced_goal_context():
@@ -132,7 +176,7 @@ def test_state_subst_identity_is_inert(seed):
     rng = random.Random(seed)
     ctx = rand_context(rng)
     state = arith_state(rng, ctx)
-    moved = state_subst(J, state, subst_identity(ctx))
+    moved = state_subst(J, state, identity(ctx))
     assert state_alpha_eq(J, moved, state)
 
 
@@ -381,8 +425,8 @@ def reference_state_alpha_eq(structure, a, b):
         case Subgoals(ta, va), Subgoals(tb, vb):
             if a.context != b.context or va.target != vb.target:
                 return False
-            ra = subst_identity(a.context)
-            rb = subst_identity(b.context)
+            ra = identity(a.context)
+            rb = identity(b.context)
             spine = 0
             while isinstance(ta, TeleCons) and isinstance(tb, TeleCons):
                 if len(ta.names) != len(tb.names):
@@ -455,7 +499,7 @@ def rename_binders(structure, state, rng):
         return fresh_name(rng.choice(("r", "c", "n", "v", "@0", name)), taken)
 
     tele, full = _push_under(
-        structure, state.telescope, subst_identity(state.context), pick
+        structure, state.telescope, identity(state.context), pick
     )
     return Subgoals(tele, subst_compose(full, state.validation))
 

@@ -45,7 +45,6 @@ from refkit.tactic import (
     seq,
     set_trace_hook,
     then_tactic,
-    thenl_tactic,
     try_tactic,
 )
 from refkit.theory import Context, Substitution, render_term
@@ -101,6 +100,10 @@ def test_race_drops_never_branches():
     pending = Later(lambda: Now(3))
     assert race(NEVER, pending) is pending
     assert race(pending, NEVER) is pending
+    # a dead approximant is NEVER under a bind, and leaves the race too
+    dead = bind(NEVER, lambda v: Now(v))
+    assert race(dead, pending) is pending
+    assert race(pending, dead) is pending
 
 
 def test_race_advances_both_sides():
@@ -123,6 +126,14 @@ def test_bind_is_immediate_on_now():
     deferred = bind(Later(lambda: Now(2)), lambda v: Now(v + 1))
     assert isinstance(deferred, Later)
     assert run_delayed(deferred, 3) == Resolved(3, 1)
+
+
+def test_bind_on_never_is_never_and_never_calls_the_continuation():
+    def continuation(value):
+        raise AssertionError("bind(NEVER, f) must not call f")
+
+    assert bind(NEVER, continuation) is NEVER
+    assert run_delayed(bind(NEVER, continuation), 30) == OutOfFuel(30)
 
 
 def test_lub_finds_the_first_resolving_approximant():
@@ -185,14 +196,14 @@ def test_then_collapses_when_the_second_tactic_refuses_a_branch():
 
 
 def test_thenl_threads_resolved_evidence_into_later_goals():
-    tac = thenl_tactic(J, PLUS_EVAL, (NUM_EVAL, NUM_EVAL, ADD, ADD, ADD))
+    tac = seq(J, PLUS_EVAL, each_mt(J, (NUM_EVAL, NUM_EVAL, ADD, ADD, ADD)))
     got = final(tac, eval_goal(arith.plus(arith.num(2), arith.num(3))))
     assert is_complete(got)
     assert got.validation.terms == (arith.nat(1), arith.nat(5))
 
 
 def test_thenl_leaves_unlisted_goals_open():
-    tac = thenl_tactic(J, PLUS_EVAL, (NUM_EVAL,))
+    tac = seq(J, PLUS_EVAL, each_mt(J, (NUM_EVAL,)))
     got = final(tac, eval_goal(arith.plus(arith.num(2), arith.num(3))))
     assert isinstance(got, Subgoals)
     assert len(tele_goals(got.telescope)) == 4
@@ -202,7 +213,7 @@ def test_each_substitutes_before_handing_over_the_goal():
     seen = []
     set_trace_hook(lambda goal, state: seen.append(J.render(goal)))
     try:
-        tac = thenl_tactic(J, PLUS_EVAL, (NUM_EVAL, NUM_EVAL, ADD, ADD, ADD))
+        tac = seq(J, PLUS_EVAL, each_mt(J, (NUM_EVAL, NUM_EVAL, ADD, ADD, ADD)))
         final(tac, eval_goal(arith.plus(arith.num(2), arith.num(3))))
     finally:
         set_trace_hook(None)

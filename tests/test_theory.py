@@ -18,18 +18,16 @@ from refkit.theory import (
     Var,
     check_term,
     ctx_concat,
-    fresh_name,
     freshen_context,
     render_term,
     subst_apply,
     subst_compose,
-    subst_identity,
     subst_weaken,
     term_sort,
     term_vars,
 )
 
-from strategies import rand_context, rand_expr, rand_subst
+from strategies import fresh_name, rand_context, rand_expr, rand_subst
 
 NUM = Sort("num")
 EXP = Sort("exp")
@@ -98,7 +96,7 @@ def test_substitution_checks_length_and_sorts():
 
 def test_identity_substitution_is_inert():
     ctx = Context((("x", EXP), ("y", NUM)))
-    s = subst_identity(ctx)
+    s = Substitution(ctx, ctx, (Var("x", EXP), Var("y", NUM)))
     t = App(ADD, (Var("x", EXP), App(LIT, (Var("y", NUM),))))
     assert subst_apply(t, s) == t
 
@@ -135,15 +133,22 @@ def test_compose_agrees_with_sequential_application(seed):
     assert subst_apply(t, composed) == subst_apply(subst_apply(t, s2), s1)
 
 
+def picks(base, avoid):
+    """The name the reference picks, checked against NameSupply's."""
+    want = fresh_name(base, avoid)
+    assert NameSupply(avoid).fresh(base) == want
+    return want
+
+
 def test_fresh_name_prefers_the_bare_stem():
-    assert fresh_name("x", set()) == "x"
-    assert fresh_name("x", {"x"}) == "x'1"
-    assert fresh_name("x", {"x", "x'1"}) == "x'2"
+    assert picks("x", set()) == "x"
+    assert picks("x", {"x"}) == "x'1"
+    assert picks("x", {"x", "x'1"}) == "x'2"
 
 
 def test_fresh_name_strips_old_primes_and_empty_stems():
-    assert fresh_name("n'3", {"n"}) == "n'1"
-    assert fresh_name("", set()) == "x"
+    assert picks("n'3", {"n"}) == "n'1"
+    assert picks("", set()) == "x"
 
 
 @settings(max_examples=200, deadline=None)
