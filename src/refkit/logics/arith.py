@@ -125,18 +125,26 @@ class ArithStructure(JudgmentStructure):
 
 
 def render_expr(t: Term) -> str:
+    # the left spine is a loop, so a long left comb renders without
+    # recursing; a parenthesised right operand is as deep as the parser
+    # lets nesting go
+    rights = []
+    while isinstance(t, App) and t.op == PLUS_OP:
+        t, right = t.args
+        rights.append(right)
     match t:
         case Var(name, _):
-            return name
+            parts = [name]
         case App(op, (arg,)) if op == NUM_OP:
-            return f"num {render_num(arg)}"
-        case App(op, (a, b)) if op == PLUS_OP:
-            left = render_expr(a)
-            right = render_expr(b)
-            if isinstance(b, App) and b.op == PLUS_OP:
-                right = f"({right})"
-            return f"{left} + {right}"
-    raise TheoryError(f"not an arith expression: {t!r}")
+            parts = [f"num {render_num(arg)}"]
+        case _:
+            raise TheoryError(f"not an arith expression: {t!r}")
+    for b in reversed(rights):
+        right = render_expr(b)
+        if isinstance(b, App) and b.op == PLUS_OP:
+            right = f"({right})"
+        parts.append(right)
+    return " + ".join(parts)
 
 
 def render_num(t: Term) -> str:

@@ -97,6 +97,8 @@ def check_prop(ctx: Context, t: Term) -> None:
     match t:
         case Var(_, _):
             check_term(ctx, t)
+        case App() if t.closed:
+            return
         case App(op, (a, b)) if op == SIG_OP:
             check_prop(ctx, a)
             check_prop(slot_extend(ctx), b)
@@ -118,7 +120,8 @@ def _walk(
     A free `$x` becomes `slot` when one is given; every other variable
     goes through `lookup`, and one it does not cover is an error.  A
     nested sig's body keeps its own slot.  A subterm the walk leaves
-    unchanged is handed back as it is, not rebuilt.
+    unchanged, a closed one among them, is handed back as it is, not
+    rebuilt.
     """
     if isinstance(t, Var):
         if slot is not None and t.name == SLOT.name:
@@ -128,6 +131,8 @@ def _walk(
             raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
         return found
     if isinstance(t, App):
+        if t.closed:
+            return t
         if t.op == SIG_OP:
             a, b = t.args
             args = (_walk(a, lookup, slot), _walk(b, lookup, SLOT))

@@ -4,11 +4,18 @@ Everything downstream (judgments, proof states, rules) is built over this
 layer.  Terms are sort-checked at construction time, contexts are ordered
 telescopes of distinctly named variables, and substitutions are positional
 tuples of terms aligned with their target context.
+
+An `App` records when it is built whether it is closed: no `Var` occurs
+anywhere below it.  Only its constructor sets the flag, after the arity
+and sort checks, so a closed term has been checked all the way down.
+The walks that substitute into, check or collect the variables of a term
+hand a closed subterm back as it is, before doing anything else; a new
+walk should do the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 
@@ -51,6 +58,8 @@ class Var:
 class App:
     op: Operator
     args: tuple["Term", ...]
+    # no Var anywhere below; left out of repr, == and hash
+    closed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.args) != len(self.op.arg_sorts):
@@ -58,6 +67,7 @@ class App:
                 f"operator {self.op.name} expects {len(self.op.arg_sorts)} "
                 f"arguments, got {len(self.args)}"
             )
+        closed = True
         for arg, want in zip(self.args, self.op.arg_sorts):
             got = term_sort(arg)
             if got != want:
@@ -65,6 +75,8 @@ class App:
                     f"argument of {self.op.name} has sort {got.name}, "
                     f"expected {want.name}"
                 )
+            closed = closed and type(arg) is App and arg.closed
+        object.__setattr__(self, "closed", closed)
 
 
 Term = Union[Var, App]
@@ -86,6 +98,8 @@ def term_vars(t: Term) -> set[str]:
             return {name}
         case App(_, args):
             out: set[str] = set()
+            if t.closed:
+                return out
             for a in args:
                 out |= term_vars(a)
             return out
@@ -160,6 +174,9 @@ def check_term(ctx: Context, t: Term) -> None:
                     f"bound at sort {found.name}"
                 )
         case App(_, args):
+            # the constructor has checked a closed term already
+            if t.closed:
+                return
             for a in args:
                 check_term(ctx, a)
         case _:
@@ -230,8 +247,8 @@ def subst_weaken(source: Context, target: Context) -> Substitution:
 def subst_apply(t: Term, s: Substitution) -> Term:
     """Carry a term over s.target to a term over s.source.
 
-    A subterm the substitution leaves unchanged is handed back as it is,
-    not rebuilt.
+    A subterm the substitution leaves unchanged, a closed one among them,
+    is handed back as it is, not rebuilt.
     """
     if isinstance(t, Var):
         replacement = s.lookup(t.name)
@@ -239,6 +256,8 @@ def subst_apply(t: Term, s: Substitution) -> Term:
             raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
         return replacement
     if isinstance(t, App):
+        if t.closed:
+            return t
         args = tuple([subst_apply(a, s) for a in t.args])
         for new, old in zip(args, t.args):
             if new is not old:

@@ -202,6 +202,16 @@ def test_too_deep_nesting_is_a_usage_error(capsys):
         assert "nesting too deep" in captured.err
 
 
+def test_a_residual_past_the_recursion_limit_prints(capsys):
+    # the first residual goal is a left comb 1199 `+` nodes deep
+    leaves = ["num 1"] * 1201
+    goal = "eval " + " + ".join(leaves)
+    assert main(["--logic", "arith", "--goal", goal, "--script", "plus_eval"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert lines[3] == "[xc, xv] : eval " + " + ".join(leaves[:-1]) + "."
+
+
 def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
     from refkit.logics import arith
     from refkit.rule import Rule

@@ -1,0 +1,289 @@
+"""Closed terms: the flag an App records and the walks that use it.
+
+The walks as they were before an App recorded whether it is closed are
+kept here as references: the walks that hand a closed subterm back at
+once must give the same results and raise the same errors.
+"""
+
+import random
+
+from refkit.logics import arith, dep
+from refkit.theory import (
+    App,
+    Context,
+    ContextMismatch,
+    Substitution,
+    TheoryError,
+    UnsortedTerm,
+    Var,
+    check_term,
+    subst_apply,
+    term_vars,
+)
+
+from strategies import (
+    rand_closed_expr,
+    rand_context,
+    rand_dep_context,
+    rand_dep_exp,
+    rand_dep_prop,
+    rand_dep_subst,
+    rand_expr,
+    rand_num_term,
+    rand_subst,
+)
+
+# ------------------------------------------------------ the references
+
+
+def ref_term_vars(t):
+    match t:
+        case Var(name, _):
+            return {name}
+        case App(_, args):
+            out = set()
+            for a in args:
+                out |= ref_term_vars(a)
+            return out
+    raise UnsortedTerm(f"not a term: {t!r}")
+
+
+def ref_check_term(ctx, t):
+    match t:
+        case Var(name, sort):
+            found = ctx.lookup(name)
+            if found is None:
+                raise ContextMismatch(f"unbound variable {name!r}")
+            if found != sort:
+                raise UnsortedTerm(f"variable {name!r} used at the wrong sort")
+        case App(_, args):
+            for a in args:
+                ref_check_term(ctx, a)
+        case _:
+            raise UnsortedTerm(f"not a term: {t!r}")
+
+
+def ref_subst_apply(t, s):
+    if isinstance(t, Var):
+        replacement = s.lookup(t.name)
+        if replacement is None:
+            raise ContextMismatch(f"variable {t.name!r} not covered")
+        return replacement
+    if isinstance(t, App):
+        args = tuple([ref_subst_apply(a, s) for a in t.args])
+        for new, old in zip(args, t.args):
+            if new is not old:
+                return App(t.op, args)
+        return t
+    raise UnsortedTerm(f"not a term: {t!r}")
+
+
+def ref_walk(t, lookup, slot):
+    if isinstance(t, Var):
+        if slot is not None and t.name == dep.SLOT.name:
+            return slot
+        found = lookup(t)
+        if found is None:
+            raise ContextMismatch(f"variable {t.name!r} not covered")
+        return found
+    if isinstance(t, App):
+        if t.op == dep.SIG_OP:
+            a, b = t.args
+            args = (ref_walk(a, lookup, slot), ref_walk(b, lookup, dep.SLOT))
+        else:
+            args = tuple([ref_walk(a, lookup, slot) for a in t.args])
+        for new, old in zip(args, t.args):
+            if new is not old:
+                return App(t.op, args)
+        return t
+    raise TheoryError(f"not a term: {t!r}")
+
+
+def ref_check_prop(ctx, t):
+    match t:
+        case Var(_, _):
+            ref_check_term(ctx, t)
+        case App(op, (a, b)) if op == dep.SIG_OP:
+            ref_check_prop(ctx, a)
+            ref_check_prop(dep.slot_extend(ctx), b)
+        case App(op, args):
+            for arg, sort in zip(args, op.arg_sorts):
+                if sort == dep.PROP:
+                    ref_check_prop(ctx, arg)
+                else:
+                    ref_check_term(ctx, arg)
+        case _:
+            raise TheoryError(f"not a term: {t!r}")
+
+
+# --------------------------------------------------------------- helpers
+
+
+def subterms(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from subterms(a)
+
+
+def outcome(f, *args):
+    """The value f returns, or the class of the error it raises."""
+    try:
+        return "value", f(*args)
+    except TheoryError as err:
+        return "raised", type(err)
+
+
+def agree(f, ref, *args):
+    got = outcome(f, *args)
+    assert got == outcome(ref, *args)
+    return got[0] == "raised"
+
+
+def assert_flag_and_identity(t, walk=None):
+    """closed holds exactly when no variable occurs below, and walk hands
+    every closed subterm back as the same object."""
+    for u in subterms(t):
+        if isinstance(u, App):
+            assert u.closed == (not ref_term_vars(u))
+            if u.closed and walk is not None:
+                assert walk(u) is u
+
+
+def missing_first(s):
+    """s without its first target variable, so a term using it is not
+    covered."""
+    return Substitution(s.source, Context(s.target.entries[1:]), s.terms[1:])
+
+
+# ------------------------------------------------------------------ arith
+
+
+def rand_arith_term(rng, ctx):
+    if rng.random() < 0.2:
+        return rand_num_term(rng, ctx)
+    if rng.random() < 0.2:
+        return rand_closed_expr(rng, 4)
+    return rand_expr(rng, ctx, 4)
+
+
+def test_the_flag_stays_out_of_repr_equality_and_hash():
+    t = arith.plus(arith.num(1), Var("x", arith.EXP))
+    assert repr(t) == (
+        "App(op=Operator(name='+', arg_sorts=(Sort('exp'), Sort('exp')), "
+        "result=Sort('exp')), args=(App(op=Operator(name='num', "
+        "arg_sorts=(Sort('num'),), result=Sort('exp')), args=(App("
+        "op=Operator(name='1', arg_sorts=(), result=Sort('num')), args=()),)), "
+        "Var(name='x', sort=Sort('exp'))))"
+    )
+    assert repr(dep.pair(dep.tt(), dep.SLOT)) == (
+        "App(op=Operator(name='pair', arg_sorts=(Sort('exp'), Sort('exp')), "
+        "result=Sort('exp')), args=(App(op=Operator(name='tt', arg_sorts=(), "
+        "result=Sort('exp')), args=()), Var(name='$x', sort=Sort('exp'))))"
+    )
+    closed = arith.num(1)
+    assert closed.closed and not t.closed
+    assert hash(t) == hash((t.op, t.args))
+    assert t == arith.plus(arith.num(1), Var("x", arith.EXP))
+
+
+def test_each_closed_term_gets_its_own_empty_variable_set():
+    closed = arith.plus(arith.num(1), arith.num(2))
+    first = term_vars(closed)
+    assert first == set()
+    first.add("y")
+    assert term_vars(closed) == set()
+    assert term_vars(closed.args[0]) is not term_vars(closed.args[0])
+
+
+def test_subst_apply_matches_the_reference():
+    raised = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        target = rand_context(rng, 3)
+        t = rand_arith_term(rng, target)
+        s = rand_subst(rng, target)
+        short = missing_first(s)
+        assert not agree(subst_apply, ref_subst_apply, t, s)
+        raised += agree(subst_apply, ref_subst_apply, t, short)
+        assert_flag_and_identity(t, lambda u: subst_apply(u, short))
+    assert raised >= 30
+
+
+def test_check_term_matches_the_reference():
+    raised = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_context(rng, 3)
+        t = rand_arith_term(rng, ctx)
+        check_term(ctx, t)
+        # another context may miss a variable or bind it at another sort
+        other = rand_context(rng, 3)
+        got = outcome(check_term, other, t)
+        assert got == outcome(ref_check_term, other, t)
+        raised.add(got[1] if got[0] == "raised" else None)
+        assert_flag_and_identity(t, lambda u: check_term(Context(()), u) or u)
+    assert {ContextMismatch, UnsortedTerm} <= raised
+
+
+def test_term_vars_matches_the_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = rand_arith_term(rng, rand_context(rng, 3))
+        assert term_vars(t) == ref_term_vars(t)
+        assert_flag_and_identity(t)
+
+
+# -------------------------------------------------------------------- dep
+
+
+def dep_lookups(rng, ctx, target):
+    """The ways dep walks a proposition, as (lookup, slot) pairs:
+    substituting, also with a substitution that misses a variable,
+    opening a body, and sig_i's opening that keeps only the goal's
+    variables."""
+    s = rand_dep_subst(rng, target)
+    short = missing_first(s)
+
+    def in_ctx(v):
+        return v if ctx.lookup(v.name) is not None else None
+
+    return [
+        (lambda v: s.lookup(v.name), None),
+        (lambda v: short.lookup(v.name), None),
+        (lambda v: v, rand_dep_exp(rng, ctx, 2)),
+        (in_ctx, Var("m", dep.EXP)),
+    ]
+
+
+def test_walk_matches_the_reference():
+    raised = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_dep_context(rng)
+        # a body mentions its slot `$x` and may hold sigs of its own
+        body = rand_dep_prop(rng, dep.slot_extend(ctx), 4)
+        prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
+        for t in (prop, body):
+            target = dep.slot_extend(ctx) if t is body else ctx
+            for lookup, slot in dep_lookups(rng, ctx, target):
+                raised += agree(dep._walk, ref_walk, t, lookup, slot)
+                assert_flag_and_identity(t, lambda u: dep._walk(u, lookup, slot))
+    assert raised >= 30
+
+
+def test_check_prop_matches_the_reference():
+    raised = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_dep_context(rng)
+        prop = rand_dep_prop(rng, ctx, 4)
+        dep.check_prop(ctx, prop)
+        if rng.random() < 0.3:
+            # a proposition variable, bound nowhere or at sort exp
+            prop = dep.or_(Var("g0", dep.PROP), prop)
+        for other in (rand_dep_context(rng), Context((("g0", arith.NUM),))):
+            got = outcome(dep.check_prop, other, prop)
+            assert got == outcome(ref_check_prop, other, prop)
+            raised.add(got[1] if got[0] == "raised" else None)
+    assert {ContextMismatch, UnsortedTerm} <= raised

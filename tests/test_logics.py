@@ -24,6 +24,7 @@ from refkit.theory import (
     ContextMismatch,
     NameSupply,
     Substitution,
+    TheoryError,
     UnsortedTerm,
     Var,
     ctx_concat,
@@ -73,6 +74,11 @@ def test_expr_rendering_is_left_associative():
     assert arith.render_expr(e) == "num 1 + num 2 + num 3"
     nested = arith.plus(arith.num(1), arith.plus(arith.num(2), arith.num(3)))
     assert arith.render_expr(nested) == "num 1 + (num 2 + num 3)"
+    x = Var("x", arith.EXP)
+    mixed = arith.plus(arith.plus(x, nested), arith.num(4))
+    assert arith.render_expr(mixed) == "x + (num 1 + (num 2 + num 3)) + num 4"
+    with pytest.raises(TheoryError):
+        arith.render_expr(arith.nat(1))
 
 
 def test_goal_rendering():
