@@ -1,12 +1,15 @@
 """Time the term walks on a closed and on an open term of the same shape.
 
 Each walk is timed per call on a balanced tree of about --nodes nodes:
-`subst_apply`, `check_term` and `term_vars` on an arith sum, and
-`dep.subst_prop` on an equation between two pair trees.  The closed term
-has a numeral (or `tt`) at every leaf; the open term has a variable
-there, so a walk visits every node of it, while it hands the closed
-term back after one look at its root.  The benchmark's traced run cannot
-show this, because it times whole substitutions, not the walks.
+`subst_apply`, `check_term` and `term_vars` on an arith sum, and dep's
+`DepStructure.subst` on an equation between two pair trees and on a sig
+over such an equation.  The closed term has a numeral (or `tt`) at every
+leaf; the open term has a variable there, so a walk visits every node of
+it, while it hands the closed term back after one look at its root.  The
+closed sig's body has its own slot at every leaf, which the sig binds,
+so it is closed too; the open sig's body has a context variable at half
+of them.  The benchmark's traced run cannot show this, because it times
+whole substitutions, not the walks.
 """
 
 from __future__ import annotations
@@ -67,21 +70,36 @@ def main() -> int:
     g = Var("g", dep.EXP)
     dctx = Context((("g", dep.EXP),))
     to_tt = Substitution(Context(), dctx, (dep.tt(),))
-    # two pair trees of a quarter as many leaves each
-    props = {
-        kind: dep.eq(
-            balanced(dep.pair, leaf, args.nodes // 4),
-            balanced(dep.pair, leaf, args.nodes // 4),
+    def pair_eq(left, right):
+        # two pair trees of a quarter as many leaves each
+        return dep.eq(
+            balanced(dep.pair, left, args.nodes // 4),
+            balanced(dep.pair, right, args.nodes // 4),
         )
-        for kind, leaf in (("closed", dep.tt), ("open", lambda: g))
+
+    def slot():
+        return dep.SLOT
+
+    props = {
+        "closed": pair_eq(dep.tt, dep.tt),
+        "open": pair_eq(lambda: g, lambda: g),
     }
+    sigs = {
+        kind: App(dep.SIG_OP, (dep.top(), pair_eq(left, slot)))
+        for kind, left in (("closed", slot), ("open", lambda: g))
+    }
+
+    def dep_subst(p):
+        goal = dep.TruthGoal(dctx, p)
+        return lambda: dep.STRUCTURE.subst(goal, to_tt)
 
     print(f"{'walk':<16} {'term':<7} {'nodes':>6} {'us/call':>10}")
     for kind in ("closed", "open"):
-        t, p = sums[kind], props[kind]
+        t, p, sig = sums[kind], props[kind], sigs[kind]
         walks = [
             ("subst_apply", t, lambda: subst_apply(t, to_one)),
-            ("dep.subst_prop", p, lambda: dep.subst_prop(p, to_tt)),
+            ("dep.subst", p, dep_subst(p)),
+            ("dep.subst sig", sig, dep_subst(sig)),
             ("check_term", t, lambda: check_term(ctx, t)),
             ("term_vars", t, lambda: term_vars(t)),
         ]

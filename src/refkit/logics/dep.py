@@ -1,10 +1,12 @@
 """Dependent logic: truth goals whose evidence feeds later goals.
 
 Propositions include a dependent pair former sig(x. B, A) whose body B
-may mention the evidence x of A.  Internally the bound occurrence is one
-bound index, the slot variable SLOT, which user identifiers cannot
-collide with; only rendering gives it a printable name.  One walk both
-opens a body with a term and carries a substitution past the binder.
+may mention the evidence x of A.  The sig operator declares that its
+body binds the slot variable SLOT, which user identifiers cannot collide
+with; only rendering gives it a printable name.  So the term layer does
+all the binding: substitution passes the binder by, `instantiate` opens
+a body with a term, `check_term` checks a body with its slot in scope,
+and a sig whose body mentions only its slot is closed.
 
 A sig body's scope holds only its own binder, because a nested sig's
 slot would capture an outer one: the parser rejects a body that mentions
@@ -15,7 +17,6 @@ expression forms tt, refl, inl and pair are reserved: none is a binder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..judgment import JudgmentStructure, require_boundary
 from ..refiner import Refiner
@@ -27,7 +28,6 @@ from ..tactic import Tactic
 from ..theory import (
     App,
     Context,
-    ContextMismatch,
     NameSupply,
     Operator,
     Sort,
@@ -37,7 +37,9 @@ from ..theory import (
     UnsortedTerm,
     Var,
     check_term,
+    instantiate,
     render_term,
+    subst_apply,
     term_sort,
     term_vars,
 )
@@ -45,19 +47,20 @@ from ..theory import (
 PROP = Sort("prop")
 EXP = Sort("exp")
 
+# the bound occurrence inside a sig body; '$' is outside the identifier
+# alphabet, so user terms can never capture or mention it
+SLOT = Var("$x", EXP)
+
 TOP_OP = Operator("top", (), PROP)
 OR_OP = Operator("or", (PROP, PROP), PROP)
 EQ_OP = Operator("eq", (EXP, EXP), PROP)
-SIG_OP = Operator("sig", (PROP, PROP), PROP)
+# sig(base, body): the body binds SLOT
+SIG_OP = Operator("sig", (PROP, PROP), PROP, binds=(None, SLOT))
 
 TT_OP = Operator("tt", (), EXP)
 REFL_OP = Operator("refl", (), EXP)
 INL_OP = Operator("inl", (EXP,), EXP)
 PAIR_OP = Operator("pair", (EXP, EXP), EXP)
-
-# the bound occurrence inside a sig body; '$' is outside the identifier
-# alphabet, so user terms can never capture or mention it
-SLOT = Var("$x", EXP)
 
 
 def top() -> Term:
@@ -88,72 +91,6 @@ def pair(a: Term, b: Term) -> Term:
     return App(PAIR_OP, (a, b))
 
 
-def slot_extend(ctx: Context) -> Context:
-    entries = tuple(e for e in ctx.entries if e[0] != SLOT.name)
-    return Context(entries + ((SLOT.name, EXP),))
-
-
-def check_prop(ctx: Context, t: Term) -> None:
-    match t:
-        case Var(_, _):
-            check_term(ctx, t)
-        case App() if t.closed:
-            return
-        case App(op, (a, b)) if op == SIG_OP:
-            check_prop(ctx, a)
-            check_prop(slot_extend(ctx), b)
-        case App(op, args):
-            for arg, sort in zip(args, op.arg_sorts):
-                if sort == PROP:
-                    check_prop(ctx, arg)
-                else:
-                    check_term(ctx, arg)
-        case _:
-            raise TheoryError(f"not a term: {t!r}")
-
-
-def _walk(
-    t: Term, lookup: Callable[[Var], Term | None], slot: Term | None
-) -> Term:
-    """The one traversal of a proposition past sig binders.
-
-    A free `$x` becomes `slot` when one is given; every other variable
-    goes through `lookup`, and one it does not cover is an error.  A
-    nested sig's body keeps its own slot.  A subterm the walk leaves
-    unchanged, a closed one among them, is handed back as it is, not
-    rebuilt.
-    """
-    if isinstance(t, Var):
-        if slot is not None and t.name == SLOT.name:
-            return slot
-        found = lookup(t)
-        if found is None:
-            raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
-        return found
-    if isinstance(t, App):
-        if t.closed:
-            return t
-        if t.op == SIG_OP:
-            a, b = t.args
-            args = (_walk(a, lookup, slot), _walk(b, lookup, SLOT))
-        else:
-            args = tuple([_walk(a, lookup, slot) for a in t.args])
-        for new, old in zip(args, t.args):
-            if new is not old:
-                return App(t.op, args)
-        return t
-    raise TheoryError(f"not a term: {t!r}")
-
-
-def _open(body: Term, witness: Term) -> Term:
-    """The body of a sig with its slot filled by the witness."""
-    return _walk(body, lambda v: v, witness)
-
-
-def subst_prop(t: Term, s: Substitution) -> Term:
-    return _walk(t, lambda v: s.lookup(v.name), None)
-
-
 @dataclass(frozen=True)
 class TruthGoal:
     context: Context
@@ -167,7 +104,7 @@ class DepStructure(JudgmentStructure):
     def check(self, judgment) -> None:
         match judgment:
             case TruthGoal(ctx, prop):
-                check_prop(ctx, prop)
+                check_term(ctx, prop)
                 if term_sort(prop) != PROP:
                     raise UnsortedTerm("truth goals are about propositions")
             case _:
@@ -177,7 +114,7 @@ class DepStructure(JudgmentStructure):
         require_boundary(judgment, s)
         match judgment:
             case TruthGoal(_, prop):
-                return TruthGoal(s.source, subst_prop(prop, s))
+                return TruthGoal(s.source, subst_apply(prop, s))
         raise TheoryError(f"unknown judgment: {judgment!r}")
 
     def output(self, judgment) -> Context:
@@ -191,7 +128,7 @@ def render_prop(t: Term) -> str:
     match t:
         case App(op, (a, b)) if op == SIG_OP:
             name = NameSupply(term_vars(b)).fresh("x")
-            body = _open(b, Var(name, EXP))
+            body = instantiate(b, SLOT, Var(name, EXP))
             return f"sig({name}. {render_prop(body)}, {render_prop(a)})"
         case App(op, args) if PROP in op.arg_sorts:
             parts = ", ".join(render_prop(a) for a in args)
@@ -236,28 +173,20 @@ def _or_i1_build(ctx: Context, g: TruthGoal) -> Subgoals:
 
 
 def _eq_refl_sides_equal(ctx: Context, g) -> bool:
-    if not _prop_is(EQ_OP)(ctx, g):
-        return False
-    a, b = g.prop.args
-    return a == b
+    return _prop_is(EQ_OP)(ctx, g) and g.prop.args[0] == g.prop.args[1]
 
 
 def _eq_refl_open(ctx: Context, g) -> bool:
-    if not _prop_is(EQ_OP)(ctx, g):
-        return False
-    a, b = g.prop.args
-    return bool(term_vars(a) | term_vars(b))
+    return _prop_is(EQ_OP)(ctx, g) and not g.prop.closed
 
 
 def _sig_i_build(ctx: Context, g: TruthGoal) -> Subgoals:
+    # a variable outside the goal's context is an error
+    check_term(ctx, g.prop)
     base, body = g.prop.args
     b = TeleBuilder(STRUCTURE, ctx)
     (m,) = b.push(TruthGoal(b.prefix, base), ("m",))
-    # a body variable outside the goal's context is an error
-    opened = _walk(
-        body, lambda v: v if ctx.lookup(v.name) is not None else None, m
-    )
-    (n,) = b.push(TruthGoal(b.prefix, opened), ("n",))
+    (n,) = b.push(TruthGoal(b.prefix, instantiate(body, SLOT, m)), ("n",))
     return b.close(Substitution(b.prefix, TRUTH_OUTPUT, (pair(m, n),)))
 
 
@@ -340,7 +269,7 @@ def prove_oracle(t: Term) -> Term | None:
             ev_a = prove_oracle(a)
             if ev_a is None:
                 return None
-            ev_b = prove_oracle(_open(b, ev_a))
+            ev_b = prove_oracle(instantiate(b, SLOT, ev_a))
             return pair(ev_a, ev_b) if ev_b is not None else None
     return None
 

@@ -1,16 +1,19 @@
-"""Multi-sorted first-order terms, contexts, and substitutions.
+"""Multi-sorted first-order terms with binders, contexts, and substitutions.
 
 Everything downstream (judgments, proof states, rules) is built over this
 layer.  Terms are sort-checked at construction time, contexts are ordered
 telescopes of distinctly named variables, and substitutions are positional
 tuples of terms aligned with their target context.
 
-An `App` records when it is built whether it is closed: no `Var` occurs
-anywhere below it.  Only its constructor sets the flag, after the arity
-and sort checks, so a closed term has been checked all the way down.
-The walks that substitute into, check or collect the variables of a term
-hand a closed subterm back as it is, before doing anything else; a new
-walk should do the same.
+An operator may declare the variable each argument binds; binding lives
+here only.  `subst_apply` leaves a bound variable alone, `instantiate`
+opens a binding argument with a term, and `check_term` checks one with
+its variable in scope.  An `App` records when it is built its free
+variables, as `Var`s so the sort is kept, a binding argument's own
+variable taken out; it is closed when there are none.  Only the
+constructor sets them, after the arity and sort checks, so a closed term
+has been checked all the way down.  The walks hand a closed subterm back
+as it is, before doing anything else; a new walk should do the same.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ class Operator:
     name: str
     arg_sorts: tuple[Sort, ...]
     result: Sort
+    # per argument the variable it binds, or None; empty if none binds
+    binds: tuple[Var | None, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -54,29 +59,62 @@ class Var:
     sort: Sort
 
 
+_NO_VARS: frozenset[Var] = frozenset()
+
+
 @dataclass(frozen=True)
 class App:
     op: Operator
     args: tuple["Term", ...]
-    # no Var anywhere below; left out of repr, == and hash
-    closed: bool = field(init=False, repr=False, compare=False)
+    # the free variables below; left out of repr, == and hash
+    free: frozenset[Var] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.args) != len(self.op.arg_sorts):
+        op = self.op
+        if len(self.args) != len(op.arg_sorts):
             raise UnsortedTerm(
-                f"operator {self.op.name} expects {len(self.op.arg_sorts)} "
+                f"operator {op.name} expects {len(op.arg_sorts)} "
                 f"arguments, got {len(self.args)}"
             )
-        closed = True
-        for arg, want in zip(self.args, self.op.arg_sorts):
-            got = term_sort(arg)
+        free = _NO_VARS
+        for i, (arg, want) in enumerate(zip(self.args, op.arg_sorts)):
+            if type(arg) is App:
+                got, below = arg.op.result, arg.free
+            else:
+                got, below = term_sort(arg), frozenset((arg,))
             if got != want:
                 raise UnsortedTerm(
-                    f"argument of {self.op.name} has sort {got.name}, "
+                    f"argument of {op.name} has sort {got.name}, "
                     f"expected {want.name}"
                 )
-            closed = closed and type(arg) is App and arg.closed
-        object.__setattr__(self, "closed", closed)
+            if op.binds and op.binds[i] is not None:
+                below = below - {op.binds[i]}
+            if below:
+                free = free | below if free else below
+        object.__setattr__(self, "free", free)
+
+    @property
+    def closed(self) -> bool:
+        return not self.free
+
+    def __eq__(self, other: object) -> bool:
+        # (a.op, a.args) == (b.op, b.args) without recursion, so deep
+        # terms compare; the generated __hash__ stays
+        if other.__class__ is not App:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a.op is not b.op and a.op != b.op:
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is App is y.__class__:
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
 
 Term = Union[Var, App]
@@ -92,17 +130,12 @@ def term_sort(t: Term) -> Sort:
 
 
 def term_vars(t: Term) -> set[str]:
-    """Names of the variables occurring in t."""
+    """Names of the variables free in t."""
     match t:
         case Var(name, _):
             return {name}
-        case App(_, args):
-            out: set[str] = set()
-            if t.closed:
-                return out
-            for a in args:
-                out |= term_vars(a)
-            return out
+        case App():
+            return {v.name for v in t.free}
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
@@ -149,9 +182,6 @@ class Context:
         position = self._index.get(name)
         return None if position is None else self.entries[position][1]
 
-    def extend(self, name: str, sort: Sort) -> "Context":
-        return Context._extended(self, ((name, sort),))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -161,8 +191,14 @@ def ctx_concat(left: Context, right: Context) -> Context:
     return Context._extended(left, right.entries)
 
 
+def _bind(ctx: Context, v: Var) -> Context:
+    """ctx with v in scope, in place of any entry of the same name."""
+    entries = tuple([e for e in ctx.entries if e[0] != v.name])
+    return Context(entries + ((v.name, v.sort),))
+
+
 def check_term(ctx: Context, t: Term) -> None:
-    """Check that t is well-sorted with all its variables bound in ctx."""
+    """Check that t is well-sorted with all its free variables bound in ctx."""
     match t:
         case Var(name, sort):
             found = ctx.lookup(name)
@@ -173,12 +209,12 @@ def check_term(ctx: Context, t: Term) -> None:
                     f"variable {name!r} used at sort {sort.name}, "
                     f"bound at sort {found.name}"
                 )
-        case App(_, args):
+        case App(op, args):
             # the constructor has checked a closed term already
-            if t.closed:
+            if not t.free:
                 return
-            for a in args:
-                check_term(ctx, a)
+            for a, v in zip(args, op.binds or (None,) * len(args)):
+                check_term(ctx if v is None else _bind(ctx, v), a)
         case _:
             raise UnsortedTerm(f"not a term: {t!r}")
 
@@ -244,11 +280,23 @@ def subst_weaken(source: Context, target: Context) -> Substitution:
     return Substitution._trusted(source, target, tuple(terms))
 
 
+class _Bound:
+    """s inside an argument that binds v: v stands for itself."""
+
+    def __init__(self, s: "Substitution | _Bound", v: Var):
+        self.s = s
+        self.v = v
+
+    def lookup(self, name: str) -> Term | None:
+        return self.v if name == self.v.name else self.s.lookup(name)
+
+
 def subst_apply(t: Term, s: Substitution) -> Term:
     """Carry a term over s.target to a term over s.source.
 
-    A subterm the substitution leaves unchanged, a closed one among them,
-    is handed back as it is, not rebuilt.
+    A bound variable is left alone.  A subterm the substitution leaves
+    unchanged, a closed one among them, is handed back as it is, not
+    rebuilt.
     """
     if isinstance(t, Var):
         replacement = s.lookup(t.name)
@@ -256,13 +304,33 @@ def subst_apply(t: Term, s: Substitution) -> Term:
             raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
         return replacement
     if isinstance(t, App):
-        if t.closed:
+        if not t.free:
             return t
-        args = tuple([subst_apply(a, s) for a in t.args])
+        if t.op.binds:
+            args = tuple([
+                subst_apply(a, s if v is None else _Bound(s, v))
+                for a, v in zip(t.args, t.op.binds)
+            ])
+        else:
+            args = tuple([subst_apply(a, s) for a in t.args])
         for new, old in zip(args, t.args):
             if new is not old:
                 return App(t.op, args)
         return t
+    raise UnsortedTerm(f"not a term: {t!r}")
+
+
+def instantiate(t: Term, v: Var, u: Term) -> Term:
+    """t with u for v where v is free: a binding argument opened."""
+    if isinstance(t, Var):
+        return u if t == v else t
+    if isinstance(t, App):
+        if v not in t.free:
+            return t
+        binds = t.op.binds or (None,) * len(t.args)
+        return App(t.op, tuple([
+            a if w == v else instantiate(a, v, u) for a, w in zip(t.args, binds)
+        ]))
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
@@ -333,5 +401,6 @@ def render_term(t: Term) -> str:
         case App(op, ()):
             return op.name
         case App(op, args):
-            return f"{op.name}({', '.join(render_term(a) for a in args)})"
+            # map, not a generator: one frame per level of nesting
+            return f"{op.name}({', '.join(map(render_term, args))})"
     raise UnsortedTerm(f"not a term: {t!r}")

@@ -47,6 +47,15 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{stem}'{i}"
 
 
+def slot_extend(ctx: Context) -> Context:
+    """ctx with a sig body's slot in scope, in place of any `$x` entry:
+    the scope a body is checked in."""
+    from refkit.logics import dep
+
+    entries = tuple(e for e in ctx.entries if e[0] != dep.SLOT.name)
+    return Context(entries + ((dep.SLOT.name, dep.EXP),))
+
+
 def rand_num_term(rng: random.Random, ctx: Context) -> Term:
     """A number: a small literal, or one of the context's num variables."""
     num_vars = [n for n, s in ctx.entries if s == NUM]
@@ -263,7 +272,7 @@ def rand_dep_prop(rng: random.Random, ctx: Context, depth: int) -> Term:
         )
     if roll < 0.75:
         return dep.eq(rand_dep_exp(rng, ctx, 2), rand_dep_exp(rng, ctx, 2))
-    inner = dep.slot_extend(ctx)
+    inner = slot_extend(ctx)
     return App(
         dep.SIG_OP,
         (rand_dep_prop(rng, ctx, depth - 1), rand_dep_prop(rng, inner, depth - 1)),

@@ -1,6 +1,8 @@
 """The command line driver: statuses, exit codes, output formats."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -212,6 +214,21 @@ def test_a_residual_past_the_recursion_limit_prints(capsys):
     assert lines[3] == "[xc, xv] : eval " + " + ".join(leaves[:-1]) + "."
 
 
+def test_a_400_level_dep_chain_completes(capsys):
+    # comparing two unequal props this deep used to raise RecursionError
+    from refkit.logics import dep
+
+    prop = "top"
+    for _ in range(400):
+        prop = f"sig(x. eq(x, x), {prop})"
+    argv = ["--logic", "dep", "--goal", "true " + prop, "--script",
+            dep.AUTO_SCRIPT, "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "complete"
+    assert report["steps_used"] == 401
+
+
 def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
     from refkit.logics import arith
     from refkit.rule import Rule
@@ -241,3 +258,48 @@ def test_module_entry_point_matches_main():
     )
     assert proc.returncode == 0
     assert proc.stdout == "status: complete\nsteps_used: 0\nextract: [0, 4]\n"
+
+
+# ------------------------------------------------- the byte-exact contract
+# One sha256 over the exit code, stdout and stderr of every run below,
+# pinned from a run of the code before dep's sig binder moved into the
+# term layer: any change to the printed output of these runs shows here.
+
+CONTRACT_DIGEST = (
+    "4b8d76ee3980f590ba024933d7d0dd0b35d1d028cb132cebc22f28dadfaf01f0"
+)
+
+
+def contract_runs():
+    """Seeded closed goals of both logics, each under its auto script and
+    under a script that leaves goals open, in the three output modes."""
+    from refkit.logics import arith, dep
+
+    from strategies import rand_closed_expr, rand_dep_closed_prop
+
+    for seed in range(24):
+        rng = random.Random(seed)
+        goals = [
+            ("arith", "eval " + arith.render_expr(rand_closed_expr(rng, 4)),
+             (arith.AUTO_SCRIPT, "plus_eval")),
+            ("dep", "true " + dep.render_prop(rand_dep_closed_prop(rng, 4)),
+             (dep.AUTO_SCRIPT, "id; all(sig_i | or_i1)*")),
+        ]
+        for logic, goal, scripts in goals:
+            for script in scripts:
+                for mode in ((), ("--json",), ("--trace",)):
+                    yield ["--logic", logic, "--goal", goal, "--script", script, *mode]
+
+
+def test_cli_output_matches_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in contract_runs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        codes.add(code)
+        for part in (str(code), captured.out, captured.err):
+            digest.update(part.encode() + b"\0")
+    # complete, residual and failed runs are all among them
+    assert {0, 1, 2} <= codes
+    assert digest.hexdigest() == CONTRACT_DIGEST

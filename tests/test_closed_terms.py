@@ -1,8 +1,10 @@
-"""Closed terms: the flag an App records and the walks that use it.
+"""Closed terms: the free variables an App records and the walks that use them.
 
-The walks as they were before an App recorded whether it is closed are
-kept here as references: the walks that hand a closed subterm back at
-once must give the same results and raise the same errors.
+The walks as they were before an App recorded whether it is closed, and
+dep's own walk and check of its sig binder before binding moved into the
+term layer, are kept here as references: the walks that hand a closed
+subterm back at once must give the same results and raise the same
+errors.
 """
 
 import random
@@ -17,6 +19,7 @@ from refkit.theory import (
     UnsortedTerm,
     Var,
     check_term,
+    instantiate,
     subst_apply,
     term_vars,
 )
@@ -31,6 +34,7 @@ from strategies import (
     rand_expr,
     rand_num_term,
     rand_subst,
+    slot_extend,
 )
 
 # ------------------------------------------------------ the references
@@ -105,7 +109,7 @@ def ref_check_prop(ctx, t):
             ref_check_term(ctx, t)
         case App(op, (a, b)) if op == dep.SIG_OP:
             ref_check_prop(ctx, a)
-            ref_check_prop(dep.slot_extend(ctx), b)
+            ref_check_prop(slot_extend(ctx), b)
         case App(op, args):
             for arg, sort in zip(args, op.arg_sorts):
                 if sort == dep.PROP:
@@ -114,6 +118,31 @@ def ref_check_prop(ctx, t):
                     ref_check_term(ctx, arg)
         case _:
             raise TheoryError(f"not a term: {t!r}")
+
+
+def ref_free_vars(t):
+    """The variables free in t, a sig body's slot bound in it."""
+    match t:
+        case Var():
+            return {t}
+        case App(op, (a, b)) if op == dep.SIG_OP:
+            return ref_free_vars(a) | (ref_free_vars(b) - {dep.SLOT})
+        case App(_, args):
+            out = set()
+            for a in args:
+                out |= ref_free_vars(a)
+            return out
+    raise UnsortedTerm(f"not a term: {t!r}")
+
+
+def ref_eq(a, b):
+    if isinstance(a, App) and isinstance(b, App):
+        return (
+            a.op == b.op
+            and len(a.args) == len(b.args)
+            and all(ref_eq(x, y) for x, y in zip(a.args, b.args))
+        )
+    return a == b
 
 
 # --------------------------------------------------------------- helpers
@@ -141,11 +170,13 @@ def agree(f, ref, *args):
 
 
 def assert_flag_and_identity(t, walk=None):
-    """closed holds exactly when no variable occurs below, and walk hands
-    every closed subterm back as the same object."""
+    """An App records exactly the free variables below it, closed holds
+    exactly when there are none, and walk hands every closed subterm back
+    as the same object."""
     for u in subterms(t):
         if isinstance(u, App):
-            assert u.closed == (not ref_term_vars(u))
+            assert u.free == ref_free_vars(u)
+            assert u.closed == (not ref_free_vars(u))
             if u.closed and walk is not None:
                 assert walk(u) is u
 
@@ -182,6 +213,10 @@ def test_the_flag_stays_out_of_repr_equality_and_hash():
         "result=Sort('exp')), args=()), Var(name='$x', sort=Sort('exp'))))"
     )
     closed = arith.num(1)
+    assert repr(dep.SIG_OP) == (
+        "Operator(name='sig', arg_sorts=(Sort('prop'), Sort('prop')), "
+        "result=Sort('prop'))"
+    )
     assert closed.closed and not t.closed
     assert hash(t) == hash((t.op, t.args))
     assert t == arith.plus(arith.num(1), Var("x", arith.EXP))
@@ -237,38 +272,38 @@ def test_term_vars_matches_the_reference():
 # -------------------------------------------------------------------- dep
 
 
-def dep_lookups(rng, ctx, target):
-    """The ways dep walks a proposition, as (lookup, slot) pairs:
-    substituting, also with a substitution that misses a variable,
-    opening a body, and sig_i's opening that keeps only the goal's
-    variables."""
-    s = rand_dep_subst(rng, target)
-    short = missing_first(s)
+def ref_walk_subst(t, s):
+    return ref_walk(t, lambda v: s.lookup(v.name), None)
 
-    def in_ctx(v):
-        return v if ctx.lookup(v.name) is not None else None
 
-    return [
-        (lambda v: s.lookup(v.name), None),
-        (lambda v: short.lookup(v.name), None),
-        (lambda v: v, rand_dep_exp(rng, ctx, 2)),
-        (in_ctx, Var("m", dep.EXP)),
-    ]
+def ref_walk_open(t, v, witness):
+    # the reference walk opens the slot only
+    assert v == dep.SLOT
+    return ref_walk(t, lambda u: u, witness)
 
 
 def test_walk_matches_the_reference():
+    """subst_apply carries a substitution past a sig binder, also one that
+    misses a variable, and instantiate opens a body, as the walk dep kept
+    for its binder did."""
     raised = 0
     for seed in range(300):
         rng = random.Random(seed)
         ctx = rand_dep_context(rng)
         # a body mentions its slot `$x` and may hold sigs of its own
-        body = rand_dep_prop(rng, dep.slot_extend(ctx), 4)
+        body = rand_dep_prop(rng, slot_extend(ctx), 4)
         prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
-        for t in (prop, body):
-            target = dep.slot_extend(ctx) if t is body else ctx
-            for lookup, slot in dep_lookups(rng, ctx, target):
-                raised += agree(dep._walk, ref_walk, t, lookup, slot)
-                assert_flag_and_identity(t, lambda u: dep._walk(u, lookup, slot))
+        for t, target in ((prop, ctx), (body, slot_extend(ctx))):
+            s = rand_dep_subst(rng, target)
+            short = missing_first(s)
+            for sub in (s, short):
+                raised += agree(subst_apply, ref_walk_subst, t, sub)
+                assert_flag_and_identity(t, lambda u: subst_apply(u, sub))
+            witness = rand_dep_exp(rng, ctx, 2)
+            assert not agree(instantiate, ref_walk_open, t, dep.SLOT, witness)
+            assert_flag_and_identity(
+                t, lambda u: instantiate(u, dep.SLOT, witness)
+            )
     assert raised >= 30
 
 
@@ -278,12 +313,65 @@ def test_check_prop_matches_the_reference():
         rng = random.Random(seed)
         ctx = rand_dep_context(rng)
         prop = rand_dep_prop(rng, ctx, 4)
-        dep.check_prop(ctx, prop)
+        check_term(ctx, prop)
         if rng.random() < 0.3:
             # a proposition variable, bound nowhere or at sort exp
             prop = dep.or_(Var("g0", dep.PROP), prop)
         for other in (rand_dep_context(rng), Context((("g0", arith.NUM),))):
-            got = outcome(dep.check_prop, other, prop)
+            got = outcome(check_term, other, prop)
             assert got == outcome(ref_check_prop, other, prop)
             raised.add(got[1] if got[0] == "raised" else None)
+        assert_flag_and_identity(prop, lambda u: check_term(Context(()), u) or u)
     assert {ContextMismatch, UnsortedTerm} <= raised
+
+
+def test_a_sig_closed_but_for_its_slot_is_closed():
+    y = Var("y", dep.EXP)
+    mentions_slot = App(dep.SIG_OP, (dep.top(), dep.eq(dep.SLOT, dep.tt())))
+    assert mentions_slot.closed and not mentions_slot.args[1].closed
+    assert term_vars(mentions_slot) == set()
+    mentions_y = App(dep.SIG_OP, (dep.top(), dep.eq(dep.SLOT, y)))
+    assert mentions_y.free == {y}
+    assert term_vars(mentions_y.args[1]) == {"$x", "y"}
+    # the slot at another sort is not the bound variable
+    other_sort = App(dep.SIG_OP, (dep.top(), Var(dep.SLOT.name, dep.PROP)))
+    assert other_sort.free == {Var(dep.SLOT.name, dep.PROP)}
+    # the base of a sig is not in the body's scope
+    in_base = App(dep.SIG_OP, (dep.eq(dep.SLOT, dep.tt()), dep.top()))
+    assert in_base.free == {dep.SLOT}
+
+
+def test_equality_matches_the_field_tuples():
+    """The iterative App.__eq__ agrees with comparing (op, args) and with
+    a recursive structural reference, on equal and unequal pairs."""
+    unequal = 0
+    for seed in range(300):
+        terms = []
+        for draw_seed in (seed, seed, seed + 1):
+            rng = random.Random(draw_seed)
+            ctx = rand_dep_context(rng)
+            terms.append(rand_dep_prop(rng, ctx, 4))
+            terms.append(rand_arith_term(rng, rand_context(rng, 3)))
+        terms += [Var("g0", dep.EXP), Var("g0", dep.EXP), dep.tt()]
+        for a in terms:
+            for b in terms:
+                got = a == b
+                assert got == ref_eq(a, b)
+                assert (a != b) == (not got)
+                if isinstance(a, App) and isinstance(b, App):
+                    assert got == ((a.op, a.args) == (b.op, b.args))
+                    assert not got or hash(a) == hash(b)
+                unequal += not got
+        assert terms[0] == terms[2] and terms[0] is not terms[2]
+    assert unequal >= 300
+
+
+def test_equality_of_deep_terms_does_not_recurse():
+    def chain(leaf):
+        t = leaf
+        for _ in range(5000):
+            t = dep.inl(t)
+        return t
+
+    assert chain(dep.tt()) == chain(dep.tt())
+    assert chain(dep.tt()) != chain(dep.refl())

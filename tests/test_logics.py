@@ -42,6 +42,7 @@ from strategies import (
     rand_dep_prop,
     rand_dep_subst,
     rand_expr,
+    slot_extend,
 )
 
 J = arith.STRUCTURE
@@ -394,10 +395,11 @@ def test_sig_i_rejects_a_body_variable_outside_the_goal_context():
 
 
 # ------------------------------------------ dep: the replaced slot walks
-# The three walks that one slot-aware walk in dep replaced, kept as the
-# references it must agree with: opening a body by renaming, pushing a
-# substitution under a binder through a slot-extended substitution, and
-# sig_i's body opened through a checked substitution out of the slot.
+# The three walks that the term layer's binder-aware walks replaced, kept
+# as the references they must agree with: opening a body by renaming,
+# pushing a substitution under a binder through a slot-extended
+# substitution, and sig_i's body opened through a checked substitution
+# out of the slot.
 
 
 def ref_replace_var(t, name, replacement):
@@ -423,7 +425,7 @@ def ref_slot_subst(s):
         (t, e) for t, e in zip(s.terms, s.target.entries) if e[0] != dep.SLOT.name
     ]
     return Substitution(
-        dep.slot_extend(s.source),
+        slot_extend(s.source),
         Context(tuple(e for _, e in kept) + ((dep.SLOT.name, dep.EXP),)),
         tuple(t for t, _ in kept) + (dep.SLOT,),
     )
@@ -455,7 +457,7 @@ def ref_sig_i_build(ctx, g):
     flat = ctx_concat(ctx_m, Context(((n, dep.EXP),)))
     open_slot = Substitution(
         ctx_m,
-        dep.slot_extend(ctx),
+        slot_extend(ctx),
         tuple(Var(nm, srt) for nm, srt in ctx.entries) + (Var(m, dep.EXP),),
     )
     tele = TeleCons(
@@ -523,26 +525,26 @@ def test_subst_prop_matches_the_slot_subst_reference():
         prop = rand_dep_prop(rng, target, 4)
         s = rand_dep_subst(rng, target)
         want = ref_subst_prop(prop, s)
-        assert dep.subst_prop(prop, s) == want
+        assert subst_apply(prop, s) == want
         goal = dep.TruthGoal(target, prop)
         assert D.subst(goal, s) == dep.TruthGoal(s.source, want)
         # a substitution that misses a variable raises the same way
         short = Substitution(s.source, Context(target.entries[1:]), s.terms[1:])
-        got = _outcome(dep.subst_prop, prop, short)
+        got = _outcome(subst_apply, prop, short)
         assert got == _outcome(ref_subst_prop, prop, short)
         covered += got[0] == "raised"
     assert covered >= 30
     # outside any body there is no slot to fill, so a stray one is unbound
     stray = dep.eq(dep.SLOT, dep.tt())
     nothing = Substitution(EMPTY, EMPTY, ())
-    _raises_exactly(ContextMismatch, dep.subst_prop, stray, nothing)
+    _raises_exactly(ContextMismatch, subst_apply, stray, nothing)
 
 
 def test_sig_i_matches_the_open_slot_reference():
     for seed in range(300):
         rng = random.Random(seed)
         ctx = rand_dep_context(rng)
-        body = rand_dep_prop(rng, dep.slot_extend(ctx), 3)
+        body = rand_dep_prop(rng, slot_extend(ctx), 3)
         prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
         goal = dep.TruthGoal(ctx, prop)
         got = dep.SIG_I.run(ctx, goal)
@@ -625,9 +627,7 @@ def hand_sig_i_build(ctx, g):
     n = scope.fresh("n")
     ctx_m = ctx_concat(ctx, Context(((m, dep.EXP),)))
     flat = ctx_concat(ctx_m, Context(((n, dep.EXP),)))
-    body = dep._walk(
-        b, lambda v: v if ctx.lookup(v.name) is not None else None, Var(m, dep.EXP)
-    )
+    body = ref_replace_var(b, dep.SLOT.name, Var(m, dep.EXP))
     tele = TeleCons(
         (m,),
         dep.TruthGoal(ctx, a),
@@ -677,7 +677,7 @@ def test_or_i1_matches_the_hand_built_reference():
 def test_sig_i_matches_the_hand_built_reference():
     def draw(rng):
         ctx = rand_binder_context(rng, (dep.EXP,))
-        body = rand_dep_prop(rng, dep.slot_extend(ctx), 3)
+        body = rand_dep_prop(rng, slot_extend(ctx), 3)
         prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
         return dep.TruthGoal(ctx, prop)
 

@@ -63,7 +63,7 @@ def test_context_lookup_and_extend():
     ctx = Context((("x", NUM),))
     assert ctx.lookup("x") == NUM
     assert ctx.lookup("y") is None
-    longer = ctx.extend("y", EXP)
+    longer = ctx_concat(ctx, Context((("y", EXP),)))
     assert longer.names == ("x", "y")
     assert len(longer) == 2
 
