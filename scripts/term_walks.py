@@ -10,6 +10,12 @@ closed sig's body has its own slot at every leaf, which the sig binds,
 so it is closed too; the open sig's body has a context variable at half
 of them.  The benchmark's traced run cannot show this, because it times
 whole substitutions, not the walks.
+
+Two more rows time deep terms: `subst_apply` on a left-nested `pair`
+spine DEPTH levels deep with a variable at the bottom, and
+`render_term` on a closed spine of the same depth.  `subst_apply`
+recurses one Python frame per level, and `render_term` walks an explicit
+stack.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from refkit.theory import (
     Substitution,
     Var,
     check_term,
+    render_term,
     subst_apply,
     term_vars,
 )
@@ -37,7 +44,25 @@ def balanced(join, leaf, leaves: int):
 
 
 def size(t) -> int:
-    return 1 + sum(size(a) for a in t.args) if isinstance(t, App) else 1
+    nodes, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        nodes += 1
+        if isinstance(t, App):
+            stack.extend(t.args)
+    return nodes
+
+
+# deep enough to show the per-level cost, below the ~977 levels where
+# subst_apply's recursion runs out of frames
+DEPTH = 900
+
+
+def spine(bottom, depth: int):
+    """pair(pair(…pair(bottom, tt)…, tt), tt), depth pairs deep."""
+    for _ in range(depth):
+        bottom = dep.pair(bottom, dep.tt())
+    return bottom
 
 
 def per_call_us(walk, budget: float) -> float:
@@ -106,6 +131,13 @@ def main() -> int:
         for name, term, walk in walks:
             us = per_call_us(walk, args.budget)
             print(f"{name:<16} {kind:<7} {size(term):>6} {us:>10.2f}")
+    deep_open, deep_closed = spine(g, DEPTH), spine(dep.tt(), DEPTH)
+    for name, term, walk in (
+        ("subst_apply", deep_open, lambda: subst_apply(deep_open, to_tt)),
+        ("render_term", deep_closed, lambda: render_term(deep_closed)),
+    ):
+        us = per_call_us(walk, args.budget)
+        print(f"{name:<16} {'deep':<7} {size(term):>6} {us:>10.2f}")
     return 0
 
 

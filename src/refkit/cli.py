@@ -15,8 +15,8 @@ import sys
 from dataclasses import dataclass
 
 from .logics import arith, dep
-from .refiner import Refiner, UnknownRuleName
-from .script import compile_script, parse_script
+from .refiner import UnknownRuleName
+from .script import compile_text
 from .state import (
     Bot,
     Fail,
@@ -62,11 +62,9 @@ def execute(config: RunConfig) -> RunOutcome:
     if config.fuel < 0:
         raise UsageError(f"fuel must be at least 0, not {config.fuel}")
     structure = module.STRUCTURE
-    refiner = Refiner(structure, dict(module.RULES))
     try:
         goal = module.parse_goal(config.goal)
-        ast = parse_script(config.script)
-        tactic = compile_script(structure, refiner.lookup, ast)
+        tactic = compile_text(structure, module.RULES, config.script)
     except (ValueError, UnknownRuleName) as err:
         raise UsageError(str(err)) from err
     except RecursionError as err:

@@ -11,9 +11,8 @@ import sys
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
-from ..refiner import Refiner
 from ..rule import Rule, clause_rule
-from ..script import compile_script, parse_script
+from ..script import compile_text
 from ..state import Bot, Subgoals, TeleBuilder, TeleNil
 from ..syntax import Cursor, ParseError, lex
 from ..tactic import Tactic
@@ -243,24 +242,19 @@ AUTO_SCRIPT = f"id; all({_STEP})*"
 AUTO_NAIVE_SCRIPT = f"({_STEP})*"
 
 
-def _compile(text: str) -> Tactic:
-    lookup = Refiner(STRUCTURE, RULES).lookup
-    return compile_script(STRUCTURE, lookup, parse_script(text))
-
-
 def aux_tactic() -> Tactic:
     """First rule that forms subgoals wins: numerals, then +, then sums."""
-    return _compile(_STEP)
+    return compile_text(STRUCTURE, RULES, _STEP)
 
 
 def auto_naive() -> Tactic:
     """Depth-first automation; freezes on goals blocked by open outputs."""
-    return _compile(AUTO_NAIVE_SCRIPT)
+    return compile_text(STRUCTURE, RULES, AUTO_NAIVE_SCRIPT)
 
 
 def auto() -> Tactic:
     """Round-based automation: retries every goal after each flattening."""
-    return _compile(AUTO_SCRIPT)
+    return compile_text(STRUCTURE, RULES, AUTO_SCRIPT)
 
 
 def eval_oracle(t: Term) -> tuple[int, int]:

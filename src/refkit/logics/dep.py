@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
-from ..refiner import Refiner
 from ..rule import Rule, clause_rule
-from ..script import compile_script, parse_script
+from ..script import compile_text
 from ..state import Bot, Subgoals, TeleBuilder, TeleNil
 from ..syntax import Cursor, ParseError, lex
 from ..tactic import Tactic
@@ -238,17 +237,12 @@ _STEP = "top_i | or_i1 | eq_refl | sig_i"
 AUTO_SCRIPT = f"id; all({_STEP})*"
 
 
-def _compile(text: str) -> Tactic:
-    lookup = Refiner(STRUCTURE, RULES).lookup
-    return compile_script(STRUCTURE, lookup, parse_script(text))
-
-
 def aux_tactic() -> Tactic:
-    return _compile(_STEP)
+    return compile_text(STRUCTURE, RULES, _STEP)
 
 
 def auto() -> Tactic:
-    return _compile(AUTO_SCRIPT)
+    return compile_text(STRUCTURE, RULES, AUTO_SCRIPT)
 
 
 def prove_oracle(t: Term) -> Term | None:

@@ -17,9 +17,10 @@ re-runs it over the flattened state until nothing changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
 from .judgment import JudgmentStructure
+from .refiner import Refiner
 from .rule import Rule
 from .syntax import Cursor, ParseError, Token, lex
 from .tactic import (
@@ -250,3 +251,11 @@ def _compile_multi(
                 structure, _compile_multi(structure, lookup, body)
             )
     raise TypeError(f"not a multitactic: {ast!r}")
+
+
+def compile_text(
+    structure: JudgmentStructure, rules: Mapping[str, Rule], text: str
+) -> Tactic:
+    """Parse script text and elaborate it against a table of rules."""
+    lookup = Refiner(structure, dict(rules)).lookup
+    return compile_script(structure, lookup, parse_script(text))

@@ -389,13 +389,19 @@ def _reindexing(
 def state_alpha_eq(
     structure: JudgmentStructure, a: ProofState, b: ProofState
 ) -> bool:
-    """Equality of states up to renaming of telescope binders."""
+    """Equality of states up to renaming of telescope binders.
+
+    Goal counts are compared before any goal is reindexed: two states
+    with different numbers of goals are never equal.
+    """
     match a, b:
         case Fail(ca, ta), Fail(cb, tb):
             return ca == cb and ta == tb
         case Bot(ca, ta), Bot(cb, tb):
             return ca == cb and ta == tb
         case Subgoals(ta, va), Subgoals(tb, vb):
+            if len(tele_goals(ta)) != len(tele_goals(tb)):
+                return False
             if a.context != b.context or va.target != vb.target:
                 return False
             # b is renamed onto a, binder by binder: image sends each of

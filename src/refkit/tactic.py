@@ -29,7 +29,6 @@ from .state import (
     state_alpha_eq,
     state_mul,
     state_unit,
-    tele_goals,
 )
 from .theory import Context, Substitution, Var, subst_apply
 
@@ -341,52 +340,21 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
     )
 
 
-def _unit_of(goal: Any, answer: Subgoals) -> bool:
-    """Whether answer is goal itself under binders handed straight back."""
-    tele = answer.telescope
-    if not (
-        isinstance(tele, TeleCons)
-        and tele.goal is goal
-        and isinstance(tele.rest, TeleNil)
-    ):
-        return False
-    sorts = (sort for _, sort in answer.validation.target.entries)
-    bound = tuple(Var(name, sort) for name, sort in zip(tele.names, sorts))
-    return answer.validation.terms == bound
-
-
-def _unmoved(answers: Subgoals, before: Subgoals) -> bool:
-    """Whether each entry refused its goal or answered with its unit state.
-
-    Flattening such a round gives back the state before it up to
-    renaming, entry by entry, without comparing the two.
-    """
-    if answers.validation != before.validation:
-        return False
-    a, b = answers.telescope, before.telescope
-    while isinstance(a, TeleCons) and isinstance(b, TeleCons):
-        if a.names != b.names:
-            return False
-        if not isinstance(a.goal, (Fail, Bot)) and not _unit_of(b.goal, a.goal):
-            return False
-        a, b = a.rest, b.rest
-    return isinstance(a, TeleNil) and isinstance(b, TeleNil)
-
-
 def _next_round(
     structure: JudgmentStructure, state: Subgoals, answers: ProofState
 ) -> tuple[ProofState, bool]:
     """The state after one round of a repeated multitactic, and whether
-    the repetition stops there."""
+    the repetition stops there.
+
+    A round is heal, flatten, compare: the flattening puts each refused
+    goal back in place, and the repetition stops when the result equals
+    the state before it up to renaming.
+    """
     if isinstance(answers, (Fail, Bot)):
         return state, True
     advanced = state_mul(structure, answers, state.telescope)
     if isinstance(advanced, (Fail, Bot)):
         return state, True
-    if _unmoved(answers, state):
-        return advanced, True
-    if len(tele_goals(advanced.telescope)) != len(tele_goals(state.telescope)):
-        return advanced, False
     return advanced, state_alpha_eq(structure, advanced, state)
 
 
@@ -395,14 +363,15 @@ def repeat_multitactic(
 ) -> Multitactic:
     """Iterate a multitactic over the flattened state until it is stable.
 
-    Each productive round costs one step.  A round that fails outright,
-    or whose flattening collapses, leaves the previous state standing.
-    An entry that refuses its goal (Fail or Bot) while the round keeps
-    the telescope's binders leaves that goal in place, so that one stuck
-    goal does not poison the progress made on its siblings.  The loop
-    stops once a round leaves the state unchanged up to renaming, and
-    hands the stable state back under the unit, ready for the caller's
-    flattening.
+    Each productive round costs one step, and a round is heal, flatten,
+    compare.  A round that fails outright, or whose flattening collapses,
+    leaves the previous state standing.  An entry that refuses its goal
+    (Fail or Bot) while the round keeps the telescope's binders leaves
+    that goal in place, so that one stuck goal does not poison the
+    progress made on its siblings.  The loop stops once a round leaves
+    the state unchanged up to renaming, which `state_alpha_eq` alone
+    decides, and hands the stable state back under the unit, ready for
+    the caller's flattening.
     """
     outer = StateStructure(structure)
 

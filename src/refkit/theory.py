@@ -306,13 +306,12 @@ def subst_apply(t: Term, s: Substitution) -> Term:
     if isinstance(t, App):
         if not t.free:
             return t
+        # map, not a comprehension: one frame per level of nesting
         if t.op.binds:
-            args = tuple([
-                subst_apply(a, s if v is None else _Bound(s, v))
-                for a, v in zip(t.args, t.op.binds)
-            ])
+            subs = [s if v is None else _Bound(s, v) for v in t.op.binds]
         else:
-            args = tuple([subst_apply(a, s) for a in t.args])
+            subs = (s,) * len(t.args)
+        args = tuple(map(subst_apply, t.args, subs))
         for new, old in zip(args, t.args):
             if new is not old:
                 return App(t.op, args)
@@ -395,12 +394,22 @@ def freshen_context(
 
 
 def render_term(t: Term) -> str:
-    match t:
-        case Var(name, _):
-            return name
-        case App(op, ()):
-            return op.name
-        case App(op, args):
-            # map, not a generator: one frame per level of nesting
-            return f"{op.name}({', '.join(map(render_term, args))})"
-    raise UnsortedTerm(f"not a term: {t!r}")
+    # a stack of terms and the text between them, so deep terms print
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, App):
+            out.append(t.op.name)
+            if t.args:
+                out.append("(")
+                stack.append(")")
+                between = [x for a in t.args for x in (a, ", ")][:-1]
+                stack.extend(reversed(between))
+        else:
+            raise UnsortedTerm(f"not a term: {t!r}")
+    return "".join(out)

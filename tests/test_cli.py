@@ -214,19 +214,32 @@ def test_a_residual_past_the_recursion_limit_prints(capsys):
     assert lines[3] == "[xc, xv] : eval " + " + ".join(leaves[:-1]) + "."
 
 
-def test_a_400_level_dep_chain_completes(capsys):
-    # comparing two unequal props this deep used to raise RecursionError
+def run_dep_chain(levels, capsys):
+    """The JSON report of dep's auto script on a chain of sig levels."""
     from refkit.logics import dep
 
     prop = "top"
-    for _ in range(400):
+    for _ in range(levels):
         prop = f"sig(x. eq(x, x), {prop})"
     argv = ["--logic", "dep", "--goal", "true " + prop, "--script",
             dep.AUTO_SCRIPT, "--json"]
     assert main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
+    return json.loads(capsys.readouterr().out)
+
+
+def test_a_400_level_dep_chain_completes(capsys):
+    # comparing two unequal props this deep used to raise RecursionError
+    report = run_dep_chain(400, capsys)
     assert report["status"] == "complete"
     assert report["steps_used"] == 401
+
+
+def test_a_600_level_dep_chain_completes(capsys):
+    # substituting into the evidence of a chain this deep, and printing
+    # it, used to raise RecursionError
+    report = run_dep_chain(600, capsys)
+    assert report["status"] == "complete"
+    assert report["steps_used"] == 601
 
 
 def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
@@ -262,17 +275,19 @@ def test_module_entry_point_matches_main():
 
 # ------------------------------------------------- the byte-exact contract
 # One sha256 over the exit code, stdout and stderr of every run below,
-# pinned from a run of the code before dep's sig binder moved into the
-# term layer: any change to the printed output of these runs shows here.
+# pinned from a run of the code before an `m*` round's stop test became
+# `state_alpha_eq` alone: any change to the printed output of these runs
+# shows here.
 
 CONTRACT_DIGEST = (
-    "4b8d76ee3980f590ba024933d7d0dd0b35d1d028cb132cebc22f28dadfaf01f0"
+    "75eeba3f46c3b252cea461e4b7cbe1da7a3dc6e7891f4dc82c06ba05efbef8a5"
 )
 
 
 def contract_runs():
     """Seeded closed goals of both logics, each under its auto script and
-    under a script that leaves goals open, in the three output modes."""
+    under scripts that leave goals open, in the three output modes; each
+    logic has an `m*` script whose last round stops with goals left."""
     from refkit.logics import arith, dep
 
     from strategies import rand_closed_expr, rand_dep_closed_prop
@@ -281,7 +296,7 @@ def contract_runs():
         rng = random.Random(seed)
         goals = [
             ("arith", "eval " + arith.render_expr(rand_closed_expr(rng, 4)),
-             (arith.AUTO_SCRIPT, "plus_eval")),
+             (arith.AUTO_SCRIPT, "plus_eval", "id; all(plus_eval)*")),
             ("dep", "true " + dep.render_prop(rand_dep_closed_prop(rng, 4)),
              (dep.AUTO_SCRIPT, "id; all(sig_i | or_i1)*")),
         ]

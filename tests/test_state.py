@@ -317,6 +317,37 @@ def test_alpha_equality_ignores_binder_names_only():
     assert not state_alpha_eq(J, left, other)
 
 
+def test_alpha_equality_compares_goal_counts_before_reindexing(monkeypatch):
+    # the two-goal state starts with the one-goal state's goal, so only
+    # the count tells them apart before that goal is reindexed
+    m_ctx = Context((("m", NUM),))
+    mn_ctx = Context((("m", NUM), ("n", NUM)))
+    goal = arith.AddGoal(EMPTY, arith.nat(1), arith.nat(2))
+    one = Subgoals(
+        TeleCons(("m",), goal, TeleNil(m_ctx)),
+        Substitution(m_ctx, Z, (Var("m", NUM),)),
+    )
+    later = arith.AddGoal(m_ctx, Var("m", NUM), arith.nat(2))
+    two = Subgoals(
+        TeleCons(("m",), goal, TeleCons(("n",), later, TeleNil(mn_ctx))),
+        Substitution(mn_ctx, Z, (Var("n", NUM),)),
+    )
+    check_state(J, two)
+    real, calls = J.subst, []
+
+    def counted(judgment, s):
+        calls.append(judgment)
+        return real(judgment, s)
+
+    monkeypatch.setattr(J, "subst", counted)
+    assert not state_alpha_eq(J, one, two)
+    assert not state_alpha_eq(J, two, one)
+    assert calls == []
+    # equal counts go on to reindex the goals
+    assert state_alpha_eq(J, two, two)
+    assert len(calls) == 2
+
+
 def test_approx_puts_bot_below_everything_at_its_boundary():
     state = arith_state(random.Random(3), EMPTY)
     stuck = Bot(EMPTY, state.target)
