@@ -1,11 +1,16 @@
-"""Probe every shipped rule for stability under substitution.
+"""Probe every shipped rule for stability under substitution and renaming.
 
 A rule is lax natural when substituting into its answer refines the
 answer it gives on the substituted goal: rule(X)[s] approximates
-rule(X[s]).  The check runs each rule over a grid of goals crossed with
-substitutions and prints the counterexample count.  A deliberately
-broken or-introduction, which fails on variable goals instead of
-leaving them undetermined, shows what a violation looks like.
+rule(X[s]).  It is support-local when its verdict (subgoals, FAIL or
+BOT) on a goal is its verdict on the goal moved by an injective renaming
+of its free variables, whatever happens to the rest of the context.  The
+check runs each rule over a grid of goals crossed with substitutions,
+and over the same goals moved, and prints the counterexample counts.  A
+deliberately broken or-introduction, which fails on variable goals
+instead of leaving them undetermined, shows what a violation of the
+first looks like; a rule that answers BOT unless a number is in scope
+violates the second.
 """
 
 from __future__ import annotations
@@ -15,7 +20,14 @@ import random
 import sys
 
 from refkit.logics import arith, dep
-from refkit.rule import check_lax_naturality, clause_rule
+from refkit.rule import (
+    Rule,
+    check_lax_naturality,
+    check_support_locality,
+    clause_rule,
+    support_moves,
+)
+from refkit.state import Bot, state_unit
 from refkit.theory import Context, Substitution, Var
 
 
@@ -86,11 +98,16 @@ def dep_samples(rng: random.Random, count: int):
     return out
 
 
-def report(structure, rules, samples) -> None:
+def verdict(failures) -> str:
+    return "ok" if not failures else f"{len(failures)} counterexamples"
+
+
+def report(structure, rules, samples, moved) -> None:
+    print(f"  {'':<14} {'lax natural':<20} support-local")
     for name, rule in rules.items():
-        failures = check_lax_naturality(structure, rule, samples)
-        verdict = "ok" if not failures else f"{len(failures)} counterexamples"
-        print(f"  {name:<12} {verdict}")
+        lax = verdict(check_lax_naturality(structure, rule, samples))
+        local = verdict(check_support_locality(structure, rule, moved))
+        print(f"  {name:<14} {lax:<20} {local}")
 
 
 def main() -> int:
@@ -101,10 +118,21 @@ def main() -> int:
     rng = random.Random(args.seed)
 
     print("arith rules:")
-    report(arith.STRUCTURE, arith.RULES, arith_samples(rng, args.samples))
+    arith_grid = arith_samples(rng, args.samples)
+    arith_moves = support_moves(
+        (goal for goal, _ in arith_grid),
+        {arith.EXP: arith.num(0), arith.NUM: arith.nat(3)},
+        Context((("k", arith.NUM),)),
+    )
+    report(arith.STRUCTURE, arith.RULES, arith_grid, arith_moves)
     print("dep rules:")
     samples = dep_samples(rng, args.samples)
-    report(dep.STRUCTURE, dep.RULES, samples)
+    dep_moves = support_moves(
+        (goal for goal, _ in samples),
+        {dep.EXP: dep.tt(), dep.PROP: dep.top()},
+        Context((("k", dep.EXP),)),
+    )
+    report(dep.STRUCTURE, dep.RULES, samples, dep_moves)
 
     # the shipped or_i1 answers BOT on a variable proposition; dropping
     # that clause makes a variable goal FAIL, and substitution can then
@@ -114,8 +142,9 @@ def main() -> int:
         "or_i1_strict",
         ((dep._prop_is(dep.OR_OP), dep._or_i1_build),),
     )
-    print("broken variant:")
-    report(dep.STRUCTURE, {"or_i1_strict": strict}, samples)
+    print("broken variants:")
+    report(dep.STRUCTURE, {"or_i1_strict": strict}, samples, dep_moves)
+
     failures = check_lax_naturality(dep.STRUCTURE, strict, samples)
     if failures:
         first = failures[0]
@@ -127,6 +156,17 @@ def main() -> int:
             f"{dep.STRUCTURE.render(dep.STRUCTURE.subst(first.goal, first.subst))}"
             " opens normally"
         )
+
+    # a rule that reads its context: the verdict on a goal changes when a
+    # move drops the number in scope the goal never mentions
+    def nosy_run(ctx, goal):
+        if any(sort == arith.NUM for _, sort in ctx.entries):
+            return state_unit(arith.STRUCTURE, goal)
+        return Bot(ctx, arith.STRUCTURE.output(goal))
+
+    nosy = Rule("num_in_scope", nosy_run)
+    print()
+    report(arith.STRUCTURE, {"num_in_scope": nosy}, arith_grid, arith_moves)
     return 0
 
 

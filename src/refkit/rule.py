@@ -5,12 +5,23 @@ target is the judgment's output context.  Rules are required to be lax
 natural: substituting the answer is at most (in the information order)
 the answer at the substituted goal, and check_lax_naturality probes that
 on sampled instances.
+
+Rules are also required to be support-local: the answer depends only on
+the goal up to an injective renaming of its free variables, never on the
+rest of the context.  Moving a goal by such a renaming, onto a context
+where the other entries were instantiated, dropped or added, moves the
+answer the same way, up to the names of its binders; so a rule may not
+look at which other entries are in scope.  Breadth-first rounds rely on
+this to leave a refused goal alone when a round only renamed it, and
+check_support_locality probes it on the moves support_moves builds.
+Lax naturality alone does not give it: a rule may answer BOT on a goal
+and FAIL on a renaming of it and still be lax natural.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .judgment import JudgmentStructure
 from .state import (
@@ -22,7 +33,7 @@ from .state import (
     state_subst,
     state_unit,
 )
-from .theory import Context, Substitution
+from .theory import App, Context, NameSupply, Sort, Substitution, Term, Var, term_vars
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,85 @@ def check_lax_naturality(
         if not state_approx(structure, lhs, rhs):
             failures.append(LaxityFailure(rule.name, goal, s, lhs, rhs))
     return failures
+
+
+# a NamedTuple, which costs the CLI's start a fraction of a dataclass
+class LocalityFailure(NamedTuple):
+    rule: str
+    goal: Any
+    move: Substitution
+    answer: ProofState
+    answer_at_moved: ProofState
+
+
+def check_support_locality(
+    structure: JudgmentStructure,
+    rule: Rule,
+    samples: Sequence[tuple[Any, Substitution]],
+) -> list[LocalityFailure]:
+    """Probe that rule(X) and rule(X[s]) give the same verdict on each sample.
+
+    Each sample is a goal together with a move: a substitution whose
+    target is the goal's context and which sends the goal's free
+    variables to distinct variables, while the other entries may be
+    instantiated, dropped or joined by new ones.  The verdict is whether
+    the rule answers with subgoals, FAIL or BOT.  Returns the list of
+    counterexamples found.
+    """
+    failures = []
+    for goal, s in samples:
+        answer = rule.run(goal.context, goal)
+        moved = rule.run(s.source, structure.subst(goal, s))
+        if type(answer) is not type(moved):
+            failures.append(LocalityFailure(rule.name, goal, s, answer, moved))
+    return failures
+
+
+def goal_support(goal: Any) -> set[str]:
+    """The names free in a goal: the free variables of its term fields."""
+    terms = [v for v in vars(goal).values() if isinstance(v, (Var, App))]
+    return set().union(*map(term_vars, terms))
+
+
+def support_moves(
+    goals: Iterable[Any], fillers: dict[Sort, Term], extra: Context
+) -> list[tuple[Any, Substitution]]:
+    """Samples for check_support_locality: each goal with its moves.
+
+    Every move renames the goal's free variables to fresh names, and its
+    context lists the entries in reversed order.  The entries the goal
+    does not mention are either kept or instantiated with fillers[sort],
+    a closed term, which drops them from the context; and the entries of
+    extra are either added in front or not (not when a kept entry has one
+    of their names).
+    """
+    out = []
+    for goal in dict.fromkeys(goals):
+        free = goal_support(goal)
+        entries = goal.context.entries
+        others = [name for name, _ in entries if name not in free]
+        scope = NameSupply([*goal.context.names, *extra.names])
+        renamed = {name: scope.fresh(name) for name, _ in entries if name in free}
+        for instantiate in (False, True) if others else (False,):
+            kept = () if instantiate else others
+            for add in (False, True):
+                if add and not set(extra.names).isdisjoint(kept):
+                    continue
+                source = list(extra.entries) if add else []
+                image = {}
+                for name, sort in reversed(entries):
+                    if name in free:
+                        image[name] = Var(renamed[name], sort)
+                        source.append((renamed[name], sort))
+                    elif instantiate:
+                        image[name] = fillers[sort]
+                    else:
+                        image[name] = Var(name, sort)
+                        source.append((name, sort))
+                terms = tuple(image[name] for name in goal.context.names)
+                move = Substitution(Context(tuple(source)), goal.context, terms)
+                out.append((goal, move))
+    return out
 
 
 def rule_seq(

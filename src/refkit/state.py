@@ -235,6 +235,7 @@ def state_mul(
     structure: JudgmentStructure,
     outer: ProofState,
     before: Telescope | None = None,
+    standing: dict[int, type] | None = None,
 ) -> ProofState:
     """Flatten a state whose subgoals are themselves states.
 
@@ -252,6 +253,10 @@ def state_mul(
     under fresh binders named after its outputs, just as if the entry
     had answered with the goal's unit state.  If the binders of `before`
     do not line up with the outer entries, it is ignored.
+
+    `standing`, if given, collects each refused goal whose move only
+    renamed its free variables, injectively: its position in the
+    result's telescope, mapped to the kind of its refusal (Fail or Bot).
     """
     match outer:
         case Fail(_, _) | Bot(_, _):
@@ -259,7 +264,7 @@ def state_mul(
         case Subgoals(tele, validation):
             if before is not None and not _same_binders(tele, before):
                 before = None
-            return _mul_tele(structure, tele, validation, before)
+            return _mul_tele(structure, tele, validation, before, standing)
     raise TheoryError(f"not a proof state: {outer!r}")
 
 
@@ -278,7 +283,7 @@ class TeleBuilder:
     base by NameSupply.fresh, so the prefix does not bind it yet, and has
     the sort of the output it stands for.  A telescope moved onto a new
     context also keeps image, which sends each old name in scope to its
-    term over the prefix, so every moved goal is reindexed once.
+    term over the prefix; a moved goal is reindexed by reading it.
     """
 
     def __init__(
@@ -305,15 +310,21 @@ class TeleBuilder:
         self.prefix = Context._extended(self.prefix, binder)
         return tuple([Var(name, sort) for name, sort in binder])
 
-    def splice(self, goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]) -> None:
+    def splice(
+        self, goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]
+    ) -> "_Reindexing":
         """Append goal, reindexed onto the prefix, under fresh binders
-        named after bases that stand for the old names binds from here on."""
-        moved = self.structure.subst(goal, self.reindexing(goal.context))
+        named after bases that stand for the old names binds from here on;
+        the reindexing that moved it.  That reindexing reads image, which
+        this call has already changed, so only its renames() still holds."""
+        move = self.reindexing(goal.context)
+        moved = self.structure.subst(goal, move)
         self.image.update(zip(binds, self.push(moved, bases)))
+        return move
 
-    def reindexing(self, target: Context) -> Substitution:
+    def reindexing(self, target: Context) -> "_Reindexing":
         """Sends target, the old names in scope in any order, onto the prefix."""
-        return _reindexing(self.prefix, target, self.image)
+        return _Reindexing(self.prefix, target, self.image)
 
     def close(self, validation: Substitution) -> Subgoals:
         """The state of the goals pushed, with a validation over the prefix."""
@@ -325,6 +336,7 @@ def _mul_tele(
     tele: Telescope,
     validation: Substitution,
     before: Telescope | None,
+    standing: dict[int, type] | None,
 ) -> ProofState:
     if isinstance(tele, TeleNil):
         return Subgoals(tele, validation)
@@ -352,7 +364,9 @@ def _mul_tele(
         elif before is not None:
             # a refusal leaves the goal standing, as its unit state would
             goal = before.goal
-            b.splice(goal, structure.output(goal).names, walk.names)
+            move = b.splice(goal, structure.output(goal).names, walk.names)
+            if standing is not None and move.renames():
+                standing[len(b.entries) - 1] = type(head)
         else:
             # an absorbing goal already spliced in sits earlier in
             # dependency order, so its kind wins over the collapse
@@ -370,20 +384,50 @@ def _mul_tele(
     return b.close(subst_compose(b.reindexing(walk.context), validation))
 
 
-def _reindexing(
-    source: Context, target: Context, image: dict[str, Term]
-) -> Substitution:
-    # image covers exactly the old names in scope, so a target of the
-    # same length all of whose names it covers is that scope
-    try:
-        terms = tuple(map(image.__getitem__, target.names))
-    except KeyError as err:
-        raise ContextMismatch(
-            f"variable {err.args[0]!r} is not in the flattened context"
-        ) from None
-    if len(terms) != len(image):
-        raise ContextMismatch("subgoal context out of place in flattening")
-    return Substitution._trusted(source, target, terms)
+class _Reindexing:
+    """The substitution sending target, the old names in scope in any
+    order, onto source by reading image, a running map of a move.
+
+    Building it checks only that target holds exactly the names image
+    covers (one key-set comparison), and a term pays one lookup per free
+    variable, so moving a goal costs its own variables, not its context.
+    It notes what each lookup read, so renames() can tell whether the
+    variables read so far went to distinct variables.  It reads image
+    live, so lookups and terms hold only until image next changes;
+    renames() reads only what was noted.
+    """
+
+    __slots__ = ("source", "target", "_image", "_read")
+
+    def __init__(self, source: Context, target: Context, image: dict[str, Term]):
+        if image.keys() != target._index.keys():
+            for name in target.names:
+                if name not in image:
+                    raise ContextMismatch(
+                        f"variable {name!r} is not in the flattened context"
+                    )
+            raise ContextMismatch("subgoal context out of place in flattening")
+        self.source = source
+        self.target = target
+        self._image = image
+        self._read: dict[str, Term] = {}
+
+    def lookup(self, name: str) -> Term | None:
+        term = self._image.get(name)
+        self._read[name] = term
+        return term
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(map(self.lookup, self.target.names))
+
+    def renames(self) -> bool:
+        """Whether every variable read went to a variable, no two to one."""
+        read = self._read.values()
+        if not all(type(t) is Var for t in read):
+            return False
+        # names in scope are distinct, so distinct names are distinct variables
+        return len({t.name for t in read}) == len(read)
 
 
 def state_alpha_eq(
@@ -391,8 +435,9 @@ def state_alpha_eq(
 ) -> bool:
     """Equality of states up to renaming of telescope binders.
 
-    Goal counts are compared before any goal is reindexed: two states
-    with different numbers of goals are never equal.
+    Goal counts are compared, by walking the two telescopes side by side,
+    before any goal is reindexed: two states with different numbers of
+    goals are never equal.
     """
     match a, b:
         case Fail(ca, ta), Fail(cb, tb):
@@ -400,7 +445,10 @@ def state_alpha_eq(
         case Bot(ca, ta), Bot(cb, tb):
             return ca == cb and ta == tb
         case Subgoals(ta, va), Subgoals(tb, vb):
-            if len(tele_goals(ta)) != len(tele_goals(tb)):
+            wa, wb = ta, tb
+            while isinstance(wa, TeleCons) and isinstance(wb, TeleCons):
+                wa, wb = wa.rest, wb.rest
+            if isinstance(wa, TeleCons) or isinstance(wb, TeleCons):
                 return False
             if a.context != b.context or va.target != vb.target:
                 return False
@@ -415,7 +463,7 @@ def state_alpha_eq(
                 sorts = tuple(s for _, s in structure.output(ta.goal).entries)
                 if sorts != tuple(s for _, s in structure.output(tb.goal).entries):
                     return False
-                renamed = _reindexing(ta.goal.context, tb.goal.context, image)
+                renamed = _Reindexing(ta.goal.context, tb.goal.context, image)
                 if not structure.alpha_eq(ta.goal, structure.subst(tb.goal, renamed)):
                     return False
                 for old, new, sort in zip(tb.names, ta.names, sorts):
@@ -423,7 +471,7 @@ def state_alpha_eq(
                 ta, tb = ta.rest, tb.rest
             if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
                 return False
-            return va == subst_compose(_reindexing(ta.context, tb.context, image), vb)
+            return va == subst_compose(_Reindexing(ta.context, tb.context, image), vb)
     return False
 
 

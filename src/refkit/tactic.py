@@ -154,18 +154,27 @@ def never_tactic(ctx: Context, goal: Any) -> Delayed:
     return NEVER
 
 
+def _natural(tac: Tactic) -> Tactic:
+    # built from rules, id and `|` only: it answers at once, and it
+    # refuses a goal moved by a renaming as it refused the goal, since
+    # every rule is support-local (rule.py); repeat_multitactic relies
+    # on this to keep a refusal standing
+    tac.natural = True
+    return tac
+
+
 def id_tactic(structure: JudgmentStructure) -> Tactic:
     def tac(ctx: Context, goal: Any) -> Delayed:
         return Now(state_unit(structure, goal))
 
-    return tac
+    return _natural(tac)
 
 
 def from_rule(rule: Any) -> Tactic:
     def tac(ctx: Context, goal: Any) -> Delayed:
         return Now(rule.run(ctx, goal))
 
-    return tac
+    return _natural(tac)
 
 
 def orelse(t1: Tactic, t2: Tactic) -> Tactic:
@@ -179,6 +188,8 @@ def orelse(t1: Tactic, t2: Tactic) -> Tactic:
 
         return bind(t1(ctx, goal), after)
 
+    if getattr(t1, "natural", False) and getattr(t2, "natural", False):
+        return _natural(tac)
     return tac
 
 
@@ -233,18 +244,32 @@ def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
     binders and validation are kept, so the result is a state whose goals
     are the per-subgoal answer states.
     """
-
-    def keep(result: ProofState) -> None:
-        return None
-
-    def attack(entry: TeleCons, memo: None):
-        goal = entry.goal
-        return goal, t(goal.context, goal), keep
+    attack = _attack_unless_standing(structure, t, {})
 
     def mt(ctx: Context, state: ProofState) -> Delayed:
-        return _sweep(state, attack, None)
+        return _sweep(state, attack, 0)
 
+    mt.tactic = t
     return mt
+
+
+def _attack_unless_standing(
+    structure: JudgmentStructure, t: Tactic, standing: dict[int, type]
+) -> _Attack:
+    """Attack each entry with t, over the entries' positions; an entry
+    whose position is in standing answers with that kind of refusal, and
+    t does not run on it."""
+
+    def attack(entry: TeleCons, index: int):
+        goal = entry.goal
+        refusal = standing.get(index)
+        if refusal is None:
+            answer = t(goal.context, goal)
+        else:
+            answer = Now(refusal(goal.context, structure.output(goal)))
+        return goal, answer, lambda result: index + 1
+
+    return attack
 
 
 def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitactic:
@@ -341,18 +366,22 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
 
 
 def _next_round(
-    structure: JudgmentStructure, state: Subgoals, answers: ProofState
+    structure: JudgmentStructure,
+    state: Subgoals,
+    answers: ProofState,
+    standing: dict[int, type] | None,
 ) -> tuple[ProofState, bool]:
     """The state after one round of a repeated multitactic, and whether
     the repetition stops there.
 
     A round is heal, flatten, compare: the flattening puts each refused
     goal back in place, and the repetition stops when the result equals
-    the state before it up to renaming.
+    the state before it up to renaming.  `standing`, if given, collects
+    the refusals the flattening only renamed (see state_mul).
     """
     if isinstance(answers, (Fail, Bot)):
         return state, True
-    advanced = state_mul(structure, answers, state.telescope)
+    advanced = state_mul(structure, answers, state.telescope, standing)
     if isinstance(advanced, (Fail, Bot)):
         return state, True
     return advanced, state_alpha_eq(structure, advanced, state)
@@ -372,18 +401,35 @@ def repeat_multitactic(
     the state unchanged up to renaming, which `state_alpha_eq` alone
     decides, and hands the stable state back under the unit, ready for
     the caller's flattening.
+
+    Over `all_mt(t)` with t built from rules, `id` and `|`, a round
+    attacks only the goals that may answer differently than before.  A
+    goal the last round refused, and whose flattening only renamed its
+    free variables, injectively, keeps its refusal without t running on
+    it: t answers at once, and every rule is support-local (rule.py).
+    The standing refusal still goes to the trace hook in its place, so
+    the rounds, their states and the trace are those of a full sweep.
     """
     outer = StateStructure(structure)
+    t = getattr(mt, "tactic", None)
+    natural = getattr(t, "natural", False)
 
-    def loop(ctx: Context, state: ProofState) -> Delayed:
+    def loop(ctx: Context, state: ProofState, standing: dict[int, type]) -> Delayed:
         def after(answers: ProofState) -> Delayed:
-            advanced, stop = _next_round(structure, state, answers)
+            healed: dict[int, type] | None = {} if natural else None
+            advanced, stop = _next_round(structure, state, answers, healed)
             if stop:
                 return Now(state_unit(outer, advanced))
-            return Later(lambda: loop(ctx, advanced))
+            return Later(lambda: loop(ctx, advanced, healed))
 
         if isinstance(state, (Fail, Bot)):
             return Now(state_unit(outer, state))
+        if natural:
+            attack = _attack_unless_standing(structure, t, standing)
+            return bind(_sweep(state, attack, 0), after)
         return bind(mt(ctx, state), after)
 
-    return loop
+    def start(ctx: Context, state: ProofState) -> Delayed:
+        return loop(ctx, state, {})
+
+    return start

@@ -6,8 +6,11 @@ from refkit.logics import arith, dep
 from refkit.rule import (
     Rule,
     check_lax_naturality,
+    check_support_locality,
     clause_rule,
+    goal_support,
     rule_seq,
+    support_moves,
 )
 from refkit.state import (
     Bot,
@@ -21,6 +24,8 @@ from refkit.state import (
 from refkit.theory import App, Context, Substitution, Var
 
 from strategies import rand_context, rand_goal, rand_subst
+from test_acceptance import _arith_samples as criterion_03_arith
+from test_acceptance import _dep_samples as criterion_03_dep
 
 J = arith.STRUCTURE
 D = dep.STRUCTURE
@@ -157,3 +162,48 @@ def test_the_shipped_disjunction_rule_passes_where_the_strict_one_fails():
     goal = dep.TruthGoal(ctx, Var("x", dep.PROP))
     s = Substitution(EMPTY, ctx, (dep.or_(dep.top(), dep.top()),))
     assert check_lax_naturality(D, dep.OR_I1, [(goal, s)]) == []
+
+
+def _arith_moves():
+    goals = (goal for goal, _ in criterion_03_arith())
+    fillers = {arith.EXP: arith.num(0), arith.NUM: arith.nat(3)}
+    return support_moves(goals, fillers, Context((("k", arith.NUM),)))
+
+
+def _dep_moves():
+    goals = (goal for goal, _ in criterion_03_dep())
+    fillers = {dep.EXP: dep.tt(), dep.PROP: dep.top()}
+    return support_moves(goals, fillers, Context((("k", dep.EXP),)))
+
+
+def test_shipped_rules_are_support_local_on_the_criterion_03_pools():
+    arith_moves = _arith_moves()
+    dep_moves = _dep_moves()
+    assert len(arith_moves) >= 100
+    assert len(dep_moves) >= 5000
+    for rule in arith.RULES.values():
+        assert check_support_locality(J, rule, arith_moves) == []
+    for rule in dep.RULES.values():
+        assert check_support_locality(D, rule, dep_moves) == []
+
+
+def test_a_rule_that_reads_its_context_is_caught():
+    def run(ctx, g):
+        if any(sort == arith.NUM for _, sort in ctx.entries):
+            return state_unit(J, g)
+        return Bot(ctx, J.output(g))
+
+    nosy = Rule("num_in_scope", run)
+    moves = _arith_moves()
+    failures = check_support_locality(J, nosy, moves)
+    assert failures
+    first = failures[0]
+    assert first.rule == "num_in_scope"
+    assert isinstance(first.answer, Subgoals)
+    assert isinstance(first.answer_at_moved, Bot)
+    # the goals it fails on are moved only by renamings of their own
+    # variables: what changed is the rest of the context
+    for failure in failures:
+        images = [failure.move.lookup(name) for name in goal_support(failure.goal)]
+        assert all(isinstance(t, Var) for t in images)
+        assert len(set(images)) == len(images)

@@ -234,6 +234,50 @@ def test_flattening_substitutes_resolved_outputs_into_later_goals():
     assert state_alpha_eq(J, flat, expected)
 
 
+def _one_goal(goal, name):
+    """The state of one goal under the binder name, handing it back."""
+    flat = ctx_concat(goal.context, Context(((name, NUM),)))
+    return Subgoals(
+        TeleCons((name,), goal, TeleNil(flat)),
+        Substitution(flat, Z, (Var(name, NUM),)),
+    )
+
+
+@pytest.mark.parametrize(
+    "stray, message",
+    [
+        (Context((("z", NUM),)), "variable 'z' is not in the flattened context"),
+        (Context((("a", NUM), ("z", NUM))), "variable 'z' is not in the flattened context"),
+        (EMPTY, "subgoal context out of place in flattening"),
+    ],
+    ids=["unknown name", "one name too many", "one name missing"],
+)
+def test_flattening_rejects_a_goal_whose_context_is_not_its_scope(stray, message):
+    # the second goal stands under the first one's binder a: any other
+    # context is out of place, whether it is spliced from an inner state
+    # or healed from a refusal
+    a_ctx = Context((("a", NUM),))
+    first = arith.AddGoal(EMPTY, arith.nat(1), arith.nat(2))
+    misplaced = arith.AddGoal(stray, arith.nat(3), arith.nat(4))
+    ab_ctx = Context((("a", NUM), ("b", NUM)))
+    validation = Substitution(ab_ctx, Z, (Var("b", NUM),))
+    outer = Subgoals(
+        TeleCons(("a",), _one_goal(first, "a"),
+                 TeleCons(("b",), _one_goal(misplaced, "b"), TeleNil(ab_ctx))),
+        validation,
+    )
+    with pytest.raises(ContextMismatch, match=message):
+        state_mul(J, outer)
+    refused = Subgoals(
+        TeleCons(("a",), _one_goal(first, "a"),
+                 TeleCons(("b",), Bot(stray, Z), TeleNil(ab_ctx))),
+        validation,
+    )
+    before = TeleCons(("a",), first, TeleCons(("b",), misplaced, TeleNil(ab_ctx)))
+    with pytest.raises(ContextMismatch, match=message):
+        state_mul(J, refused, before)
+
+
 def test_flattening_reports_the_leftmost_terminal():
     dead = Fail(EMPTY, Z)
     p_ctx = Context((("p", NUM),))

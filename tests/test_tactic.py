@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refkit.cli import RunConfig, execute
-from refkit.logics import arith
+from refkit.cli import RunConfig, _trace_tag, execute
+from refkit.logics import arith, dep
+from refkit.rule import Rule, clause_rule
 from refkit.state import (
     Bot,
     Fail,
     StateStructure,
     Subgoals,
+    TeleBuilder,
     TeleCons,
     TeleNil,
     pretty_state,
@@ -47,9 +49,9 @@ from refkit.tactic import (
     then_tactic,
     try_tactic,
 )
-from refkit.theory import Context, Substitution, render_term
+from refkit.theory import App, Context, Substitution, Var, render_term
 
-from strategies import arith_state, rand_context, rand_num_term
+from strategies import arith_state, rand_context, rand_expr, rand_num_term
 
 J = arith.STRUCTURE
 K = StateStructure(J)
@@ -416,6 +418,95 @@ def test_round_matches_the_heal_flatten_compare_reference(seed):
     assert got_stop == want_stop
 
 
+def full_sweep_repeat(structure, mt):
+    """repeat_multitactic as a full re-sweep: every round runs mt over
+    the whole state, and reference_round heals, flattens and compares."""
+    outer = StateStructure(structure)
+
+    def loop(ctx, state):
+        def after(answers):
+            advanced, stop = reference_round(structure, state, answers)
+            if stop:
+                return Now(state_unit(outer, advanced))
+            return Later(lambda: loop(ctx, advanced))
+
+        if isinstance(state, (Fail, Bot)):
+            return Now(state_unit(outer, state))
+        return bind(mt(ctx, state), after)
+
+    return loop
+
+
+def rand_natural(rng, depth, leaves=(NUM_EVAL, PLUS_EVAL, ADD, ADD, id_tactic(J))):
+    """A tactic built from rules, id and `|`."""
+    if depth <= 0 or rng.random() < 0.4:
+        return rng.choice(leaves)
+    return orelse(
+        rand_natural(rng, depth - 1, leaves), rand_natural(rng, depth - 1, leaves)
+    )
+
+
+def rand_round_tactic(rng):
+    """A tactic for all(...)*: natural ones, and ones with a star or a
+    `;` inside, which take the full re-sweep.  A starred body has no id,
+    which would make the star diverge.  The last kind may refuse a goal
+    only after some steps, so keeping its refusal would save fuel."""
+    rules = (NUM_EVAL, PLUS_EVAL, ADD)
+    roll = rng.random()
+    if roll < 0.3:
+        # the auto step, in some order
+        first, second, third = rng.sample(rules, 3)
+        return orelse(first, orelse(second, third))
+    if roll < 0.7:
+        return rand_natural(rng, 3)
+    if roll < 0.8:
+        return repeat(J, rand_natural(rng, 2, rules))
+    if roll < 0.9:
+        return then_tactic(J, rand_natural(rng, 1), rand_natural(rng, 2))
+    if roll < 0.95:
+        return orelse(rand_natural(rng, 1), repeat(J, rand_natural(rng, 1, rules)))
+    starred = repeat(J, rand_natural(rng, 1, rules))
+    return orelse(rand_natural(rng, 1), then_tactic(J, starred, rand_natural(rng, 1)))
+
+
+def traced_run(mt, state, fuel):
+    fired = []
+    set_trace_hook(lambda goal, answer: fired.append((goal, _trace_tag(answer))))
+    try:
+        got = run_delayed(mt(state.context, state), fuel)
+    finally:
+        set_trace_hook(None)
+    return got, fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rounds_match_the_full_re_sweep(seed):
+    rng = random.Random(seed)
+    ctx = rand_context(rng)
+    if rng.random() < 0.5:
+        state = arith_state(rng, ctx, max_goals=4, depth=3)
+    else:
+        # one sum to take apart: many rounds, most goals refused
+        state = state_unit(J, arith.EvalGoal(ctx, rand_expr(rng, ctx, 4)))
+    t = rand_round_tactic(rng)
+    got, got_trace = traced_run(repeat_multitactic(J, all_mt(J, t)), state, 300)
+    want, want_trace = traced_run(full_sweep_repeat(J, all_mt(J, t)), state, 300)
+    assert type(got) is type(want)
+    assert got.steps == want.steps
+    assert got_trace == want_trace
+    if isinstance(want, Resolved):
+        assert got.value == want.value
+        assert pretty_state(K, got.value) == pretty_state(K, want.value)
+        [(_, settled)] = tele_goals(got.value.telescope)
+        [(_, reference)] = tele_goals(want.value.telescope)
+        if isinstance(reference, Subgoals):
+            assert [names for names, _ in tele_goals(settled.telescope)] == [
+                names for names, _ in tele_goals(reference.telescope)
+            ]
+            assert pretty_state(J, settled) == pretty_state(J, reference)
+
+
 def test_a_round_of_refusals_and_units_stops_as_the_reference_does():
     goal = eval_goal(arith.plus(arith.num(2), arith.plus(arith.num(3), arith.num(4))))
     split = final(PLUS_EVAL, goal)
@@ -473,3 +564,78 @@ def test_breadth_first_auto_closes_a_balanced_tree_of_255_additions():
     assert out.status == "complete"
     assert out.steps == 25
     assert [render_term(t) for t in out.state.validation.terms] == ["255", "256"]
+
+
+def test_a_goal_whose_variables_the_flattening_merged_is_attacked_again():
+    # pick answers `true eq(v, tt)` with v itself, so b's output becomes
+    # a: c = eq(a, b) is refused in the first round and moves to
+    # eq(a', a'), which eq_refl proves; a, a renamed variable goal,
+    # keeps its refusal
+    D = dep.STRUCTURE
+
+    def pick_applies(ctx, g):
+        prop = g.prop
+        return (
+            isinstance(prop, App)
+            and prop.op == dep.EQ_OP
+            and isinstance(prop.args[0], Var)
+            and prop.args[1] == dep.tt()
+        )
+
+    def pick_build(ctx, g):
+        evidence = (g.prop.args[0],)
+        return Subgoals(TeleNil(ctx), Substitution(ctx, dep.TRUTH_OUTPUT, evidence))
+
+    pick = clause_rule(D, "pick", ((pick_applies, pick_build),))
+    b = TeleBuilder(D, Context((("p", dep.PROP),)))
+    (a,) = b.push(dep.TruthGoal(b.prefix, Var("p", dep.PROP)), ("a",))
+    (bb,) = b.push(dep.TruthGoal(b.prefix, dep.eq(a, dep.tt())), ("b",))
+    (c,) = b.push(dep.TruthGoal(b.prefix, dep.eq(a, bb)), ("c",))
+    state = b.close(Substitution(b.prefix, dep.TRUTH_OUTPUT, (c,)))
+    t = orelse(from_rule(dep.EQ_REFL), from_rule(pick))
+    got, got_trace = traced_run(repeat_multitactic(D, all_mt(D, t)), state, 50)
+    want, want_trace = traced_run(full_sweep_repeat(D, all_mt(D, t)), state, 50)
+    assert got == want
+    assert got_trace == want_trace
+    [(_, settled)] = tele_goals(got.value.telescope)
+    assert [D.render(g) for _, g in tele_goals(settled.telescope)] == ["true p"]
+    assert [render_term(t) for t in settled.validation.terms] == ["refl"]
+
+
+def counted_rules(monkeypatch):
+    calls = [0]
+
+    def counted(rule):
+        def run(ctx, goal):
+            calls[0] += 1
+            return rule.run(ctx, goal)
+
+        return Rule(rule.name, run)
+
+    table = {name: counted(rule) for name, rule in arith.RULES.items()}
+    monkeypatch.setattr(arith, "RULES", table)
+    return calls
+
+
+def left_comb(pluses):
+    return "eval " + " + ".join(["num 1"] * (pluses + 1))
+
+
+@pytest.mark.parametrize(
+    "goal, steps, rule_calls",
+    [
+        (left_comb(32), 97, 859),
+        (f"eval {balanced_sum(5)}", 16, 652),
+    ],
+    ids=["left comb of 32", "balanced tree of depth 5"],
+)
+def test_breadth_first_auto_attacks_only_goals_that_may_answer(
+    monkeypatch, goal, steps, rule_calls
+):
+    # a goal refused and only renamed since keeps its refusal: a full
+    # re-sweep makes 12,673 and 1,369 rule calls on these goals
+    calls = counted_rules(monkeypatch)
+    out = execute(RunConfig("arith", goal, arith.AUTO_SCRIPT))
+    assert out.status == "complete"
+    assert out.steps == steps
+    assert calls[0] == rule_calls
