@@ -242,6 +242,24 @@ def test_a_600_level_dep_chain_completes(capsys):
     assert report["steps_used"] == 601
 
 
+def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):
+    # the goal parser must stop a chain before the kernel's walks, which
+    # recurse once per level and would exit 6 a few levels further on
+    prop = "top"
+    for _ in range(1100):
+        prop = f"sig(x. eq(x, x), {prop})"
+    from refkit.logics import dep
+
+    argv = ["--logic", "dep", "--goal", "true " + prop, "--script",
+            dep.AUTO_SCRIPT, "--json"]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: nesting too deep in the goal or the script\n"
+    )
+
+
 def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
     from refkit.logics import arith
     from refkit.rule import Rule
