@@ -14,7 +14,7 @@ from ..judgment import JudgmentStructure, require_boundary
 from ..rule import Rule, clause_rule
 from ..script import compile_text
 from ..state import Bot, Subgoals, TeleBuilder, TeleNil
-from ..syntax import Cursor, ParseError, lex
+from ..syntax import Cursor
 from ..tactic import Tactic
 from ..theory import (
     App,
@@ -271,14 +271,13 @@ def eval_oracle(t: Term) -> tuple[int, int]:
 
 def parse_goal(text: str):
     """Parse `eval <expr>` or `add <nat> <nat>` over the empty context."""
-    cur = _GoalCursor(lex(text, "()+"))
-    if cur.take("ident", "eval"):
+    cur = _GoalCursor(text, "()+")
+    if cur.take("eval"):
         goal = EvalGoal(Context(), _parse_expr(cur))
-    elif cur.take("ident", "add"):
+    elif cur.take("add"):
         goal = AddGoal(Context(), cur.nat(), cur.nat())
     else:
-        tok = cur.peek()
-        raise ParseError(f"unknown goal form {tok.text!r}", tok.offset)
+        raise cur.error(f"unknown goal form {cur.peek()!r}")
     cur.expect_end()
     return goal
 
@@ -294,31 +293,34 @@ class _GoalCursor(Cursor):
     total = 0
 
     def nat(self) -> Term:
-        tok = self.expect("nat")
+        word = self.expect("nat")
         try:
-            value = int(tok.text)
+            value = int(word)
             self.total += value
             str(self.total)
         except ValueError:
             limit = sys.get_int_max_str_digits()
             message = f"a numeral or the sum of numerals passes {limit} digits"
-            raise ParseError(message, tok.offset) from None
-        return nat(value)
+            raise self.error(message, self.pos - 1) from None
+        # nat() makes a new operator each time, so numerals share by value
+        term = self.memo.get(value)
+        if term is None:
+            term = self.memo[value] = nat(value)
+        return term
 
 
 def _parse_expr(cur: _GoalCursor) -> Term:
     term = _parse_atom(cur)
     while cur.take("+"):
-        term = plus(term, _parse_atom(cur))
+        term = cur.app(PLUS_OP, (term, _parse_atom(cur)))
     return term
 
 
 def _parse_atom(cur: _GoalCursor) -> Term:
-    if cur.take("ident", "num"):
-        return App(NUM_OP, (cur.nat(),))
+    if cur.take("num"):
+        return cur.app(NUM_OP, (cur.nat(),))
     if cur.take("("):
         expr = _parse_expr(cur)
         cur.expect(")")
         return expr
-    tok = cur.peek()
-    raise ParseError(f"expected an expression, found {tok.text!r}", tok.offset)
+    raise cur.error(f"expected an expression, found {cur.peek()!r}")

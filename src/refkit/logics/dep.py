@@ -22,7 +22,7 @@ from ..judgment import JudgmentStructure, require_boundary
 from ..rule import Rule, clause_rule
 from ..script import compile_text
 from ..state import Bot, Subgoals, TeleBuilder, TeleNil
-from ..syntax import Cursor, ParseError, lex
+from ..syntax import Cursor
 from ..tactic import Tactic
 from ..theory import (
     App,
@@ -270,9 +270,9 @@ def prove_oracle(t: Term) -> Term | None:
 
 def parse_goal(text: str):
     """Parse `true <prop>` over the empty context."""
-    cur = Cursor(lex(text, "(),."))
-    if not cur.take("ident", "true"):
-        raise ParseError("expected: true <proposition>", cur.peek().offset)
+    cur = Cursor(text, "(),.")
+    if not cur.take("true"):
+        raise cur.error("expected: true <proposition>")
     prop = _parse_prop(cur, None)
     cur.expect_end()
     return TruthGoal(Context(), prop)
@@ -284,49 +284,51 @@ _EXP_FORMS = ("tt", "refl", "inl", "pair")
 
 def _parse_prop(cur: Cursor, bound: str | None) -> Term:
     """A proposition; `bound` names the binder of the innermost sig body."""
-    tok = cur.expect("ident")
-    match tok.text:
+    word = cur.expect("ident")
+    match word:
         case "top":
-            return top()
+            return cur.app(TOP_OP, ())
         case "or":
-            return or_(*_parse_args(cur, _parse_prop, bound, 2))
+            return cur.app(OR_OP, _parse_args(cur, _parse_prop, bound, 2))
         case "eq":
-            return eq(*_parse_args(cur, _parse_exp, bound, 2))
+            return cur.app(EQ_OP, _parse_args(cur, _parse_exp, bound, 2))
         case "sig":
             cur.expect("(")
             binder = cur.expect("ident")
-            if not binder.text.isidentifier() or binder.text in _EXP_FORMS:
-                raise ParseError(f"bad binder {binder.text!r}", binder.offset)
+            if not binder.isidentifier() or binder in _EXP_FORMS:
+                raise cur.error(f"bad binder {binder!r}", cur.pos - 1)
             cur.expect(".")
-            body = _parse_prop(cur, binder.text)
+            body = _parse_prop(cur, binder)
             cur.expect(",")
             base = _parse_prop(cur, bound)
             cur.expect(")")
-            return App(SIG_OP, (base, body))
-    raise ParseError(f"unknown proposition form {tok.text!r}", tok.offset)
+            return cur.app(SIG_OP, (base, body))
+    raise cur.error(f"unknown proposition form {word!r}", cur.pos - 1)
 
 
 def _parse_exp(cur: Cursor, bound: str | None) -> Term:
-    tok = cur.expect("ident")
-    match tok.text:
+    word = cur.expect("ident")
+    match word:
         case "tt":
-            return tt()
+            return cur.app(TT_OP, ())
         case "refl":
-            return refl()
+            return cur.app(REFL_OP, ())
         case "inl":
-            return inl(*_parse_args(cur, _parse_exp, bound, 1))
+            return cur.app(INL_OP, _parse_args(cur, _parse_exp, bound, 1))
         case "pair":
-            return pair(*_parse_args(cur, _parse_exp, bound, 2))
+            return cur.app(PAIR_OP, _parse_args(cur, _parse_exp, bound, 2))
         case name if name == bound:
             return SLOT
-    raise ParseError(f"unknown or unbound name {tok.text!r}", tok.offset)
+    raise cur.error(f"unknown or unbound name {word!r}", cur.pos - 1)
 
 
-def _parse_args(cur: Cursor, parse, bound: str | None, count: int) -> list[Term]:
+def _parse_args(
+    cur: Cursor, parse, bound: str | None, count: int
+) -> tuple[Term, ...]:
     cur.expect("(")
     args = [parse(cur, bound)]
     for _ in range(count - 1):
         cur.expect(",")
         args.append(parse(cur, bound))
     cur.expect(")")
-    return args
+    return tuple(args)

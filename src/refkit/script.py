@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Union
 from .judgment import JudgmentStructure
 from .refiner import Refiner
 from .rule import Rule
-from .syntax import Cursor, ParseError, Token, lex
+from .syntax import Cursor, ParseError, kind_of  # noqa: F401 (ParseError is re-exported)
 from .tactic import (
     Tactic,
     all_mt,
@@ -82,17 +82,18 @@ TacticAst = Union[RuleName, IdTac, OrElse, Star, SeqTac]
 MultiAst = Union[AllM, EachM, MStar]
 
 
-def _vetted(tok: Token) -> Token:
+def _vetted(word: str) -> str | None:
     # rule names are lower-case identifiers, and scripts have no numerals
-    if tok.kind == "nat":
-        raise ParseError(f"unexpected character {tok.text[0]!r}", tok.offset)
-    if tok.kind == "ident" and not tok.text.islower():
-        raise ParseError(f"bad identifier {tok.text!r}", tok.offset)
-    return tok
+    kind = kind_of(word)
+    if kind == "nat":
+        return f"unexpected character {word[0]!r}"
+    if kind == "ident" and not word.islower():
+        return f"bad identifier {word!r}"
+    return None
 
 
 def parse_script(text: str) -> TacticAst:
-    cur = Cursor(map(_vetted, lex(text, "|;*()[],")))
+    cur = Cursor(text, "|;*()[],", _vetted)
     out = _tactic(cur)
     cur.expect_end()
     return out
@@ -120,18 +121,17 @@ def _starred(cur: Cursor) -> TacticAst:
 
 
 def _atom(cur: Cursor) -> TacticAst:
-    tok = cur.peek()
-    if cur.take("ident"):
-        if tok.text == "id":
-            return IdTac()
-        if tok.text == "all":
-            raise ParseError("'all' starts a multitactic", tok.offset)
-        return RuleName(tok.text)
+    word = cur.peek()
+    if word == "all":
+        raise cur.error("'all' starts a multitactic")
+    if kind_of(word) == "ident":
+        cur.expect("ident")
+        return IdTac() if word == "id" else RuleName(word)
     if cur.take("("):
         inner = _tactic(cur)
         cur.expect(")")
         return inner
-    raise ParseError(f"expected a tactic, found {tok.text!r}", tok.offset)
+    raise cur.error(f"expected a tactic, found {word!r}")
 
 
 def _mtac(cur: Cursor) -> MultiAst:
@@ -142,8 +142,7 @@ def _mtac(cur: Cursor) -> MultiAst:
 
 
 def _mcore(cur: Cursor) -> MultiAst:
-    tok = cur.peek()
-    if cur.take("ident", "all"):
+    if cur.take("all"):
         cur.expect("(")
         inner = _tactic(cur)
         cur.expect(")")
@@ -156,7 +155,7 @@ def _mcore(cur: Cursor) -> MultiAst:
             bodies.append(_tactic(cur))
         cur.expect("]")
         return EachM(tuple(bodies))
-    raise ParseError(f"expected a multitactic, found {tok.text!r}", tok.offset)
+    raise cur.error(f"expected a multitactic, found {cur.peek()!r}")
 
 
 # precedence levels for printing: 1 alternation, 2 sequencing, 3 star

@@ -212,13 +212,51 @@ def test_arith_parse_goal_rejects_junk():
     assert err.value.position == 13
 
 
+def assert_shared(*terms):
+    """Equal subterms anywhere in terms are one object."""
+    first: dict = {}
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            assert first.setdefault(t, t) is t, t
+            todo.extend(t.args)
+
+
 def test_goals_read_back_from_their_rendering():
     rng = random.Random(4242)
     for _ in range(300):
         goal = arith.EvalGoal(EMPTY, rand_closed_expr(rng, 4))
-        assert arith.parse_goal(J.render(goal)) == goal
+        parsed = arith.parse_goal(J.render(goal))
+        assert parsed == goal
+        assert_shared(parsed.expr)
         goal = dep.TruthGoal(EMPTY, rand_dep_closed_prop(rng, 4))
-        assert dep.parse_goal(D.render(goal)) == goal
+        parsed = dep.parse_goal(D.render(goal))
+        assert parsed == goal
+        assert_shared(parsed.prop)
+    for _ in range(30):
+        lhs, rhs = rng.randint(0, 2), rng.randint(0, 2)
+        parsed = arith.parse_goal(f"add {lhs} {rhs}")
+        assert parsed == arith.AddGoal(EMPTY, arith.nat(lhs), arith.nat(rhs))
+        assert_shared(parsed.lhs, parsed.rhs)
+
+
+def test_a_repeated_witness_is_parsed_once():
+    # each level's body spells out the witness of the level below, as in
+    # a positional dep chain; that witness is the one object throughout
+    prop, witness = "top", "tt"
+    for _ in range(8):
+        prop = f"sig(x. eq(x, {witness}), {prop})"
+        witness = f"pair({witness}, refl)"
+    sigs, p = [], dep.parse_goal("true " + prop).prop
+    while p.op == dep.SIG_OP:
+        sigs.append(p)
+        p = p.args[0]
+    witnesses = [s.args[1].args[1] for s in sigs]
+    assert len(witnesses) == 8 and render_term(witnesses[-1]) == "tt"
+    for outer, inner in zip(witnesses, witnesses[1:]):
+        assert outer.args[0] is inner
+    assert_shared(*sigs)
 
 
 # ------------------------------------------------------------------ dep
