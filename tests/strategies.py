@@ -27,33 +27,10 @@ from refkit.theory import (
     ctx_concat,
 )
 
+from reference import fresh_name, slot_extend
+
 NUM = arith.NUM
 EXP = arith.EXP
-
-
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """A name not in avoid, derived from base by priming.
-
-    The naming rule written out as one search from the first prime: the
-    reference that NameSupply, which resumes its search, is checked
-    against.
-    """
-    stem = base.split("'", 1)[0] or "x"
-    if stem not in avoid:
-        return stem
-    i = 1
-    while f"{stem}'{i}" in avoid:
-        i += 1
-    return f"{stem}'{i}"
-
-
-def slot_extend(ctx: Context) -> Context:
-    """ctx with a sig body's slot in scope, in place of any `$x` entry:
-    the scope a body is checked in."""
-    from refkit.logics import dep
-
-    entries = tuple(e for e in ctx.entries if e[0] != dep.SLOT.name)
-    return Context(entries + ((dep.SLOT.name, dep.EXP),))
 
 
 def rand_num_term(rng: random.Random, ctx: Context) -> Term:

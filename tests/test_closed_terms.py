@@ -1,10 +1,8 @@
 """Closed terms: the free variables an App records and the walks that use them.
 
-The walks as they were before an App recorded whether it is closed, and
-dep's own walk and check of its sig binder before binding moved into the
-term layer, are kept here as references: the walks that hand a closed
-subterm back at once must give the same results and raise the same
-errors.
+The walks that hand a closed subterm back at once, substitution and
+opening past a binder among them, must give the results of the naive
+walks in `tests/reference.py` and raise the same errors.
 """
 
 import random
@@ -15,7 +13,6 @@ from refkit.theory import (
     Context,
     ContextMismatch,
     Substitution,
-    TheoryError,
     UnsortedTerm,
     Var,
     check_term,
@@ -24,6 +21,7 @@ from refkit.theory import (
     term_vars,
 )
 
+from reference import outcome, ref_check, ref_eq, ref_free, ref_subst, slot_extend
 from strategies import (
     rand_closed_expr,
     rand_context,
@@ -34,116 +32,7 @@ from strategies import (
     rand_expr,
     rand_num_term,
     rand_subst,
-    slot_extend,
 )
-
-# ------------------------------------------------------ the references
-
-
-def ref_term_vars(t):
-    match t:
-        case Var(name, _):
-            return {name}
-        case App(_, args):
-            out = set()
-            for a in args:
-                out |= ref_term_vars(a)
-            return out
-    raise UnsortedTerm(f"not a term: {t!r}")
-
-
-def ref_check_term(ctx, t):
-    match t:
-        case Var(name, sort):
-            found = ctx.lookup(name)
-            if found is None:
-                raise ContextMismatch(f"unbound variable {name!r}")
-            if found != sort:
-                raise UnsortedTerm(f"variable {name!r} used at the wrong sort")
-        case App(_, args):
-            for a in args:
-                ref_check_term(ctx, a)
-        case _:
-            raise UnsortedTerm(f"not a term: {t!r}")
-
-
-def ref_subst_apply(t, s):
-    if isinstance(t, Var):
-        replacement = s.lookup(t.name)
-        if replacement is None:
-            raise ContextMismatch(f"variable {t.name!r} not covered")
-        return replacement
-    if isinstance(t, App):
-        args = tuple([ref_subst_apply(a, s) for a in t.args])
-        for new, old in zip(args, t.args):
-            if new is not old:
-                return App(t.op, args)
-        return t
-    raise UnsortedTerm(f"not a term: {t!r}")
-
-
-def ref_walk(t, lookup, slot):
-    if isinstance(t, Var):
-        if slot is not None and t.name == dep.SLOT.name:
-            return slot
-        found = lookup(t)
-        if found is None:
-            raise ContextMismatch(f"variable {t.name!r} not covered")
-        return found
-    if isinstance(t, App):
-        if t.op == dep.SIG_OP:
-            a, b = t.args
-            args = (ref_walk(a, lookup, slot), ref_walk(b, lookup, dep.SLOT))
-        else:
-            args = tuple([ref_walk(a, lookup, slot) for a in t.args])
-        for new, old in zip(args, t.args):
-            if new is not old:
-                return App(t.op, args)
-        return t
-    raise TheoryError(f"not a term: {t!r}")
-
-
-def ref_check_prop(ctx, t):
-    match t:
-        case Var(_, _):
-            ref_check_term(ctx, t)
-        case App(op, (a, b)) if op == dep.SIG_OP:
-            ref_check_prop(ctx, a)
-            ref_check_prop(slot_extend(ctx), b)
-        case App(op, args):
-            for arg, sort in zip(args, op.arg_sorts):
-                if sort == dep.PROP:
-                    ref_check_prop(ctx, arg)
-                else:
-                    ref_check_term(ctx, arg)
-        case _:
-            raise TheoryError(f"not a term: {t!r}")
-
-
-def ref_free_vars(t):
-    """The variables free in t, a sig body's slot bound in it."""
-    match t:
-        case Var():
-            return {t}
-        case App(op, (a, b)) if op == dep.SIG_OP:
-            return ref_free_vars(a) | (ref_free_vars(b) - {dep.SLOT})
-        case App(_, args):
-            out = set()
-            for a in args:
-                out |= ref_free_vars(a)
-            return out
-    raise UnsortedTerm(f"not a term: {t!r}")
-
-
-def ref_eq(a, b):
-    if isinstance(a, App) and isinstance(b, App):
-        return (
-            a.op == b.op
-            and len(a.args) == len(b.args)
-            and all(ref_eq(x, y) for x, y in zip(a.args, b.args))
-        )
-    return a == b
-
 
 # --------------------------------------------------------------- helpers
 
@@ -153,14 +42,6 @@ def subterms(t):
     if isinstance(t, App):
         for a in t.args:
             yield from subterms(a)
-
-
-def outcome(f, *args):
-    """The value f returns, or the class of the error it raises."""
-    try:
-        return "value", f(*args)
-    except TheoryError as err:
-        return "raised", type(err)
 
 
 def agree(f, ref, *args):
@@ -175,8 +56,8 @@ def assert_flag_and_identity(t, walk=None):
     as the same object."""
     for u in subterms(t):
         if isinstance(u, App):
-            assert u.free == ref_free_vars(u)
-            assert u.closed == (not ref_free_vars(u))
+            assert u.free == ref_free(u)
+            assert u.closed == (not ref_free(u))
             if u.closed and walk is not None:
                 assert walk(u) is u
 
@@ -239,8 +120,8 @@ def test_subst_apply_matches_the_reference():
         t = rand_arith_term(rng, target)
         s = rand_subst(rng, target)
         short = missing_first(s)
-        assert not agree(subst_apply, ref_subst_apply, t, s)
-        raised += agree(subst_apply, ref_subst_apply, t, short)
+        assert not agree(subst_apply, ref_subst, t, s)
+        raised += agree(subst_apply, ref_subst, t, short)
         assert_flag_and_identity(t, lambda u: subst_apply(u, short))
     assert raised >= 30
 
@@ -255,7 +136,7 @@ def test_check_term_matches_the_reference():
         # another context may miss a variable or bind it at another sort
         other = rand_context(rng, 3)
         got = outcome(check_term, other, t)
-        assert got == outcome(ref_check_term, other, t)
+        assert got == outcome(ref_check, other, t)
         raised.add(got[1] if got[0] == "raised" else None)
         assert_flag_and_identity(t, lambda u: check_term(Context(()), u) or u)
     assert {ContextMismatch, UnsortedTerm} <= raised
@@ -265,27 +146,17 @@ def test_term_vars_matches_the_reference():
     for seed in range(300):
         rng = random.Random(seed)
         t = rand_arith_term(rng, rand_context(rng, 3))
-        assert term_vars(t) == ref_term_vars(t)
+        assert term_vars(t) == {v.name for v in ref_free(t)}
         assert_flag_and_identity(t)
 
 
 # -------------------------------------------------------------------- dep
 
 
-def ref_walk_subst(t, s):
-    return ref_walk(t, lambda v: s.lookup(v.name), None)
-
-
-def ref_walk_open(t, v, witness):
-    # the reference walk opens the slot only
-    assert v == dep.SLOT
-    return ref_walk(t, lambda u: u, witness)
-
-
 def test_walk_matches_the_reference():
     """subst_apply carries a substitution past a sig binder, also one that
-    misses a variable, and instantiate opens a body, as the walk dep kept
-    for its binder did."""
+    misses a variable, and instantiate opens a body, as the reference
+    does."""
     raised = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -297,10 +168,11 @@ def test_walk_matches_the_reference():
             s = rand_dep_subst(rng, target)
             short = missing_first(s)
             for sub in (s, short):
-                raised += agree(subst_apply, ref_walk_subst, t, sub)
+                raised += agree(subst_apply, ref_subst, t, sub)
                 assert_flag_and_identity(t, lambda u: subst_apply(u, sub))
             witness = rand_dep_exp(rng, ctx, 2)
-            assert not agree(instantiate, ref_walk_open, t, dep.SLOT, witness)
+            opened = ref_subst(t, {dep.SLOT.name: witness}, keep=True)
+            assert instantiate(t, dep.SLOT, witness) == opened
             assert_flag_and_identity(
                 t, lambda u: instantiate(u, dep.SLOT, witness)
             )
@@ -319,7 +191,7 @@ def test_check_prop_matches_the_reference():
             prop = dep.or_(Var("g0", dep.PROP), prop)
         for other in (rand_dep_context(rng), Context((("g0", arith.NUM),))):
             got = outcome(check_term, other, prop)
-            assert got == outcome(ref_check_prop, other, prop)
+            assert got == outcome(ref_check, other, prop)
             raised.add(got[1] if got[0] == "raised" else None)
         assert_flag_and_identity(prop, lambda u: check_term(Context(()), u) or u)
     assert {ContextMismatch, UnsortedTerm} <= raised

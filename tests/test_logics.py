@@ -11,10 +11,8 @@ from refkit.state import (
     Bot,
     Fail,
     Subgoals,
-    TeleCons,
     TeleNil,
     pretty_state,
-    state_alpha_eq,
     tele_goals,
 )
 from refkit.tactic import Resolved, run_delayed
@@ -22,19 +20,25 @@ from refkit.theory import (
     App,
     Context,
     ContextMismatch,
-    NameSupply,
     Substitution,
     TheoryError,
     UnsortedTerm,
     Var,
-    ctx_concat,
     render_term,
     subst_apply,
-    term_vars,
 )
 
+from reference import (
+    outcome,
+    ref_or_i1,
+    ref_plus_eval,
+    ref_prove_oracle,
+    ref_render_prop,
+    ref_sig_i,
+    ref_subst,
+    slot_extend,
+)
 from strategies import (
-    fresh_name,
     rand_binder_context,
     rand_closed_expr,
     rand_dep_closed_prop,
@@ -42,7 +46,6 @@ from strategies import (
     rand_dep_prop,
     rand_dep_subst,
     rand_expr,
-    slot_extend,
 )
 
 J = arith.STRUCTURE
@@ -432,127 +435,9 @@ def test_sig_i_rejects_a_body_variable_outside_the_goal_context():
     assert second.prop == dep.eq(y, Var("m", dep.EXP))
 
 
-# ------------------------------------------ dep: the replaced slot walks
-# The three walks that the term layer's binder-aware walks replaced, kept
-# as the references they must agree with: opening a body by renaming,
-# pushing a substitution under a binder through a slot-extended
-# substitution, and sig_i's body opened through a checked substitution
-# out of the slot.
-
-
-def ref_replace_var(t, name, replacement):
-    match t:
-        case Var(n, _):
-            return replacement if n == name else t
-        case App(op, args) if op == dep.SIG_OP:
-            a, b = args
-            new_a = ref_replace_var(a, name, replacement)
-            # the inner slot shadows: never rewrite "$x" under another sig
-            new_b = (
-                b if name == dep.SLOT.name else ref_replace_var(b, name, replacement)
-            )
-            return App(op, (new_a, new_b))
-        case App(op, args):
-            return App(
-                op, tuple(ref_replace_var(a, name, replacement) for a in args)
-            )
-
-
-def ref_slot_subst(s):
-    kept = [
-        (t, e) for t, e in zip(s.terms, s.target.entries) if e[0] != dep.SLOT.name
-    ]
-    return Substitution(
-        slot_extend(s.source),
-        Context(tuple(e for _, e in kept) + ((dep.SLOT.name, dep.EXP),)),
-        tuple(t for t, _ in kept) + (dep.SLOT,),
-    )
-
-
-def ref_subst_prop(t, s):
-    match t:
-        case Var(_, _):
-            return subst_apply(t, s)
-        case App(op, (a, b)) if op == dep.SIG_OP:
-            inner = ref_slot_subst(s)
-            return App(op, (ref_subst_prop(a, s), ref_subst_prop(b, inner)))
-        case App(op, args):
-            return App(
-                op,
-                tuple(
-                    ref_subst_prop(a, s) if srt == dep.PROP else subst_apply(a, s)
-                    for a, srt in zip(args, op.arg_sorts)
-                ),
-            )
-
-
-def ref_sig_i_build(ctx, g):
-    a, b = g.prop.args
-    scope = NameSupply(ctx.names)
-    m = scope.fresh("m")
-    n = scope.fresh("n")
-    ctx_m = ctx_concat(ctx, Context(((m, dep.EXP),)))
-    flat = ctx_concat(ctx_m, Context(((n, dep.EXP),)))
-    open_slot = Substitution(
-        ctx_m,
-        slot_extend(ctx),
-        tuple(Var(nm, srt) for nm, srt in ctx.entries) + (Var(m, dep.EXP),),
-    )
-    tele = TeleCons(
-        (m,),
-        dep.TruthGoal(ctx, a),
-        TeleCons(
-            (n,), dep.TruthGoal(ctx_m, ref_subst_prop(b, open_slot)), TeleNil(flat)
-        ),
-    )
-    validation = Substitution(
-        flat, dep.TRUTH_OUTPUT, (dep.pair(Var(m, dep.EXP), Var(n, dep.EXP)),)
-    )
-    return Subgoals(tele, validation)
-
-
-def ref_render_prop(t):
-    # expressions went through render_exp, which was render_term line for line
-    match t:
-        case Var(name, _):
-            return name
-        case App(op, ()):
-            return op.name
-        case App(op, (a, b)) if op == dep.SIG_OP:
-            name = fresh_name("x", term_vars(b))
-            body = ref_replace_var(b, dep.SLOT.name, Var(name, dep.EXP))
-            return f"sig({name}. {ref_render_prop(body)}, {ref_render_prop(a)})"
-        case App(op, args):
-            parts = ", ".join(
-                ref_render_prop(a) if srt == dep.PROP else render_term(a)
-                for a, srt in zip(args, op.arg_sorts)
-            )
-            return f"{op.name}({parts})"
-
-
-def ref_prove_oracle(t):
-    match t:
-        case App(op, ()) if op == dep.TOP_OP:
-            return dep.tt()
-        case App(op, (a, _)) if op == dep.OR_OP:
-            ev = ref_prove_oracle(a)
-            return dep.inl(ev) if ev is not None else None
-        case App(op, (a, b)) if op == dep.EQ_OP:
-            return dep.refl() if a == b else None
-        case App(op, (a, b)) if op == dep.SIG_OP:
-            ev_a = ref_prove_oracle(a)
-            if ev_a is None:
-                return None
-            ev_b = ref_prove_oracle(ref_replace_var(b, dep.SLOT.name, ev_a))
-            return dep.pair(ev_a, ev_b) if ev_b is not None else None
-    return None
-
-
-def _outcome(f, *args):
-    try:
-        return "value", f(*args)
-    except ContextMismatch:
-        return "raised", ContextMismatch
+# ------------------------------------------------------ the references
+# Substitution past a sig binder, rendering, the oracle and the rule
+# builders, against the naive kernel in tests/reference.py.
 
 
 def test_subst_prop_matches_the_slot_subst_reference():
@@ -562,33 +447,20 @@ def test_subst_prop_matches_the_slot_subst_reference():
         target = rand_dep_context(rng)
         prop = rand_dep_prop(rng, target, 4)
         s = rand_dep_subst(rng, target)
-        want = ref_subst_prop(prop, s)
+        want = ref_subst(prop, s)
         assert subst_apply(prop, s) == want
         goal = dep.TruthGoal(target, prop)
         assert D.subst(goal, s) == dep.TruthGoal(s.source, want)
         # a substitution that misses a variable raises the same way
         short = Substitution(s.source, Context(target.entries[1:]), s.terms[1:])
-        got = _outcome(subst_apply, prop, short)
-        assert got == _outcome(ref_subst_prop, prop, short)
+        got = outcome(subst_apply, prop, short)
+        assert got == outcome(ref_subst, prop, short)
         covered += got[0] == "raised"
     assert covered >= 30
     # outside any body there is no slot to fill, so a stray one is unbound
     stray = dep.eq(dep.SLOT, dep.tt())
     nothing = Substitution(EMPTY, EMPTY, ())
     _raises_exactly(ContextMismatch, subst_apply, stray, nothing)
-
-
-def test_sig_i_matches_the_open_slot_reference():
-    for seed in range(300):
-        rng = random.Random(seed)
-        ctx = rand_dep_context(rng)
-        body = rand_dep_prop(rng, slot_extend(ctx), 3)
-        prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
-        goal = dep.TruthGoal(ctx, prop)
-        got = dep.SIG_I.run(ctx, goal)
-        want = ref_sig_i_build(ctx, goal)
-        assert got == want
-        assert pretty_state(D, got) == pretty_state(D, want)
 
 
 def test_render_and_oracle_match_the_replace_var_reference():
@@ -605,83 +477,11 @@ def test_render_and_oracle_match_the_replace_var_reference():
     assert provable >= 30
 
 
-# the rule builders as they were before TeleBuilder, each naming its
-# binders and threading its flat contexts by hand
-
-
-def hand_plus_eval_build(ctx, goal):
-    e1, e2 = goal.expr.args
-    scope = NameSupply(ctx.names)
-    xc, xv, yc, yv, zc, zc1, zv = map(
-        scope.fresh, ("xc", "xv", "yc", "yv", "zc", "zc1", "zv")
-    )
-    NUM = arith.NUM
-    g0 = ctx
-    g1 = ctx_concat(g0, Context(((xc, NUM), (xv, NUM))))
-    g2 = ctx_concat(g1, Context(((yc, NUM), (yv, NUM))))
-    g3 = ctx_concat(g2, Context(((zc, NUM),)))
-    g4 = ctx_concat(g3, Context(((zc1, NUM),)))
-    g5 = ctx_concat(g4, Context(((zv, NUM),)))
-    tele = TeleCons(
-        (xc, xv),
-        arith.EvalGoal(g0, e1),
-        TeleCons(
-            (yc, yv),
-            arith.EvalGoal(g1, e2),
-            TeleCons(
-                (zc,),
-                arith.AddGoal(g2, Var(xc, NUM), Var(yc, NUM)),
-                TeleCons(
-                    (zc1,),
-                    arith.AddGoal(g3, arith.nat(1), Var(zc, NUM)),
-                    TeleCons(
-                        (zv,),
-                        arith.AddGoal(g4, Var(xv, NUM), Var(yv, NUM)),
-                        TeleNil(g5),
-                    ),
-                ),
-            ),
-        ),
-    )
-    validation = Substitution(
-        g5, arith.EVAL_OUTPUT, (Var(zc1, NUM), Var(zv, NUM))
-    )
-    return Subgoals(tele, validation)
-
-
-def hand_or_i1_build(ctx, g):
-    left, _ = g.prop.args
-    name = NameSupply(ctx.names).fresh("x")
-    flat = ctx_concat(ctx, Context(((name, dep.EXP),)))
-    tele = TeleCons((name,), dep.TruthGoal(ctx, left), TeleNil(flat))
-    validation = Substitution(flat, dep.TRUTH_OUTPUT, (dep.inl(Var(name, dep.EXP)),))
-    return Subgoals(tele, validation)
-
-
-def hand_sig_i_build(ctx, g):
-    a, b = g.prop.args
-    scope = NameSupply(ctx.names)
-    m = scope.fresh("m")
-    n = scope.fresh("n")
-    ctx_m = ctx_concat(ctx, Context(((m, dep.EXP),)))
-    flat = ctx_concat(ctx_m, Context(((n, dep.EXP),)))
-    body = ref_replace_var(b, dep.SLOT.name, Var(m, dep.EXP))
-    tele = TeleCons(
-        (m,),
-        dep.TruthGoal(ctx, a),
-        TeleCons((n,), dep.TruthGoal(ctx_m, body), TeleNil(flat)),
-    )
-    validation = Substitution(
-        flat, dep.TRUTH_OUTPUT, (dep.pair(Var(m, dep.EXP), Var(n, dep.EXP)),)
-    )
-    return Subgoals(tele, validation)
-
-
 def primed_binders(state):
     return any("'" in n for names, _ in tele_goals(state.telescope) for n in names)
 
 
-def assert_matches_the_hand_built(rule, structure, draw, reference):
+def assert_rule_matches_the_reference(rule, structure, draw, reference):
     primed = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -700,7 +500,7 @@ def test_plus_eval_matches_the_hand_built_reference():
         expr = arith.plus(rand_expr(rng, ctx, 2), rand_expr(rng, ctx, 2))
         return arith.EvalGoal(ctx, expr)
 
-    assert_matches_the_hand_built(arith.PLUS_EVAL, J, draw, hand_plus_eval_build)
+    assert_rule_matches_the_reference(arith.PLUS_EVAL, J, draw, ref_plus_eval)
 
 
 def test_or_i1_matches_the_hand_built_reference():
@@ -709,15 +509,21 @@ def test_or_i1_matches_the_hand_built_reference():
         prop = dep.or_(rand_dep_prop(rng, ctx, 3), rand_dep_prop(rng, ctx, 3))
         return dep.TruthGoal(ctx, prop)
 
-    assert_matches_the_hand_built(dep.OR_I1, D, draw, hand_or_i1_build)
+    assert_rule_matches_the_reference(dep.OR_I1, D, draw, ref_or_i1)
 
 
 def test_sig_i_matches_the_hand_built_reference():
-    def draw(rng):
-        ctx = rand_binder_context(rng, (dep.EXP,))
-        body = rand_dep_prop(rng, slot_extend(ctx), 3)
-        prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
-        return dep.TruthGoal(ctx, prop)
+    # contexts whose names collide with m and n, and with the binder x
+    for draw_context in (
+        lambda rng: rand_binder_context(rng, (dep.EXP,)),
+        rand_dep_context,
+    ):
 
-    assert_matches_the_hand_built(dep.SIG_I, D, draw, hand_sig_i_build)
+        def draw(rng):
+            ctx = draw_context(rng)
+            body = rand_dep_prop(rng, slot_extend(ctx), 3)
+            prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
+            return dep.TruthGoal(ctx, prop)
+
+        assert_rule_matches_the_reference(dep.SIG_I, D, draw, ref_sig_i)
 

@@ -30,7 +30,6 @@ from refkit.state import (
 from refkit.theory import (
     Context,
     ContextMismatch,
-    NameSupply,
     Substitution,
     Var,
     ctx_concat,
@@ -38,11 +37,17 @@ from refkit.theory import (
     subst_weaken,
 )
 
+from reference import (
+    ref_rename,
+    ref_state_alpha_eq,
+    ref_state_mul,
+    ref_state_subst,
+    ref_state_unit,
+)
 from strategies import (
     arith_state,
     arith_state_of_states,
     arith_state_of_states_of_states,
-    fresh_name,
     rand_binder_context,
     rand_context,
     rand_dep_prop,
@@ -92,20 +97,6 @@ def test_state_unit_freshens_colliding_binder_names():
     assert names == ("c'1", "v")
 
 
-def hand_state_unit(structure, goal):
-    """state_unit as it was before TeleBuilder: binders named and the
-    flat context threaded by hand."""
-    ambient = goal.context
-    output = structure.output(goal)
-    scope = NameSupply(ambient.names)
-    names = [scope.fresh(name) for name in output.names]
-    binder = tuple((n, s) for n, (_, s) in zip(names, output.entries))
-    flat = ctx_concat(ambient, Context(binder))
-    tele = TeleCons(tuple(names), goal, TeleNil(flat))
-    validation = Substitution(flat, output, tuple(Var(n, s) for n, s in binder))
-    return Subgoals(tele, validation)
-
-
 def test_state_unit_matches_the_hand_built_reference():
     primed = 0
     for seed in range(300):
@@ -121,7 +112,7 @@ def test_state_unit_matches_the_hand_built_reference():
             goal = dep.TruthGoal(ctx, rand_dep_prop(rng, ctx, 3))
             structure = dep.STRUCTURE
         got = state_unit(structure, goal)
-        want = hand_state_unit(structure, goal)
+        want = ref_state_unit(goal)
         assert got == want
         assert pretty_state(structure, got) == pretty_state(structure, want)
         [(names, _)] = tele_goals(got.telescope)
@@ -441,112 +432,13 @@ def test_weakening_prefix_drops_into_a_larger_context():
     check_state(J, moved) if isinstance(moved, Subgoals) else None
 
 
-# the reference versions of state_subst and state_alpha_eq: push the
-# substitution under one binder at a time, and compare both sides renamed
-# onto a shared @k spine
-
-
-def _extend_binder(s, binder, fresh_names):
-    """s : A -> B pushed under binder over B, its names renamed to fresh_names."""
-    renamed = tuple((f, srt) for f, (_, srt) in zip(fresh_names, binder))
-    return Substitution(
-        ctx_concat(s.source, Context(renamed)),
-        ctx_concat(s.target, Context(binder)),
-        s.terms + tuple(Var(f, srt) for f, srt in renamed),
-    )
-
-
-def _push_under(structure, tele, s, pick):
-    """The goals of tele moved along s, binders renamed by pick(name, taken)."""
-    moved = []
-    for names, goal in tele_goals(tele):
-        new_goal = structure.subst(goal, s)
-        output = structure.output(goal)
-        taken = set(s.source.names)
-        fresh = []
-        for name in names:
-            picked = pick(name, taken)
-            taken.add(picked)
-            fresh.append(picked)
-        binder = tuple((n, srt) for n, (_, srt) in zip(names, output.entries))
-        s = _extend_binder(s, binder, tuple(fresh))
-        moved.append((tuple(fresh), new_goal))
-    out = TeleNil(s.source)
-    for names, goal in reversed(moved):
-        out = TeleCons(names, goal, out)
-    return out, s
-
-
-def reference_state_subst(structure, state, s):
-    if state.context != s.target:
-        raise ContextMismatch("substitution target does not match the state")
-    match state:
-        case Fail(_, target):
-            return Fail(s.source, target)
-        case Bot(_, target):
-            return Bot(s.source, target)
-        case Subgoals(tele, validation):
-            new_tele, full = _push_under(structure, tele, s, fresh_name)
-            return Subgoals(new_tele, subst_compose(full, validation))
-    raise AssertionError(state)
-
-
-def reference_state_alpha_eq(structure, a, b):
-    match a, b:
-        case Fail(ca, ta), Fail(cb, tb):
-            return ca == cb and ta == tb
-        case Bot(ca, ta), Bot(cb, tb):
-            return ca == cb and ta == tb
-        case Subgoals(ta, va), Subgoals(tb, vb):
-            if a.context != b.context or va.target != vb.target:
-                return False
-            ra = identity(a.context)
-            rb = identity(b.context)
-            spine = 0
-            while isinstance(ta, TeleCons) and isinstance(tb, TeleCons):
-                if len(ta.names) != len(tb.names):
-                    return False
-                sorts_a = tuple(s for _, s in structure.output(ta.goal).entries)
-                sorts_b = tuple(s for _, s in structure.output(tb.goal).entries)
-                if sorts_a != sorts_b:
-                    return False
-                ga_canon = structure.subst(ta.goal, ra)
-                gb_canon = structure.subst(tb.goal, rb)
-                if not structure.alpha_eq(ga_canon, gb_canon):
-                    return False
-                taken = set(ra.source.names) | set(rb.source.names)
-                picked = []
-                for i in range(len(ta.names)):
-                    name = fresh_name(f"@{spine + i}", taken)
-                    taken.add(name)
-                    picked.append(name)
-                canon = tuple(picked)
-                spine += len(ta.names)
-                ra = _extend_binder(ra, tuple(zip(ta.names, sorts_a)), canon)
-                rb = _extend_binder(rb, tuple(zip(tb.names, sorts_b)), canon)
-                ta, tb = ta.rest, tb.rest
-            if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
-                return False
-            return subst_compose(ra, va) == subst_compose(rb, vb)
-    return False
-
-
-class ReferenceStates(StateStructure):
-    """States seen as judgments, moved and compared by the references."""
-
-    def subst(self, judgment, s):
-        return reference_state_subst(self.base, judgment, s)
-
-    def alpha_eq(self, a, b):
-        return reference_state_alpha_eq(self.base, a, b)
-
-
-# each level of nesting: how to draw a state, the structure its goals
-# live in, and the same structure for the references
+# state_subst, state_mul and state_alpha_eq against the naive kernel in
+# tests/reference.py, at each level of nesting: how to draw a state, and
+# the structure its goals live in
 LEVELS = (
-    (arith_state, J, J),
-    (arith_state_of_states, K, ReferenceStates(J)),
-    (arith_state_of_states_of_states, KK, ReferenceStates(ReferenceStates(J))),
+    (arith_state, J),
+    (arith_state_of_states, K),
+    (arith_state_of_states_of_states, KK),
 )
 
 
@@ -565,31 +457,35 @@ def colliding_subst(rng, target):
     return Substitution(source, target, terms)
 
 
-def rename_binders(structure, state, rng):
+def rename_binders(state, rng):
     """A copy of state with its binders renamed at random."""
-    if not isinstance(state, Subgoals):
-        return state
-
-    def pick(name, taken):
-        return fresh_name(rng.choice(("r", "c", "n", "v", "@0", name)), taken)
-
-    tele, full = _push_under(
-        structure, state.telescope, identity(state.context), pick
-    )
-    return Subgoals(tele, subst_compose(full, state.validation))
+    bases = ("r", "c", "n", "v", "@0")
+    return ref_rename(state, lambda name, k: rng.choice(bases + (name,)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_state_subst_matches_the_reference(seed):
     rng = random.Random(seed)
-    draw, structure, reference = rng.choice(LEVELS)
+    draw, structure = rng.choice(LEVELS)
     ctx = rand_context(rng)
     state = draw(rng, ctx)
     s = colliding_subst(rng, ctx) if rng.random() < 0.5 else rand_subst(rng, ctx)
     got = state_subst(structure, state, s)
-    want = reference_state_subst(reference, state, s)
+    want = ref_state_subst(state, s)
     assert pretty_state(structure, got) == pretty_state(structure, want)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_state_mul_matches_the_reference(seed):
+    rng = random.Random(seed)
+    draw, structure = rng.choice(LEVELS[1:])
+    state = draw(rng, rand_context(rng))
+    got = state_mul(structure.base, state)
+    want = ref_state_mul(state)
+    assert pretty_state(structure.base, got) == pretty_state(structure.base, want)
     assert got == want
 
 
@@ -597,17 +493,17 @@ def test_state_subst_matches_the_reference(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_state_alpha_eq_matches_the_reference(seed):
     rng = random.Random(seed)
-    draw, structure, reference = rng.choice(LEVELS)
+    draw, structure = rng.choice(LEVELS)
     ctx = rand_context(rng)
     a = draw(rng, ctx)
     roll = rng.randrange(4)
     if roll == 0:
         b = a
     elif roll == 1:
-        b = rename_binders(reference, a, rng)
+        b = rename_binders(a, rng)
     elif roll == 2:
         # a renamed copy of a whose validation may differ
-        b = rename_binders(reference, a, rng)
+        b = rename_binders(a, rng)
         if isinstance(b, Subgoals):
             flat = b.validation.source
             terms = tuple(rand_num_term(rng, flat) for _ in b.target.entries)
@@ -616,7 +512,7 @@ def test_state_alpha_eq_matches_the_reference(seed):
         # any other state over the same context: goals of other arities,
         # telescopes of other lengths, other targets
         b = draw(rng, ctx)
-    want = reference_state_alpha_eq(reference, a, b)
+    want = ref_state_alpha_eq(a, b)
     assert state_alpha_eq(structure, a, b) == want
     assert state_alpha_eq(structure, b, a) == want
     if roll < 2:
@@ -640,7 +536,7 @@ def test_state_alpha_eq_matches_the_reference_when_binder_sorts_differ():
                 )
         for a in states:
             for b in states:
-                want = reference_state_alpha_eq(ReferenceStates(J), a, b)
+                want = ref_state_alpha_eq(a, b)
                 assert state_alpha_eq(K, a, b) == want
                 assert want == (a == b)
 

@@ -19,7 +19,6 @@ from refkit.state import (
     TeleNil,
     pretty_state,
     state_alpha_eq,
-    state_mul,
     state_unit,
     tele_goals,
 )
@@ -51,6 +50,7 @@ from refkit.tactic import (
 )
 from refkit.theory import App, Context, Substitution, Var, render_term
 
+from reference import full_sweep_repeat, ref_round
 from strategies import arith_state, rand_context, rand_expr, rand_num_term
 
 J = arith.STRUCTURE
@@ -174,7 +174,7 @@ def test_try_tactic_turns_refusal_into_the_unit():
     assert state_alpha_eq(J, state, state_unit(J, goal))
 
 
-def test_st_apply_rewrites_goals_in_place_without_threading():
+def test_all_mt_rewrites_goals_in_place_without_threading():
     split = final(PLUS_EVAL, eval_goal(arith.plus(arith.num(2), arith.num(3))))
     mt = all_mt(J, NUM_EVAL)
     got = run_delayed(mt(split.context, split), 1000)
@@ -197,14 +197,14 @@ def test_then_collapses_when_the_second_tactic_refuses_a_branch():
     assert isinstance(got, Fail)
 
 
-def test_thenl_threads_resolved_evidence_into_later_goals():
+def test_each_mt_threads_resolved_evidence_into_later_goals():
     tac = seq(J, PLUS_EVAL, each_mt(J, (NUM_EVAL, NUM_EVAL, ADD, ADD, ADD)))
     got = final(tac, eval_goal(arith.plus(arith.num(2), arith.num(3))))
     assert is_complete(got)
     assert got.validation.terms == (arith.nat(1), arith.nat(5))
 
 
-def test_thenl_leaves_unlisted_goals_open():
+def test_each_mt_leaves_unlisted_goals_open():
     tac = seq(J, PLUS_EVAL, each_mt(J, (NUM_EVAL,)))
     got = final(tac, eval_goal(arith.plus(arith.num(2), arith.num(3))))
     assert isinstance(got, Subgoals)
@@ -302,23 +302,8 @@ def test_trace_hook_fires_once_per_subgoal_answer():
     assert goals[0].startswith("eval")
 
 
-# the reference semantics of one round of repeat_multitactic: rebuild
-# refused entries as unit states, flatten, compare with the state before
-def _recover_entries(structure, before, after):
-    if not isinstance(after, Subgoals):
-        return after
-    orig = tele_goals(before.telescope)
-    res = tele_goals(after.telescope)
-    if len(orig) != len(res):
-        return after
-    if any(na != nb for (na, _), (nb, _) in zip(orig, res)):
-        return after
-    rebuilt = []
-    for (_, goal), (names, answer) in zip(orig, res):
-        if isinstance(answer, (Fail, Bot)):
-            answer = state_unit(structure, goal)
-        rebuilt.append((names, answer))
-    return Subgoals(telescope(rebuilt, after), after.validation)
+# one round of repeat_multitactic, and the rounds of a whole run, against
+# the naive kernel in tests/reference.py: heal, flatten, compare
 
 
 def telescope(entries, like):
@@ -329,15 +314,6 @@ def telescope(entries, like):
     for names, goal in reversed(entries):
         tele = TeleCons(names, goal, tele)
     return tele
-
-
-def reference_round(structure, state, answers):
-    if isinstance(answers, (Fail, Bot)):
-        return state, True
-    advanced = state_mul(structure, _recover_entries(structure, state, answers))
-    if isinstance(advanced, (Fail, Bot)):
-        return state, True
-    return advanced, state_alpha_eq(structure, advanced, state)
 
 
 def one_round(structure, state, answers):
@@ -411,30 +387,11 @@ def test_round_matches_the_heal_flatten_compare_reference(seed):
         rng, rand_context(rng), max_goals=4, terminal_chance=0.0
     )
     answers = rand_answers(rng, state)
-    want, want_stop = reference_round(J, state, answers)
+    want, want_stop = ref_round(state, answers)
     got, got_stop = one_round(J, state, answers)
     assert pretty_state(J, got) == pretty_state(J, want)
     assert got == want
     assert got_stop == want_stop
-
-
-def full_sweep_repeat(structure, mt):
-    """repeat_multitactic as a full re-sweep: every round runs mt over
-    the whole state, and reference_round heals, flattens and compares."""
-    outer = StateStructure(structure)
-
-    def loop(ctx, state):
-        def after(answers):
-            advanced, stop = reference_round(structure, state, answers)
-            if stop:
-                return Now(state_unit(outer, advanced))
-            return Later(lambda: loop(ctx, advanced))
-
-        if isinstance(state, (Fail, Bot)):
-            return Now(state_unit(outer, state))
-        return bind(mt(ctx, state), after)
-
-    return loop
 
 
 def rand_natural(rng, depth, leaves=(NUM_EVAL, PLUS_EVAL, ADD, ADD, id_tactic(J))):
@@ -491,7 +448,7 @@ def test_rounds_match_the_full_re_sweep(seed):
         state = state_unit(J, arith.EvalGoal(ctx, rand_expr(rng, ctx, 4)))
     t = rand_round_tactic(rng)
     got, got_trace = traced_run(repeat_multitactic(J, all_mt(J, t)), state, 300)
-    want, want_trace = traced_run(full_sweep_repeat(J, all_mt(J, t)), state, 300)
+    want, want_trace = traced_run(full_sweep_repeat(all_mt(J, t)), state, 300)
     assert type(got) is type(want)
     assert got.steps == want.steps
     assert got_trace == want_trace
@@ -515,7 +472,7 @@ def test_a_round_of_refusals_and_units_stops_as_the_reference_does():
         for i, (names, g) in enumerate(tele_goals(split.telescope))
     ]
     answers = Subgoals(telescope(entries, split), split.validation)
-    want, want_stop = reference_round(J, split, answers)
+    want, want_stop = ref_round(split, answers)
     assert want_stop
     settled, stopped = one_round(J, split, answers)
     assert stopped
@@ -594,7 +551,7 @@ def test_a_goal_whose_variables_the_flattening_merged_is_attacked_again():
     state = b.close(Substitution(b.prefix, dep.TRUTH_OUTPUT, (c,)))
     t = orelse(from_rule(dep.EQ_REFL), from_rule(pick))
     got, got_trace = traced_run(repeat_multitactic(D, all_mt(D, t)), state, 50)
-    want, want_trace = traced_run(full_sweep_repeat(D, all_mt(D, t)), state, 50)
+    want, want_trace = traced_run(full_sweep_repeat(all_mt(D, t)), state, 50)
     assert got == want
     assert got_trace == want_trace
     [(_, settled)] = tele_goals(got.value.telescope)

@@ -27,7 +27,8 @@ from refkit.theory import (
     term_vars,
 )
 
-from strategies import fresh_name, rand_context, rand_expr, rand_subst
+from reference import fresh_name
+from strategies import rand_context, rand_expr, rand_subst
 
 NUM = Sort("num")
 EXP = Sort("exp")
@@ -59,7 +60,7 @@ def test_context_rejects_duplicates():
         Context((("x", NUM), ("x", EXP)))
 
 
-def test_context_lookup_and_extend():
+def test_context_lookup_and_concat():
     ctx = Context((("x", NUM),))
     assert ctx.lookup("x") == NUM
     assert ctx.lookup("y") is None
