@@ -11,11 +11,11 @@ so it is closed too; the open sig's body has a context variable at half
 of them.  The benchmark's traced run cannot show this, because it times
 whole substitutions, not the walks.
 
-Two more rows time deep terms: `subst_apply` on a left-nested `pair`
-spine DEPTH levels deep with a variable at the bottom, and
-`render_term` on a closed spine of the same depth.  `subst_apply`
-recurses one Python frame per level, and `render_term` walks an explicit
-stack.
+Four more rows time deep terms: `subst_apply`, `instantiate` and
+`check_term` on a left-nested `pair` spine DEPTH levels deep with a
+variable at the bottom, and `render_term` on a closed spine of the same
+depth.  Each walks an explicit stack, so DEPTH lies past the ~1000
+frames of Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from refkit.theory import (
     Substitution,
     Var,
     check_term,
+    instantiate,
     render_term,
     subst_apply,
     term_vars,
@@ -53,9 +54,9 @@ def size(t) -> int:
     return nodes
 
 
-# deep enough to show the per-level cost, below the ~977 levels where
-# subst_apply's recursion runs out of frames
-DEPTH = 900
+# deep enough to show the per-level cost, and deeper than a walk that
+# took one frame per level could go
+DEPTH = 5000
 
 
 def spine(bottom, depth: int):
@@ -134,6 +135,8 @@ def main() -> int:
     deep_open, deep_closed = spine(g, DEPTH), spine(dep.tt(), DEPTH)
     for name, term, walk in (
         ("subst_apply", deep_open, lambda: subst_apply(deep_open, to_tt)),
+        ("instantiate", deep_open, lambda: instantiate(deep_open, g, dep.tt())),
+        ("check_term", deep_open, lambda: check_term(dctx, deep_open)),
         ("render_term", deep_closed, lambda: render_term(deep_closed)),
     ):
         us = per_call_us(walk, args.budget)

@@ -6,20 +6,23 @@ telescopes of distinctly named variables, and substitutions are positional
 tuples of terms aligned with their target context.
 
 An operator may declare the variable each argument binds; binding lives
-here only.  `subst_apply` leaves a bound variable alone, `instantiate`
-opens a binding argument with a term, and `check_term` checks one with
-its variable in scope.  An `App` records when it is built its free
-variables, as `Var`s so the sort is kept, a binding argument's own
-variable taken out; it is closed when there are none.  Only the
+here only, under one rule: inside an argument that binds v, the variable
+v, name and sort, stands for itself.  An `App` records when it is built
+its free variables, as `Var`s so the sort is kept, a binding argument's
+own variable taken out; it is closed when there are none.  Only the
 constructor sets them, after the arity and sort checks, so a closed term
-has been checked all the way down.  The walks hand a closed subterm back
-as it is, before doing anything else; a new walk should do the same.
+has been checked all the way down.  `subst_apply`, `instantiate` and
+`check_term` are one loop, `_replace`, each with its own leaf function.
+The loop hands back a subterm whose free variables are all bound, a
+closed one among them, as it is, and keeps an explicit stack, so a deep
+term takes no Python frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from functools import partial
+from typing import Callable, Iterable, Union
 
 
 class TheoryError(Exception):
@@ -121,11 +124,10 @@ Term = Union[Var, App]
 
 
 def term_sort(t: Term) -> Sort:
-    match t:
-        case Var(_, sort):
-            return sort
-        case App(op, _):
-            return op.result
+    if t.__class__ is Var:
+        return t.sort
+    if t.__class__ is App:
+        return t.op.result
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
@@ -191,32 +193,63 @@ def ctx_concat(left: Context, right: Context) -> Context:
     return Context._extended(left, right.entries)
 
 
-def _bind(ctx: Context, v: Var) -> Context:
-    """ctx with v in scope, in place of any entry of the same name."""
-    entries = tuple([e for e in ctx.entries if e[0] != v.name])
-    return Context(entries + ((v.name, v.sort),))
+def _replace(t: Term, leaf: Callable[[Var], Term]) -> Term:
+    """t, an App, with leaf(x) for each free occurrence of a variable x.
+
+    Leaves are visited left to right.  A subterm whose free variables are
+    all bound, or whose leaves all came back as they were, is handed back
+    as it is, not rebuilt.
+    """
+    if t.__class__ is not App:
+        raise UnsortedTerm(f"not a term: {t!r}")
+    # per open App: the App, the variables bound there, its new arguments
+    stack: list[tuple[App, frozenset[Var], list[Term]]] = [(t, _NO_VARS, [])]
+    while True:
+        node, bound, done = stack[-1]
+        i = len(done)
+        if i < len(node.args):
+            a = node.args[i]
+            binds = node.op.binds
+            if binds and binds[i] is not None:
+                scope = bound | {binds[i]}
+            else:
+                scope = bound
+            if a.__class__ is Var:
+                done.append(a if a in scope else leaf(a))
+            elif a.free <= scope:
+                done.append(a)
+            else:
+                stack.append((a, scope, []))
+            continue
+        stack.pop()
+        for new, old in zip(done, node.args):
+            if new is not old:
+                node = App(node.op, tuple(done))
+                break
+        if not stack:
+            return node
+        stack[-1][2].append(node)
+
+
+def _in_scope(ctx: Context, x: Var) -> Var:
+    found = ctx.lookup(x.name)
+    if found is None:
+        raise ContextMismatch(f"unbound variable {x.name!r}")
+    if found != x.sort:
+        raise UnsortedTerm(
+            f"variable {x.name!r} used at sort {x.sort.name}, "
+            f"bound at sort {found.name}"
+        )
+    return x
 
 
 def check_term(ctx: Context, t: Term) -> None:
     """Check that t is well-sorted with all its free variables bound in ctx."""
-    match t:
-        case Var(name, sort):
-            found = ctx.lookup(name)
-            if found is None:
-                raise ContextMismatch(f"unbound variable {name!r}")
-            if found != sort:
-                raise UnsortedTerm(
-                    f"variable {name!r} used at sort {sort.name}, "
-                    f"bound at sort {found.name}"
-                )
-        case App(op, args):
-            # the constructor has checked a closed term already
-            if not t.free:
-                return
-            for a, v in zip(args, op.binds or (None,) * len(args)):
-                check_term(ctx if v is None else _bind(ctx, v), a)
-        case _:
-            raise UnsortedTerm(f"not a term: {t!r}")
+    if t.__class__ is Var:
+        _in_scope(ctx, t)
+    # the constructor has checked a closed term already
+    elif t.__class__ is not App or t.free:
+        _replace(t, partial(_in_scope, ctx))
 
 
 @dataclass(frozen=True)
@@ -246,18 +279,6 @@ class Substitution:
                 )
             check_term(self.source, t)
 
-    @classmethod
-    def _trusted(
-        cls, source: Context, target: Context, terms: tuple[Term, ...]
-    ) -> "Substitution":
-        # internal builders whose outputs are sorted by construction skip
-        # the per-term re-check; everything observable matches __init__
-        self = object.__new__(cls)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "terms", terms)
-        return self
-
     def lookup(self, name: str) -> Term | None:
         position = self.target._index.get(name)
         return None if position is None else self.terms[position]
@@ -268,27 +289,18 @@ def subst_weaken(source: Context, target: Context) -> Substitution:
 
     Every target entry must occur in source with the same sort; this covers
     both weakening (dropping a suffix) and projection (dropping a prefix).
+    The constructor's check raises otherwise.
     """
-    terms = []
-    for name, sort in target.entries:
-        found = source.lookup(name)
-        if found is None:
-            raise ContextMismatch(f"variable {name!r} missing from source")
-        if found != sort:
-            raise UnsortedTerm(f"variable {name!r} changes sort under weakening")
-        terms.append(Var(name, sort))
-    return Substitution._trusted(source, target, tuple(terms))
+    return Substitution(
+        source, target, tuple(Var(name, sort) for name, sort in target.entries)
+    )
 
 
-class _Bound:
-    """s inside an argument that binds v: v stands for itself."""
-
-    def __init__(self, s: "Substitution | _Bound", v: Var):
-        self.s = s
-        self.v = v
-
-    def lookup(self, name: str) -> Term | None:
-        return self.v if name == self.v.name else self.s.lookup(name)
+def _covered(s: Substitution, x: Var) -> Term:
+    replacement = s.lookup(x.name)
+    if replacement is None:
+        raise ContextMismatch(f"variable {x.name!r} not covered by substitution")
+    return replacement
 
 
 def subst_apply(t: Term, s: Substitution) -> Term:
@@ -298,39 +310,20 @@ def subst_apply(t: Term, s: Substitution) -> Term:
     unchanged, a closed one among them, is handed back as it is, not
     rebuilt.
     """
-    if isinstance(t, Var):
-        replacement = s.lookup(t.name)
-        if replacement is None:
-            raise ContextMismatch(f"variable {t.name!r} not covered by substitution")
-        return replacement
-    if isinstance(t, App):
-        if not t.free:
-            return t
-        # map, not a comprehension: one frame per level of nesting
-        if t.op.binds:
-            subs = [s if v is None else _Bound(s, v) for v in t.op.binds]
-        else:
-            subs = (s,) * len(t.args)
-        args = tuple(map(subst_apply, t.args, subs))
-        for new, old in zip(args, t.args):
-            if new is not old:
-                return App(t.op, args)
+    if t.__class__ is Var:
+        return _covered(s, t)
+    if t.__class__ is App and not t.free:
         return t
-    raise UnsortedTerm(f"not a term: {t!r}")
+    return _replace(t, partial(_covered, s))
 
 
 def instantiate(t: Term, v: Var, u: Term) -> Term:
     """t with u for v where v is free: a binding argument opened."""
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return u if t == v else t
-    if isinstance(t, App):
-        if v not in t.free:
-            return t
-        binds = t.op.binds or (None,) * len(t.args)
-        return App(t.op, tuple([
-            a if w == v else instantiate(a, v, u) for a, w in zip(t.args, binds)
-        ]))
-    raise UnsortedTerm(f"not a term: {t!r}")
+    if t.__class__ is App and v not in t.free:
+        return t
+    return _replace(t, lambda x: u if x == v else x)
 
 
 def subst_compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -341,7 +334,7 @@ def subst_compose(s1: Substitution, s2: Substitution) -> Substitution:
     """
     if s1.target != s2.source:
         raise ContextMismatch("substitution boundaries do not meet")
-    return Substitution._trusted(
+    return Substitution(
         s1.source, s2.target, tuple(subst_apply(t, s1) for t in s2.terms)
     )
 

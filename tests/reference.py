@@ -60,41 +60,55 @@ def _binders(t):
     return t.op.binds or (None,) * len(t.args)
 
 
-def ref_subst(t, s, keep=False):
+def ref_subst(t, s, bound=frozenset()):
     """t with s[v.name] for each free variable v.
 
     s is a dict from names to terms, or a Substitution read as one.  A
-    variable s does not cover raises ContextMismatch, or stays as it is
-    when keep.  Inside an argument that binds v, the name of v stands for
-    v itself.
+    variable s does not cover raises ContextMismatch.  Inside an argument
+    that binds v, the variable v (name and sort) stands for itself.
     """
     if isinstance(s, Substitution):
         s = dict(zip(s.target.names, s.terms))
     if isinstance(t, Var):
+        if t in bound:
+            return t
         if t.name in s:
             return s[t.name]
-        if keep:
-            return t
         raise ContextMismatch(f"variable {t.name!r} not covered")
     if isinstance(t, App):
         return App(t.op, tuple(
-            ref_subst(a, s if v is None else {**s, v.name: v}, keep)
+            ref_subst(a, s, bound if v is None else bound | {v})
             for a, v in zip(t.args, _binders(t))
         ))
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
-def ref_check(ctx, t):
-    """Raise unless t is well sorted with its free variables in ctx."""
-    scope = ctx if isinstance(ctx, dict) else dict(ctx.entries)
+def ref_open(t, v, u):
+    """t with u for each free occurrence of the variable v: a binding
+    argument opened.  An argument that binds v again keeps its own."""
     if isinstance(t, Var):
+        return u if t == v else t
+    if isinstance(t, App):
+        return App(t.op, tuple(
+            a if w == v else ref_open(a, v, u) for a, w in zip(t.args, _binders(t))
+        ))
+    raise UnsortedTerm(f"not a term: {t!r}")
+
+
+def ref_check(ctx, t, bound=frozenset()):
+    """Raise unless t is well sorted with its free variables in ctx.
+    Inside an argument that binds v, the variable v is in scope too."""
+    if isinstance(t, Var):
+        if t in bound:
+            return
+        scope = dict(ctx.entries)
         if t.name not in scope:
             raise ContextMismatch(f"unbound variable {t.name!r}")
         if scope[t.name] != t.sort:
             raise UnsortedTerm(f"variable {t.name!r} used at the wrong sort")
     elif isinstance(t, App):
         for a, v in zip(t.args, _binders(t)):
-            ref_check(scope if v is None else {**scope, v.name: v.sort}, a)
+            ref_check(ctx, a, bound if v is None else bound | {v})
     else:
         raise UnsortedTerm(f"not a term: {t!r}")
 
@@ -215,7 +229,7 @@ def ref_sig_i(ctx, goal):
     base, body = goal.prop.args
     b = RefTelescope(ctx)
     (m,) = b.push(dep.TruthGoal(b.flat, base), ("m",))
-    opened = ref_subst(body, {dep.SLOT.name: m}, keep=True)
+    opened = ref_open(body, dep.SLOT, m)
     (n,) = b.push(dep.TruthGoal(b.flat, opened), ("n",))
     return b.close(dep.TRUTH_OUTPUT, (dep.pair(m, n),))
 
@@ -368,7 +382,7 @@ def ref_render_prop(t):
     if t.op == dep.SIG_OP:
         base, body = t.args
         name = fresh_name("x", {v.name for v in ref_free(body)})
-        body = ref_subst(body, {dep.SLOT.name: Var(name, dep.EXP)}, keep=True)
+        body = ref_open(body, dep.SLOT, Var(name, dep.EXP))
         return f"sig({name}. {ref_render_prop(body)}, {ref_render_prop(base)})"
     if not t.args:
         return t.op.name
@@ -390,6 +404,6 @@ def ref_prove_oracle(t):
         ev_a = ref_prove_oracle(base)
         if ev_a is None:
             return None
-        ev_b = ref_prove_oracle(ref_subst(body, {dep.SLOT.name: ev_a}, keep=True))
+        ev_b = ref_prove_oracle(ref_open(body, dep.SLOT, ev_a))
         return None if ev_b is None else dep.pair(ev_a, ev_b)
     return None

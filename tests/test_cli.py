@@ -243,8 +243,8 @@ def test_a_600_level_dep_chain_completes(capsys):
 
 
 def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):
-    # the goal parser must stop a chain before the kernel's walks, which
-    # recurse once per level and would exit 6 a few levels further on
+    # the goal parser recurses once per level, and stops a chain this
+    # deep with a usage error rather than a crash
     prop = "top"
     for _ in range(1100):
         prop = f"sig(x. eq(x, x), {prop})"

@@ -7,6 +7,8 @@ walks in `tests/reference.py` and raise the same errors.
 
 import random
 
+import pytest
+
 from refkit.logics import arith, dep
 from refkit.theory import (
     App,
@@ -21,7 +23,15 @@ from refkit.theory import (
     term_vars,
 )
 
-from reference import outcome, ref_check, ref_eq, ref_free, ref_subst, slot_extend
+from reference import (
+    outcome,
+    ref_check,
+    ref_eq,
+    ref_free,
+    ref_open,
+    ref_subst,
+    slot_extend,
+)
 from strategies import (
     rand_closed_expr,
     rand_context,
@@ -163,6 +173,9 @@ def test_walk_matches_the_reference():
         ctx = rand_dep_context(rng)
         # a body mentions its slot `$x` and may hold sigs of its own
         body = rand_dep_prop(rng, slot_extend(ctx), 4)
+        if rng.random() < 0.3:
+            # the slot's name at sort prop, which no sig binds
+            body = dep.or_(Var(dep.SLOT.name, dep.PROP), body)
         prop = App(dep.SIG_OP, (rand_dep_prop(rng, ctx, 3), body))
         for t, target in ((prop, ctx), (body, slot_extend(ctx))):
             s = rand_dep_subst(rng, target)
@@ -171,7 +184,7 @@ def test_walk_matches_the_reference():
                 raised += agree(subst_apply, ref_subst, t, sub)
                 assert_flag_and_identity(t, lambda u: subst_apply(u, sub))
             witness = rand_dep_exp(rng, ctx, 2)
-            opened = ref_subst(t, {dep.SLOT.name: witness}, keep=True)
+            opened = ref_open(t, dep.SLOT, witness)
             assert instantiate(t, dep.SLOT, witness) == opened
             assert_flag_and_identity(
                 t, lambda u: instantiate(u, dep.SLOT, witness)
@@ -189,7 +202,15 @@ def test_check_prop_matches_the_reference():
         if rng.random() < 0.3:
             # a proposition variable, bound nowhere or at sort exp
             prop = dep.or_(Var("g0", dep.PROP), prop)
-        for other in (rand_dep_context(rng), Context((("g0", arith.NUM),))):
+        if rng.random() < 0.3:
+            # the slot's name at sort prop in a body, bound by no sig
+            body = dep.or_(Var(dep.SLOT.name, dep.PROP), prop)
+            prop = App(dep.SIG_OP, (dep.top(), body))
+        for other in (
+            rand_dep_context(rng),
+            Context((("g0", arith.NUM),)),
+            Context(((dep.SLOT.name, dep.PROP),)),
+        ):
             got = outcome(check_term, other, prop)
             assert got == outcome(ref_check, other, prop)
             raised.add(got[1] if got[0] == "raised" else None)
@@ -211,6 +232,64 @@ def test_a_sig_closed_but_for_its_slot_is_closed():
     # the base of a sig is not in the body's scope
     in_base = App(dep.SIG_OP, (dep.eq(dep.SLOT, dep.tt()), dep.top()))
     assert in_base.free == {dep.SLOT}
+
+
+def test_the_slot_name_at_another_sort_is_free_to_every_walk():
+    """A sig body binds its slot, name and sort: `$x : prop` in a body is
+    free to App.free, subst_apply, instantiate and check_term alike."""
+    x_prop = Var(dep.SLOT.name, dep.PROP)
+    t = App(dep.SIG_OP, (dep.top(), x_prop))
+    ctx = Context(((dep.SLOT.name, dep.PROP),))
+    assert t.free == {x_prop}
+    assert subst_apply(t, Substitution(ctx, ctx, (x_prop,))) == t
+    check_term(ctx, t)
+    assert instantiate(t, dep.SLOT, dep.tt()) == t
+    with pytest.raises(ContextMismatch):
+        check_term(Context(()), t)
+
+
+DEEP = 10_000
+
+
+def pair_spine(bottom):
+    """pair(pair(…pair(bottom, tt)…, tt), tt), DEEP pairs deep."""
+    for _ in range(DEEP):
+        bottom = dep.pair(bottom, dep.tt())
+    return bottom
+
+
+def sig_nest(bottom):
+    """sig(top, sig(top, …sig(top, eq(bottom, $x))…)), DEEP sigs deep,
+    each nested in the body of the one above it."""
+    prop = dep.eq(bottom, dep.SLOT)
+    for _ in range(DEEP):
+        prop = App(dep.SIG_OP, (dep.top(), prop))
+    return prop
+
+
+def flat(walk, *args):
+    """walk(*args), or a short failure if it runs out of frames: pytest
+    takes minutes to print a traceback that deep over these terms."""
+    try:
+        return walk(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"{walk.__name__} recursed once per level", pytrace=False)
+
+
+@pytest.mark.parametrize("build", [pair_spine, sig_nest])
+def test_the_walks_take_no_frame_per_level(build):
+    g = Var("g", dep.EXP)
+    ctx = Context((("g", dep.EXP),))
+    t, want = build(g), build(dep.tt())
+    to_tt = Substitution(Context(), ctx, (dep.tt(),))
+    assert flat(subst_apply, t, to_tt) == want
+    assert flat(instantiate, t, g, dep.tt()) == want
+    flat(check_term, ctx, t)
+    with pytest.raises(ContextMismatch):
+        flat(check_term, Context(), t)
+    target = Context((("t", t.op.result),))
+    assert flat(Substitution, ctx, target, (t,)).terms == (t,)
 
 
 def test_equality_matches_the_field_tuples():

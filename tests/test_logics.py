@@ -411,13 +411,14 @@ def test_dep_check_accepts_context_variables_and_nested_sigs():
 def test_dep_check_rejects_ill_scoped_and_ill_sorted_props():
     y = Var("y", dep.EXP)
     stray = dep.eq(dep.SLOT, dep.tt())
+    # the slot's name at sort prop is not the variable the body binds
     body_prop = App(dep.SIG_OP, (dep.top(), Var(dep.SLOT.name, dep.PROP)))
     for ctx, prop, cls in [
         (EMPTY, dep.eq(y, dep.tt()), ContextMismatch),
         (EMPTY, App(dep.SIG_OP, (dep.top(), dep.eq(y, dep.SLOT))), ContextMismatch),
         (EMPTY, stray, ContextMismatch),
         (EMPTY, App(dep.SIG_OP, (stray, dep.top())), ContextMismatch),
-        (EMPTY, body_prop, UnsortedTerm),
+        (EMPTY, body_prop, ContextMismatch),
         (EMPTY, dep.tt(), UnsortedTerm),
         (Context((("y", dep.EXP),)), y, UnsortedTerm),
     ]:

@@ -109,6 +109,8 @@ def test_weakening_projects_named_entries():
     assert subst_apply(Var("z", EXP), s) == Var("z", EXP)
     with pytest.raises(ContextMismatch):
         subst_weaken(small, big)
+    with pytest.raises(UnsortedTerm):
+        subst_weaken(big, Context((("y", EXP),)))
 
 
 def test_substitution_replaces_positionally():
