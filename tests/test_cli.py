@@ -336,3 +336,32 @@ def test_cli_output_matches_the_pinned_digest(capsys):
     # complete, residual and failed runs are all among them
     assert {0, 1, 2} <= codes
     assert digest.hexdigest() == CONTRACT_DIGEST
+
+
+# A second pin, on large residuals: the flattening names every binder of
+# these runs, and past the hundredth round they run to n'190 and beyond.
+
+RESIDUAL_DIGEST = (
+    "c7f62952c881adb4327463d570eeae09c707a5b7bddb23b86c848f8473544340"
+)
+
+
+def residual_runs():
+    """Left combs of 64 and 96 `+` under scripts that leave goals open,
+    pretty and traced."""
+    for size in (64, 96):
+        goal = "eval " + " + ".join(["num 1"] * (size + 1))
+        for script in ("id; all(plus_eval)*", "id; all(num_eval | plus_eval)*",
+                       "plus_eval"):
+            for mode in ((), ("--trace",)):
+                yield ["--logic", "arith", "--goal", goal, "--script", script, *mode]
+
+
+def test_large_residuals_match_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in residual_runs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        for part in (str(code), captured.out, captured.err):
+            digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == RESIDUAL_DIGEST

@@ -234,22 +234,36 @@ def _one_goal(goal, name):
     )
 
 
+A_BINDER = Context((("a", NUM),))
+Z_BINDER = Context((("z", NUM),))
+
+
 @pytest.mark.parametrize(
     "stray, message",
     [
-        (Context((("z", NUM),)), "variable 'z' is not in the flattened context"),
-        (Context((("a", NUM), ("z", NUM))), "variable 'z' is not in the flattened context"),
-        (EMPTY, "subgoal context out of place in flattening"),
+        (lambda root: Context((("z", NUM),)),
+         "variable 'z' is not in the flattened context"),
+        (lambda root: Context((("a", NUM), ("z", NUM))),
+         "variable 'z' is not in the flattened context"),
+        (lambda root: EMPTY, "subgoal context out of place in flattening"),
+        # the rest extend the root of the flattening, sharing its index
+        (lambda root: root, "subgoal context out of place in flattening"),
+        (lambda root: ctx_concat(ctx_concat(root, A_BINDER), Z_BINDER),
+         "variable 'z' is not in the flattened context"),
+        (lambda root: ctx_concat(root, Z_BINDER),
+         "variable 'z' is not in the flattened context"),
     ],
-    ids=["unknown name", "one name too many", "one name missing"],
+    ids=["unknown name", "one name too many", "one name missing",
+         "shared, one entry short", "shared, one entry long",
+         "shared, sibling branch"],
 )
 def test_flattening_rejects_a_goal_whose_context_is_not_its_scope(stray, message):
     # the second goal stands under the first one's binder a: any other
     # context is out of place, whether it is spliced from an inner state
     # or healed from a refusal
-    a_ctx = Context((("a", NUM),))
-    first = arith.AddGoal(EMPTY, arith.nat(1), arith.nat(2))
-    misplaced = arith.AddGoal(stray, arith.nat(3), arith.nat(4))
+    root = Context(())
+    misplaced = arith.AddGoal(stray(root), arith.nat(3), arith.nat(4))
+    first = arith.AddGoal(root, arith.nat(1), arith.nat(2))
     ab_ctx = Context((("a", NUM), ("b", NUM)))
     validation = Substitution(ab_ctx, Z, (Var("b", NUM),))
     outer = Subgoals(
@@ -261,12 +275,41 @@ def test_flattening_rejects_a_goal_whose_context_is_not_its_scope(stray, message
         state_mul(J, outer)
     refused = Subgoals(
         TeleCons(("a",), _one_goal(first, "a"),
-                 TeleCons(("b",), Bot(stray, Z), TeleNil(ab_ctx))),
+                 TeleCons(("b",), Bot(misplaced.context, Z), TeleNil(ab_ctx))),
         validation,
     )
     before = TeleCons(("a",), first, TeleCons(("b",), misplaced, TeleNil(ab_ctx)))
     with pytest.raises(ContextMismatch, match=message):
         state_mul(J, refused, before)
+
+
+def test_flattening_accepts_a_scope_built_apart():
+    # the second goal's context is its scope, but shares no index with
+    # the contexts before it
+    first = arith.AddGoal(EMPTY, arith.nat(1), arith.nat(2))
+    apart = arith.AddGoal(Context((("a", NUM),)), Var("a", NUM), arith.nat(4))
+    joined = arith.AddGoal(ctx_concat(EMPTY, A_BINDER), Var("a", NUM), arith.nat(4))
+    ab_ctx = Context((("a", NUM), ("b", NUM)))
+    validation = Substitution(ab_ctx, Z, (Var("b", NUM),))
+    flats = []
+    for second in (apart, joined):
+        outer = Subgoals(
+            TeleCons(("a",), _one_goal(first, "a"),
+                     TeleCons(("b",), _one_goal(second, "b"), TeleNil(ab_ctx))),
+            validation,
+        )
+        flats.append(state_mul(J, outer))
+        refused = Subgoals(
+            TeleCons(("a",), _one_goal(first, "a"),
+                     TeleCons(("b",), Bot(second.context, Z), TeleNil(ab_ctx))),
+            validation,
+        )
+        before = TeleCons(("a",), first, TeleCons(("b",), second, TeleNil(ab_ctx)))
+        flats.append(state_mul(J, refused, before))
+    for flat in flats:
+        check_state(J, flat)
+    assert flats[0] == flats[2] and flats[1] == flats[3]
+    assert [goal for _, goal in tele_goals(flats[0].telescope)][1].lhs == Var("a", NUM)
 
 
 def test_flattening_reports_the_leftmost_terminal():
