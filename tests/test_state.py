@@ -283,6 +283,26 @@ def test_flattening_rejects_a_goal_whose_context_is_not_its_scope(stray, message
         state_mul(J, refused, before)
 
 
+def test_flattening_rejects_an_inner_state_that_leaves_a_binder_in_scope():
+    # the inner telescope ends before its binder n, so n is never taken
+    # out of scope, and the next goal's context lacks it
+    root = Context(())
+    n_ctx = ctx_concat(root, Context((("n", NUM),)))
+    short = Subgoals(
+        TeleCons(("n",), arith.AddGoal(root, arith.nat(1), arith.nat(2)), TeleNil(root)),
+        Substitution(n_ctx, Z, (Var("n", NUM),)),
+    )
+    a_ctx = ctx_concat(root, A_BINDER)
+    second = arith.AddGoal(a_ctx, Var("a", NUM), arith.nat(4))
+    ab_ctx = ctx_concat(a_ctx, Context((("b", NUM),)))
+    outer = Subgoals(
+        TeleCons(("a",), short, TeleCons(("b",), _one_goal(second, "b"), TeleNil(ab_ctx))),
+        Substitution(ab_ctx, Z, (Var("b", NUM),)),
+    )
+    with pytest.raises(ContextMismatch, match="subgoal context out of place"):
+        state_mul(J, outer)
+
+
 def test_flattening_accepts_a_scope_built_apart():
     # the second goal's context is its scope, but shares no index with
     # the contexts before it
