@@ -83,43 +83,47 @@ ADD_OUTPUT = Context((("n", NUM),))
 
 
 class ArithStructure(JudgmentStructure):
+    # each method dispatches on the judgment's exact class
+
     def check(self, judgment) -> None:
-        match judgment:
-            case EvalGoal(ctx, expr):
-                check_term(ctx, expr)
-                if term_sort(expr) != EXP:
-                    raise UnsortedTerm("eval expects an expression")
-            case AddGoal(ctx, lhs, rhs):
-                check_term(ctx, lhs)
-                check_term(ctx, rhs)
-                if term_sort(lhs) != NUM or term_sort(rhs) != NUM:
-                    raise UnsortedTerm("add expects numbers")
-            case _:
-                raise TheoryError(f"unknown judgment: {judgment!r}")
+        cls = judgment.__class__
+        if cls is EvalGoal:
+            check_term(judgment.context, judgment.expr)
+            if term_sort(judgment.expr) != EXP:
+                raise UnsortedTerm("eval expects an expression")
+        elif cls is AddGoal:
+            check_term(judgment.context, judgment.lhs)
+            check_term(judgment.context, judgment.rhs)
+            if term_sort(judgment.lhs) != NUM or term_sort(judgment.rhs) != NUM:
+                raise UnsortedTerm("add expects numbers")
+        else:
+            raise TheoryError(f"unknown judgment: {judgment!r}")
 
     def subst(self, judgment, s: Substitution):
         require_boundary(judgment, s)
-        match judgment:
-            case EvalGoal(_, expr):
-                return EvalGoal(s.source, subst_apply(expr, s))
-            case AddGoal(_, lhs, rhs):
-                return AddGoal(s.source, subst_apply(lhs, s), subst_apply(rhs, s))
+        cls = judgment.__class__
+        if cls is EvalGoal:
+            return EvalGoal(s.source, subst_apply(judgment.expr, s))
+        if cls is AddGoal:
+            return AddGoal(
+                s.source, subst_apply(judgment.lhs, s), subst_apply(judgment.rhs, s)
+            )
         raise TheoryError(f"unknown judgment: {judgment!r}")
 
     def output(self, judgment) -> Context:
-        match judgment:
-            case EvalGoal(_, _):
-                return EVAL_OUTPUT
-            case AddGoal(_, _, _):
-                return ADD_OUTPUT
+        cls = judgment.__class__
+        if cls is EvalGoal:
+            return EVAL_OUTPUT
+        if cls is AddGoal:
+            return ADD_OUTPUT
         raise TheoryError(f"unknown judgment: {judgment!r}")
 
     def render(self, judgment) -> str:
-        match judgment:
-            case EvalGoal(_, expr):
-                return f"eval {render_expr(expr)}"
-            case AddGoal(_, lhs, rhs):
-                return f"add {render_num(lhs)} {render_num(rhs)}"
+        cls = judgment.__class__
+        if cls is EvalGoal:
+            return f"eval {render_expr(judgment.expr)}"
+        if cls is AddGoal:
+            return f"add {render_num(judgment.lhs)} {render_num(judgment.rhs)}"
         raise TheoryError(f"unknown judgment: {judgment!r}")
 
 

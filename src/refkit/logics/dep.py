@@ -100,21 +100,20 @@ TRUTH_OUTPUT = Context((("e", EXP),))
 
 
 class DepStructure(JudgmentStructure):
+    # each method dispatches on the judgment's exact class, as arith's do
+
     def check(self, judgment) -> None:
-        match judgment:
-            case TruthGoal(ctx, prop):
-                check_term(ctx, prop)
-                if term_sort(prop) != PROP:
-                    raise UnsortedTerm("truth goals are about propositions")
-            case _:
-                raise TheoryError(f"unknown judgment: {judgment!r}")
+        if judgment.__class__ is not TruthGoal:
+            raise TheoryError(f"unknown judgment: {judgment!r}")
+        check_term(judgment.context, judgment.prop)
+        if term_sort(judgment.prop) != PROP:
+            raise UnsortedTerm("truth goals are about propositions")
 
     def subst(self, judgment, s: Substitution):
         require_boundary(judgment, s)
-        match judgment:
-            case TruthGoal(_, prop):
-                return TruthGoal(s.source, subst_apply(prop, s))
-        raise TheoryError(f"unknown judgment: {judgment!r}")
+        if judgment.__class__ is not TruthGoal:
+            raise TheoryError(f"unknown judgment: {judgment!r}")
+        return TruthGoal(s.source, subst_apply(judgment.prop, s))
 
     def output(self, judgment) -> Context:
         return TRUTH_OUTPUT

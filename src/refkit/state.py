@@ -13,7 +13,7 @@ over StateStructure(J) rewrites whole states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Callable, Sequence, Union
 
 from .judgment import JudgmentStructure
 from .theory import (
@@ -284,6 +284,11 @@ class TeleBuilder:
     the sort of the output it stands for.  A telescope moved onto a new
     context also keeps image, which sends each old name in scope to its
     term over the prefix; a moved goal is reindexed by reading it.
+
+    The names image covers are those of checked, the old context last
+    checked, followed by since, the names image took on after it.  A goal
+    whose context is checked followed by exactly since is then in scope
+    without comparing every name (`Context._extends`).
     """
 
     def __init__(
@@ -296,19 +301,24 @@ class TeleBuilder:
         self.prefix = prefix
         self.image = {} if image is None else image
         self.scope = NameSupply(prefix.names)
+        self.checked: Context | None = None
+        self.since: list[str] = []
         self.entries: list[tuple[tuple[str, ...], Any]] = []
 
     def push(self, goal: Any, bases: tuple[str, ...]) -> tuple[Var, ...]:
         """Append goal, which lives over the prefix, under fresh binders
         named after bases; the variables of the new binders."""
         outputs = self.structure.output(goal).entries
-        binder = tuple(
-            (self.scope.fresh(base), sort)
-            for base, (_, sort) in zip(bases, outputs, strict=True)
-        )
+        fresh = self.scope.fresh
+        binder: list[tuple[str, Any]] = []
+        variables: list[Var] = []
+        for base, (_, sort) in zip(bases, outputs, strict=True):
+            name = fresh(base)
+            binder.append((name, sort))
+            variables.append(Var(name, sort))
         self.entries.append((tuple([name for name, _ in binder]), goal))
-        self.prefix = Context._extended(self.prefix, binder)
-        return tuple([Var(name, sort) for name, sort in binder])
+        self.prefix = Context._extended(self.prefix, tuple(binder))
+        return tuple(variables)
 
     def splice(
         self, goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]
@@ -319,11 +329,35 @@ class TeleBuilder:
         this call has already changed, so only its renames() still holds."""
         move = self.reindexing(goal.context)
         moved = self.structure.subst(goal, move)
-        self.image.update(zip(binds, self.push(moved, bases)))
+        self._bind(binds, self.push(moved, bases))
         return move
+
+    def _bind(self, names: Sequence[str], terms: Sequence[Term]) -> None:
+        """Send the old names to terms over the prefix from here on."""
+        self.image.update(zip(names, terms))
+        self.since.extend(names)
+
+    def _unbind(self, outer: Context, names: Sequence[str]) -> None:
+        """Take the old names out of image, which should leave outer's."""
+        image = self.image
+        for name in names:
+            del image[name]
+        # if the last context checked is outer followed by names, outer is
+        # what is left; if that cannot be told cheaply, the next check
+        # compares every name
+        last = self.checked
+        if last is not None and not self.since and last._extends(outer, names):
+            self.checked = outer
+        else:
+            self.checked = None
+        self.since = []
 
     def reindexing(self, target: Context) -> "_Reindexing":
         """Sends target, the old names in scope in any order, onto the prefix."""
+        checked = self.checked
+        if checked is None or not target._extends(checked, self.since):
+            _check_scope(self.image, target)
+        self.checked, self.since = target, []
         return _Reindexing(self.prefix, target, self.image)
 
     def close(self, validation: Substitution) -> Subgoals:
@@ -356,9 +390,9 @@ def _mul_tele(
             # inner binders leave scope
             reindex = b.reindexing(head.validation.source)
             outputs = [subst_apply(t, reindex) for t in head.validation.terms]
-            for name in inner.context.names[len(head.context):]:
-                del image[name]
-            image.update(zip(walk.names, outputs))
+            outer = head.context
+            b._unbind(outer, inner.context._names_from(len(outer)))
+            b._bind(walk.names, outputs)
         elif not isinstance(head, (Fail, Bot)):
             raise TheoryError(f"subgoal is not a proof state: {head!r}")
         elif before is not None:
@@ -384,29 +418,33 @@ def _mul_tele(
     return b.close(subst_compose(b.reindexing(walk.context), validation))
 
 
+def _check_scope(image: dict[str, Term], target: Context) -> None:
+    """Check that target holds exactly the names image covers."""
+    if image.keys() != set(target.names):
+        for name in target.names:
+            if name not in image:
+                raise ContextMismatch(
+                    f"variable {name!r} is not in the flattened context"
+                )
+        raise ContextMismatch("subgoal context out of place in flattening")
+
+
 class _Reindexing:
     """The substitution sending target, the old names in scope in any
     order, onto source by reading image, a running map of a move.
 
-    Building it checks only that target holds exactly the names image
-    covers (one key-set comparison), and a term pays one lookup per free
-    variable, so moving a goal costs its own variables, not its context.
-    It notes what each lookup read, so renames() can tell whether the
-    variables read so far went to distinct variables.  It reads image
-    live, so lookups and terms hold only until image next changes;
-    renames() reads only what was noted.
+    Building it checks nothing: the caller has checked that target holds
+    exactly the names image covers (`_check_scope`).  A term pays one
+    lookup per free variable, so moving a goal costs its own variables,
+    not its context.  It notes what each lookup read, so renames() can
+    tell whether the variables read so far went to distinct variables.
+    It reads image live, so lookups and terms hold only until image next
+    changes; renames() reads only what was noted.
     """
 
     __slots__ = ("source", "target", "_image", "_read")
 
     def __init__(self, source: Context, target: Context, image: dict[str, Term]):
-        if image.keys() != target._index.keys():
-            for name in target.names:
-                if name not in image:
-                    raise ContextMismatch(
-                        f"variable {name!r} is not in the flattened context"
-                    )
-            raise ContextMismatch("subgoal context out of place in flattening")
         self.source = source
         self.target = target
         self._image = image
@@ -463,6 +501,7 @@ def state_alpha_eq(
                 sorts = tuple(s for _, s in structure.output(ta.goal).entries)
                 if sorts != tuple(s for _, s in structure.output(tb.goal).entries):
                     return False
+                _check_scope(image, tb.goal.context)
                 renamed = _Reindexing(ta.goal.context, tb.goal.context, image)
                 if not structure.alpha_eq(ta.goal, structure.subst(tb.goal, renamed)):
                     return False
@@ -471,6 +510,7 @@ def state_alpha_eq(
                 ta, tb = ta.rest, tb.rest
             if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
                 return False
+            _check_scope(image, tb.context)
             return va == subst_compose(_Reindexing(ta.context, tb.context, image), vb)
     return False
 

@@ -16,13 +16,26 @@ has been checked all the way down.  `subst_apply`, `instantiate` and
 The loop hands back a subterm whose free variables are all bound, a
 closed one among them, as it is, and keeps an explicit stack, so a deep
 term takes no Python frames.
+
+Contexts are persistent, after Baker's version arrays.  A context is
+a length over versions it shares: a log of entries and an index from
+name to position, both only ever appended to.  Extending the newest
+version appends to them, so it costs the new entries alone; a context
+reads only the positions below its length, and builds its `entries`
+tuple only when asked.  Extending an older version copies its part
+once, and the copy remembers where it came from.  Distinctness is
+checked before anything is written, so an extension that raises leaves
+every context as it was.  Of two contexts that share versions one is a
+prefix of the other, which lets `Context._extends` tell in O(k) whether
+a context is another followed by k given names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Union
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property, partial
+from itertools import islice
+from typing import Callable, Iterable, Sequence, Union
 
 
 class TheoryError(Exception):
@@ -141,51 +154,137 @@ def term_vars(t: Term) -> set[str]:
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
-@dataclass(frozen=True)
+class _Versions:
+    """What contexts extended one from another share: their entries in
+    order and each name's position, both only ever appended to.  A copy
+    of an older version's part keeps origin, the versions it was copied
+    from, and copied, the length of that part."""
+
+    __slots__ = ("log", "index", "origin", "copied")
+
+    def __init__(
+        self,
+        log: list[tuple[str, Sort]],
+        index: dict[str, int],
+        origin: "_Versions | None" = None,
+        copied: int = 0,
+    ):
+        self.log = log
+        self.index = index
+        self.origin = origin
+        self.copied = copied
+
+
 class Context:
-    """An ordered list of distinctly named, sorted variables."""
+    """An immutable ordered list of distinctly named, sorted variables.
 
-    entries: tuple[tuple[str, Sort], ...] = ()
+    A context is the first len(self) entries of its shared versions (see
+    the module docstring); the tuple `entries` is built on first read.
+    """
 
-    def __post_init__(self) -> None:
-        # _index gives each name's position, for lookups here and in the
-        # substitutions that target this context
+    def __init__(self, entries: tuple[tuple[str, Sort], ...] = ()):
         index: dict[str, int] = {}
-        for position, (name, _) in enumerate(self.entries):
+        for position, (name, _) in enumerate(entries):
             if name in index:
                 raise ContextMismatch(f"duplicate variable {name!r} in context")
             index[name] = position
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_names", tuple(index))
+        state = self.__dict__
+        state["entries"] = entries
+        state["_versions"] = _Versions(list(entries), index)
+        state["_length"] = len(entries)
 
     @classmethod
     def _extended(
         cls, base: "Context", extra: tuple[tuple[str, Sort], ...]
     ) -> "Context":
-        # same distinctness guarantee as __init__, reusing the base index
-        index = dict(base._index)
-        position = len(base.entries)
+        # same distinctness guarantee as __init__, reusing base's versions
+        versions, size = base._versions, base._length
+        if len(versions.log) != size:
+            # base is not the newest version: copy its part
+            versions = _Versions(
+                versions.log[:size],
+                dict(islice(versions.index.items(), size)),
+                versions,
+                size,
+            )
+        index = versions.index
+        # check before writing, so a raising extension changes nothing
+        seen: set[str] = set()
         for name, _ in extra:
-            if name in index:
+            if name in index or name in seen:
                 raise ContextMismatch(f"duplicate variable {name!r} in context")
+            seen.add(name)
+        for position, (name, _) in enumerate(extra, size):
             index[name] = position
-            position += 1
+        versions.log.extend(extra)
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", base.entries + extra)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_names", tuple(index))
+        state = self.__dict__
+        state["_versions"] = versions
+        state["_length"] = size + len(extra)
         return self
 
-    @property
+    def _extends(self, base: "Context", names: Sequence[str]) -> bool:
+        """Whether self is base followed by names, read in O(len(names)).
+
+        It can tell only when self shares base's versions or was extended
+        from a copy of at least base's part of them; False otherwise.
+        """
+        size = base._length
+        if self._length != size + len(names):
+            return False
+        versions = self._versions
+        if versions is not base._versions and (
+            versions.origin is not base._versions or versions.copied < size
+        ):
+            return False
+        log = versions.log
+        for position, name in enumerate(names, size):
+            if log[position][0] != name:
+                return False
+        return True
+
+    def _names_from(self, start: int) -> list[str]:
+        """The names past the first start entries, in O(their number)."""
+        return [name for name, _ in self._versions.log[start : self._length]]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, Sort], ...]:
+        return tuple(self._versions.log[: self._length])
+
+    @cached_property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(islice(self._versions.index, self._length))
 
     def lookup(self, name: str) -> Sort | None:
-        position = self._index.get(name)
-        return None if position is None else self.entries[position][1]
+        # the shared index also holds the names of later versions
+        versions = self._versions
+        position = versions.index.get(name)
+        if position is None or position >= self._length:
+            return None
+        return versions.log[position][1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._length
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Context:
+            return NotImplemented
+        if self._length != other._length:
+            return False
+        # one versions, one length: the same entries
+        return self._versions is other._versions or self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"Context(entries={self.entries!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def ctx_concat(left: Context, right: Context) -> Context:
@@ -280,8 +379,10 @@ class Substitution:
             check_term(self.source, t)
 
     def lookup(self, name: str) -> Term | None:
-        position = self.target._index.get(name)
-        return None if position is None else self.terms[position]
+        position = self.target._versions.index.get(name)
+        if position is None or position >= len(self.terms):
+            return None
+        return self.terms[position]
 
 
 def subst_weaken(source: Context, target: Context) -> Substitution:

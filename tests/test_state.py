@@ -246,7 +246,7 @@ Z_BINDER = Context((("z", NUM),))
         (lambda root: Context((("a", NUM), ("z", NUM))),
          "variable 'z' is not in the flattened context"),
         (lambda root: EMPTY, "subgoal context out of place in flattening"),
-        # the rest extend the root of the flattening, sharing its index
+        # the rest extend the root of the flattening, sharing its versions
         (lambda root: root, "subgoal context out of place in flattening"),
         (lambda root: ctx_concat(ctx_concat(root, A_BINDER), Z_BINDER),
          "variable 'z' is not in the flattened context"),
@@ -304,7 +304,7 @@ def test_flattening_rejects_an_inner_state_that_leaves_a_binder_in_scope():
 
 
 def test_flattening_accepts_a_scope_built_apart():
-    # the second goal's context is its scope, but shares no index with
+    # the second goal's context is its scope, but shares no versions with
     # the contexts before it
     first = arith.AddGoal(EMPTY, arith.nat(1), arith.nat(2))
     apart = arith.AddGoal(Context((("a", NUM),)), Var("a", NUM), arith.nat(4))

@@ -75,6 +75,95 @@ def test_ctx_concat_rejects_shadowing():
         ctx_concat(left, Context((("x", EXP),)))
 
 
+def same_as_built_from_scratch(ctx, entries, alphabet):
+    """ctx behaves as Context(entries) does, on every name of alphabet."""
+    fresh = Context(entries)
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
+    assert ctx.entries == entries and ctx.names == fresh.names
+    assert len(ctx) == len(fresh)
+    ids = tuple(Var(name, sort) for name, sort in entries)
+    s = Substitution(fresh, ctx, ids)
+    s_fresh = Substitution(fresh, fresh, ids)
+    for name in alphabet:
+        assert ctx.lookup(name) == fresh.lookup(name)
+        assert s.lookup(name) == s_fresh.lookup(name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_persistent_contexts_behave_as_if_built_from_scratch(seed):
+    # a tree of extensions, each of a version picked at random: the
+    # newest, an older one, or one an extension that raised left alone
+    rng = random.Random(seed)
+    alphabet = "abcdefgh"
+    built = [(Context(()), ())]
+    for _ in range(12):
+        base, entries = rng.choice(built)
+        extra = tuple(
+            (rng.choice(alphabet), rng.choice((NUM, EXP)))
+            for _ in range(rng.randint(0, 3))
+        )
+        names = [name for name, _ in entries + extra]
+        if len(set(names)) < len(names):
+            with pytest.raises(ContextMismatch, match="duplicate variable"):
+                Context._extended(base, extra)
+        else:
+            built.append((Context._extended(base, extra), entries + extra))
+        # versions built before still hold; some are read for the first
+        # time only after later extensions
+        for ctx, want in built:
+            if rng.random() < 0.3:
+                same_as_built_from_scratch(ctx, want, alphabet)
+    for ctx, want in built:
+        same_as_built_from_scratch(ctx, want, alphabet)
+        # versions of one context compare as their entries do
+        for other, other_want in built:
+            assert (ctx == other) == (want == other_want)
+
+
+def test_extending_the_newest_context_shares_its_versions():
+    base = Context((("x", NUM),))
+    shared = base._versions
+    newer = ctx_concat(base, Context((("y", NUM),)))
+    newest = ctx_concat(newer, Context((("z", EXP),)))
+    assert newer._versions is shared and newest._versions is shared
+    log, index = list(shared.log), dict(shared.index)
+    # newer is an older version now: its extension copies its part
+    branch = ctx_concat(newer, Context((("w", EXP),)))
+    assert branch._versions is not shared
+    assert (shared.log, shared.index) == (log, index)
+    assert branch.lookup("z") is None and newest.lookup("w") is None
+    # a raising extension writes nothing, so newest stays the newest
+    with pytest.raises(ContextMismatch):
+        ctx_concat(newest, Context((("v", NUM), ("x", NUM))))
+    assert (shared.log, shared.index) == (log, index)
+    assert ctx_concat(newest, Context((("v", NUM),)))._versions is shared
+
+
+def test_extends_reads_a_prefix_only_from_shared_or_copied_versions():
+    base = Context((("x", NUM),))
+    longer = ctx_concat(base, Context((("y", NUM), ("z", EXP))))
+    assert longer._extends(base, ("y", "z"))
+    for names in (("y",), ("z", "y"), ("y", "w"), ("y", "z", "w")):
+        assert not longer._extends(base, names)
+    # base is an older version now: the branch copies its part, and the
+    # copy remembers where it came from
+    branch = ctx_concat(base, Context((("w", NUM),)))
+    assert branch._extends(base, ("w",))
+    assert not branch._extends(longer, ())
+    # a copy of a shorter part of child's versions says nothing of the
+    # names child has past that part
+    parent = Context((("p", NUM),))
+    child = ctx_concat(parent, Context((("r", NUM),)))
+    cousin = ctx_concat(ctx_concat(parent, Context((("q", NUM),))), Context((("a", NUM),)))
+    assert not cousin._extends(child, ("a",))
+    # nor does a copy of other versions, or a context built apart
+    other = Context((("q", NUM),))
+    ctx_concat(other, Context((("w", NUM),)))
+    assert not ctx_concat(other, Context((("a", NUM),)))._extends(base, ("a",))
+    assert not Context((("x", NUM), ("w", NUM)))._extends(base, ("w",))
+
+
 def test_check_term_unknown_variable():
     with pytest.raises(ContextMismatch):
         check_term(Context(()), Var("x", NUM))
