@@ -11,9 +11,21 @@ that.  An optimisation lands against this module, not against a private
 copy of the code it replaces.
 """
 
+import sys
 from dataclasses import fields, is_dataclass
 
 from refkit.logics import arith, dep
+from refkit.script import (
+    AllM,
+    EachM,
+    IdTac,
+    MStar,
+    OrElse,
+    RuleName,
+    SeqTac,
+    Star,
+    parse_script,
+)
 from refkit.state import Bot, Fail, Subgoals, TeleCons, TeleNil
 from refkit.tactic import Later, Now, bind
 from refkit.theory import (
@@ -369,6 +381,146 @@ def full_sweep_repeat(mt):
         return bind(mt(ctx, state), after)
 
     return loop
+
+
+# ------------------------------------------------------------- whole runs
+
+# A computation is run with a budget of fuel: it gives its value and the
+# steps it took, or None when it needs more than the budget.  A rule and
+# id take no step, a composite the sum of the steps of the parts that run,
+# a productive round of m* one more, and the n-th approximant of a star
+# answers at n + 1 + its own steps, the earliest one winning.
+
+LOGICS = {"arith": arith, "dep": dep}
+
+
+def ref_execute(logic, goal, script, fuel):
+    """A whole run of the script on the goal, read with the library's
+    parsers and interpreted straight from the AST: (status, exit code,
+    steps used, state), the state None when the fuel ran out."""
+    module = LOGICS[logic]
+    goal, ast = module.parse_goal(goal), parse_script(script)
+    # the unrolled approximants of a star recurse a few frames per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 1000 + 20 * fuel))
+    try:
+        got = _run(module.RULES, ast, goal, fuel)
+    finally:
+        sys.setrecursionlimit(limit)
+    if got is None:
+        return "out_of_fuel", 4, fuel, None
+    state, steps = got
+    if isinstance(state, Fail):
+        return "failed", 2, steps, state
+    if isinstance(state, Bot):
+        return "unsuccess", 3, steps, state
+    if ref_entries(state.telescope)[0]:
+        return "incomplete", 1, steps, state
+    return "complete", 0, steps, state
+
+
+def _run(rules, ast, goal, fuel):
+    """The tactic ast on goal: (state, steps), or None past fuel."""
+    match ast:
+        case RuleName(name):
+            return rules[name].run(goal.context, goal), 0
+        case IdTac():
+            return ref_state_unit(goal), 0
+        case OrElse(left, right):
+            got = _run(rules, left, goal, fuel)
+            if got is None or isinstance(got[0], Subgoals):
+                return got
+            return _after(got[1], _run(rules, right, goal, fuel - got[1]))
+        case SeqTac(first, rest):
+            got = _run(rules, first, goal, fuel)
+            if got is None:
+                return None
+            state, steps = got
+            got = _after(steps, _run_multi(rules, rest, state, fuel - steps))
+            return None if got is None else (ref_state_mul(got[0]), got[1])
+        case Star(body):
+            best = None
+            for n in range(1, fuel):
+                budget = (fuel if best is None else best[1] - 1) - n - 1
+                if budget < 0:
+                    break
+                got = _run(rules, _approximant(body, n), goal, budget)
+                if got is not None:
+                    best = got[0], n + 1 + got[1]
+            return best
+        case None:
+            return None
+    raise TypeError(f"not a tactic: {ast!r}")
+
+
+def _approximant(body, n):
+    """The n-th approximant of body*, never at 0: try (body; all(the one
+    before))."""
+    if n == 0:
+        return None
+    return OrElse(SeqTac(body, AllM(_approximant(body, n - 1))), IdTac())
+
+
+def _after(steps, got):
+    return None if got is None else (got[0], steps + got[1])
+
+
+def _run_multi(rules, ast, state, fuel):
+    """The multitactic ast on state: (state of answers, steps), or None."""
+    match ast:
+        case AllM(body):
+            return _sweep(state, fuel, lambda i, g, f: _run(rules, body, g, f), None)
+        case EachM(bodies):
+            def attack(i, goal, fuel):
+                if i < len(bodies):
+                    return _run(rules, bodies[i], goal, fuel)
+                return ref_state_unit(goal), 0
+
+            return _sweep(state, fuel, attack, {})
+        case MStar(body):
+            steps = 0
+            while not isinstance(state, (Fail, Bot)):
+                got = _run_multi(rules, body, state, fuel - steps)
+                if got is None:
+                    return None
+                advanced, stop = ref_round(state, got[0])
+                steps += got[1]
+                if stop:
+                    return ref_state_unit(advanced), steps
+                if steps >= fuel:
+                    return None
+                state, steps = advanced, steps + 1
+            return ref_state_unit(state), steps
+    raise TypeError(f"not a multitactic: {ast!r}")
+
+
+def _sweep(state, fuel, attack, pending):
+    """Each entry of state answered in order by attack(position, goal,
+    fuel).  With pending a dict, each goal first has the evidence of the
+    entries discharged before it put in for their binders (`[...]`)."""
+    if isinstance(state, (Fail, Bot)):
+        return state, 0
+    entries, nil = ref_entries(state.telescope)
+    answered, steps = [], 0
+    for i, (names, goal) in enumerate(entries):
+        env = None
+        if pending is not None:
+            env = {n: pending.get(n, Var(n, s)) for n, s in goal.context.entries}
+            goal = _move(goal, goal.context, env, _keep)
+        got = attack(i, goal, fuel - steps)
+        if got is None:
+            return None
+        answer, k = got
+        answered.append((names, answer))
+        steps += k
+        if env is not None and isinstance(answer, Subgoals):
+            if not ref_entries(answer.telescope)[0]:
+                terms = [ref_subst(t, env) for t in answer.validation.terms]
+                pending.update(zip(names, terms))
+    tele = nil
+    for names, answer in reversed(answered):
+        tele = TeleCons(names, answer, tele)
+    return Subgoals(tele, state.validation), steps
 
 
 # -------------------------------------------------------------------- dep

@@ -174,47 +174,48 @@ def arith_state_of_states_of_states(
 SCRIPT_NAMES = ("num_eval", "plus_eval", "add", "probe", "aux_2")
 
 
-def rand_script_tactic(rng: random.Random, depth: int):
+def rand_script_tactic(rng: random.Random, depth: int, names=SCRIPT_NAMES):
+    """A script AST whose rule names are drawn from names."""
     from refkit.script import IdTac, OrElse, RuleName, SeqTac, Star
 
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.25:
             return IdTac()
-        return RuleName(rng.choice(SCRIPT_NAMES))
+        return RuleName(rng.choice(names))
     match rng.randrange(4):
         case 0:
             return OrElse(
-                rand_script_tactic(rng, depth - 1),
-                rand_script_tactic(rng, depth - 1),
+                rand_script_tactic(rng, depth - 1, names),
+                rand_script_tactic(rng, depth - 1, names),
             )
         case 1:
-            return Star(rand_script_tactic(rng, depth - 1))
+            return Star(rand_script_tactic(rng, depth - 1, names))
         case 2:
             return SeqTac(
-                rand_script_tactic(rng, depth - 1),
-                rand_script_multi(rng, depth - 1),
+                rand_script_tactic(rng, depth - 1, names),
+                rand_script_multi(rng, depth - 1, names),
             )
         case _:
-            return rand_script_tactic(rng, depth - 1)
+            return rand_script_tactic(rng, depth - 1, names)
 
 
-def rand_script_multi(rng: random.Random, depth: int):
+def rand_script_multi(rng: random.Random, depth: int, names=SCRIPT_NAMES):
     from refkit.script import AllM, EachM, MStar
 
     match rng.randrange(3):
         case 0:
-            return AllM(rand_script_tactic(rng, depth))
+            return AllM(rand_script_tactic(rng, depth, names))
         case 1:
             return EachM(
                 tuple(
-                    rand_script_tactic(rng, depth - 1)
+                    rand_script_tactic(rng, depth - 1, names)
                     for _ in range(rng.randrange(4))
                 )
             )
         case _:
             if depth <= 0:
-                return AllM(rand_script_tactic(rng, 0))
-            return MStar(rand_script_multi(rng, depth - 1))
+                return AllM(rand_script_tactic(rng, 0, names))
+            return MStar(rand_script_multi(rng, depth - 1, names))
 
 
 def rand_dep_exp(rng: random.Random, ctx: Context, depth: int) -> Term:

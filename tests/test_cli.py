@@ -5,13 +5,31 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refkit.cli import RunConfig, UsageError, execute, main
+from refkit.cli import (
+    LOGICS,
+    RunConfig,
+    RunOutcome,
+    UsageError,
+    execute,
+    main,
+    render_json,
+    render_pretty,
+)
+from refkit.logics import arith, dep
+from refkit.script import print_script
 from refkit.state import Bot, Subgoals
+
+from reference import ref_execute, ref_state_alpha_eq
+from strategies import rand_closed_expr, rand_dep_closed_prop, rand_script_tactic
 
 BREADTH = "id; all(num_eval | plus_eval | add)*"
 DEPTH = "(num_eval | plus_eval | add)*"
 TWO_PLUS_THREE = "eval num 2 + num 3"
+# `id*` exits 6 from fuel 125 on (ROADMAP item 6(b))
+RUN_FUEL = 100
 
 
 def test_execute_complete():
@@ -365,3 +383,38 @@ def test_large_residuals_match_the_pinned_digest(capsys):
         for part in (str(code), captured.out, captured.err):
             digest.update(part.encode() + b"\0")
     assert digest.hexdigest() == RESIDUAL_DIGEST
+
+
+# whole runs against the naive interpreter in tests/reference.py
+
+
+def rand_run(rng, fuel):
+    """A goal of either logic, a script over that logic's rule names, and
+    a fuel of at most fuel, small fuels as likely as large ones in scale:
+    a diverging star costs about the cube of its fuel."""
+    if rng.random() < 0.5:
+        logic, module = "arith", arith
+        goal = f"eval {arith.render_expr(rand_closed_expr(rng, rng.randrange(4)))}"
+    else:
+        logic, module = "dep", dep
+        goal = f"true {dep.render_prop(rand_dep_closed_prop(rng, rng.randrange(4)))}"
+    ast = rand_script_tactic(rng, rng.randrange(4), tuple(module.RULES))
+    return RunConfig(logic, goal, print_script(ast), round((fuel + 1) ** rng.random()) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_runs_agree_with_the_reference_interpreter(seed):
+    config = rand_run(random.Random(seed), RUN_FUEL)
+    got = execute(config)
+    want = RunOutcome(
+        *ref_execute(config.logic, config.goal, config.script, config.fuel)
+    )
+    assert (got.status, got.exit_code, got.steps) == (
+        want.status, want.exit_code, want.steps
+    )
+    if want.state is not None:
+        assert ref_state_alpha_eq(got.state, want.state)
+    structure = LOGICS[config.logic].STRUCTURE
+    assert render_pretty(structure, got) == render_pretty(structure, want)
+    assert render_json(structure, got) == render_json(structure, want)

@@ -1,8 +1,9 @@
 """The reference kernel imports nothing it is compared against.
 
-`tests/reference.py` may import constructors and data classes, and the
-delay monad's Now, Later and bind.  A function the differential tests
-compare with it, any function of refkit.state, a structure's methods or
+`tests/reference.py` may import constructors and data classes, the
+delay monad's Now, Later and bind, and the goal and script parsers.  A
+function the differential tests compare with it, any function of
+refkit.state, a structure's methods, a tactical, the script compiler or
 a private name of the kernel would let it share a bug with the code it
 checks.
 """
@@ -24,6 +25,12 @@ CHECKED |= {
     if inspect.isfunction(f) and f.__module__ == state.__name__
 }
 CHECKED |= {name for name in vars(JudgmentStructure) if not name.startswith("_")}
+# ref_execute runs the script's AST itself: no tactical, driver or compiler
+CHECKED |= set(
+    "id_tactic from_rule orelse try_tactic all_mt each_mt seq then_tactic fix"
+    " repeat repeat_multitactic never_tactic race force search lub run_delayed"
+    " compile_script compile_text execute".split()
+)
 
 
 def used_names(source):
