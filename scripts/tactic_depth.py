@@ -1,0 +1,81 @@
+"""Time the tactic machine on runs whose approximants nest deep.
+
+- comb: the depth-first auto script, `(num_eval | plus_eval | add)*`, on
+  a left comb of n `+`.  Its k-th approximant takes the goal k levels
+  down; the machine keeps those levels on its own stack, so no size
+  runs out of Python frames.  Each approximant still runs from scratch,
+  so the time grows about quadratically with n.
+- id*: `id*` on `add 1 2`, which never answers and runs out of fuel; the
+  time per step grows with the fuel, for the same reason.
+- race: one `force` of a fixed point after k steps, when it races k
+  approximants that never answer; the time per approximant should read
+  about the same at every k.
+
+Each row is the best of at least one run and of BUDGET seconds of them;
+us/unit is the time per step (id*) or per approximant (race).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import time
+from typing import Callable
+
+from refkit.cli import main as cli_main
+from refkit.tactic import Later, force, lub
+
+COMBS = (64, 128, 192)
+FUELS = (100, 300)
+RACES = (10, 100, 1000)
+BUDGET = 2.0  # seconds of runs per row
+
+
+def best_of(run: Callable[[], object]) -> tuple[float, object]:
+    """The least time of run over BUDGET seconds, and what it returned."""
+    best, spent, runs = float("inf"), 0.0, 0
+    while runs < 1 or spent < BUDGET:
+        start = time.perf_counter()
+        out = run()
+        elapsed = time.perf_counter() - start
+        best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
+    return best, out
+
+
+def steps_used(goal: str, script: str, fuel: int) -> int:
+    argv = ["--logic", "arith", "--goal", goal, "--script", script, "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main([*argv, "--fuel", str(fuel)])
+    return json.loads(out.getvalue())["steps_used"]
+
+
+def spin() -> Later:
+    """A computation that never answers and is never NEVER, so a race
+    keeps it."""
+    return Later(spin)
+
+
+def main() -> int:
+    print(f"{'family':>6} {'size':>6} {'steps':>6} {'seconds':>9} {'us/unit':>9}")
+    for n in COMBS:
+        goal = "eval " + " + ".join(["num 1"] * (n + 1))
+        script = "(num_eval | plus_eval | add)*"
+        seconds, steps = best_of(lambda: steps_used(goal, script, 100000))
+        print(f"{'comb':>6} {n:>6} {steps:>6} {seconds:>9.3f} {'':>9}")
+    for fuel in FUELS:
+        seconds, steps = best_of(lambda: steps_used("add 1 2", "id*", fuel))
+        per_step = seconds / steps * 1e6
+        print(f"{'id*':>6} {fuel:>6} {steps:>6} {seconds:>9.3f} {per_step:>9.1f}")
+    for k in RACES:
+        m = lub(lambda n: spin())
+        for _ in range(k):
+            m = force(m)
+        seconds, _ = best_of(lambda: force(m))
+        print(f"{'race':>6} {k:>6} {'':>6} {seconds:>9.6f} {seconds / k * 1e6:>9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -208,48 +208,32 @@ def _print_multi(ast: MultiAst) -> str:
 def compile_script(
     structure: JudgmentStructure,
     lookup: Callable[[str], Rule],
-    ast: TacticAst,
+    ast: TacticAst | MultiAst,
 ) -> Tactic:
-    """Elaborate a script into a runnable tactic; names resolve eagerly."""
-    match ast:
-        case RuleName(name):
-            return from_rule(lookup(name))
-        case IdTac():
-            return id_tactic(structure)
-        case OrElse(left, right):
-            return orelse(
-                compile_script(structure, lookup, left),
-                compile_script(structure, lookup, right),
-            )
-        case Star(body):
-            return repeat(structure, compile_script(structure, lookup, body))
-        case SeqTac(first, rest):
-            return seq(
-                structure,
-                compile_script(structure, lookup, first),
-                _compile_multi(structure, lookup, rest),
-            )
-    raise TypeError(f"not a tactic: {ast!r}")
+    """Elaborate a script into a runnable tactic, node for node; names
+    resolve eagerly."""
 
+    def build(ast):
+        match ast:
+            case RuleName(name):
+                return from_rule(lookup(name))
+            case IdTac():
+                return id_tactic(structure)
+            case OrElse(left, right):
+                return orelse(build(left), build(right))
+            case Star(body):
+                return repeat(structure, build(body))
+            case SeqTac(first, rest):
+                return seq(structure, build(first), build(rest))
+            case AllM(body):
+                return all_mt(structure, build(body))
+            case EachM(bodies):
+                return each_mt(structure, tuple(map(build, bodies)))
+            case MStar(body):
+                return repeat_multitactic(structure, build(body))
+        raise TypeError(f"not a script: {ast!r}")
 
-def _compile_multi(
-    structure: JudgmentStructure,
-    lookup: Callable[[str], Rule],
-    ast: MultiAst,
-):
-    match ast:
-        case AllM(body):
-            return all_mt(structure, compile_script(structure, lookup, body))
-        case EachM(bodies):
-            return each_mt(
-                structure,
-                tuple(compile_script(structure, lookup, b) for b in bodies),
-            )
-        case MStar(body):
-            return repeat_multitactic(
-                structure, _compile_multi(structure, lookup, body)
-            )
-    raise TypeError(f"not a multitactic: {ast!r}")
+    return build(ast)
 
 
 def compile_text(

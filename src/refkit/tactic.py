@@ -8,6 +8,10 @@ A multitactic maps a state to a delayed state-of-states; flattening with
 the state monad's multiplication composes the two layers.  Sequential
 composition (seq), pointwise application (all), and positional
 application (each) all arise this way.
+
+Tacticals build data, not closures: each tactic and multitactic is a
+node, and one loop runs them all over an explicit stack of
+continuations, the defunctionalised form of the tacticals' closures.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .state import (
     Subgoals,
     TeleCons,
     TeleNil,
-    Telescope,
     state_alpha_eq,
     state_mul,
     state_unit,
@@ -154,87 +157,219 @@ def never_tactic(ctx: Context, goal: Any) -> Delayed:
     return NEVER
 
 
-def _natural(tac: Tactic) -> Tactic:
-    # built from rules, id and `|` only: it answers at once, and it
-    # refuses a goal moved by a renaming as it refused the goal, since
-    # every rule is support-local (rule.py); repeat_multitactic relies
-    # on this to keep a refusal standing
-    tac.natural = True
-    return tac
+class _Node:
+    """A tactic or a multitactic as data; calling it runs the machine.
+
+    `natural` is set once, when the node is built: the node is made of
+    rules, id and `|` only.  Such a tactic answers at once, and it refuses
+    a goal moved by a renaming as it refused the goal, since every rule
+    is support-local (rule.py); repeat_multitactic relies on this to keep
+    a refusal standing.  A plain callable is a tactic too, never natural.
+    """
+
+    __slots__ = ()
+    natural = False
+
+    def __init__(self, *fields: Any):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
+
+    def __call__(self, ctx: Context, x: Any) -> Delayed:
+        return _run(self, ctx, x, None)
+
+
+def _is_natural(t: Tactic) -> bool:
+    return isinstance(t, _Node) and t.natural
+
+
+class _Rule(_Node):
+    __slots__ = ("rule",)
+    natural = True
+
+
+class _Id(_Node):
+    __slots__ = ("structure",)
+    natural = True
+
+
+class _OrElse(_Node):
+    __slots__ = ("first", "second", "natural")
+
+    def __init__(self, first: Tactic, second: Tactic):
+        super().__init__(first, second, _is_natural(first) and _is_natural(second))
+
+
+class _Seq(_Node):
+    __slots__ = ("structure", "first", "then")
+
+
+class _All(_Node):
+    __slots__ = ("structure", "tactic")
+
+
+class _Each(_Node):
+    __slots__ = ("structure", "tactics")
+
+
+class _Repeat(_Node):
+    __slots__ = ("structure", "body", "outer", "worklist")
+
+    def __init__(self, structure: JudgmentStructure, body: Multitactic):
+        worklist = isinstance(body, _All) and _is_natural(body.tactic)
+        super().__init__(structure, body, StateStructure(structure), worklist)
+
+
+class _Fix(_Node):
+    __slots__ = ("transform", "approximants")
+
+    def __init__(self, transform: Callable[[Tactic], Tactic]):
+        super().__init__(transform, [never_tactic])
+
+    def __call__(self, ctx: Context, goal: Any) -> Delayed:
+        def approximant(n: int) -> Delayed:
+            while len(self.approximants) <= n:
+                self.approximants.append(self.transform(self.approximants[-1]))
+            return _run(self.approximants[n], ctx, goal, None)
+
+        return lub(approximant)
+
+
+# The machine's stack is a linked list of frames, (frame, rest) or None,
+# so a suspended run can be resumed any number of times.  The frames:
+#   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
+#   (_THEN, seq)                    hand the state to seq's multitactic
+#   (_FLATTEN, structure)           flatten the state of states
+#   (_SWEEP, sweep, state, tele, done, index, memo, goal, sub)
+#       take the answer to goal, the entry at the head of tele (none when
+#       goal is None), and attack the next; memo holds the standing
+#       refusals by position (all) or the evidence found so far (each)
+#   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
+_FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
+
+
+def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
+    """Run node on x, a goal or a state, and hand its answer to the frames
+    of k; with no node, hand them value.
+
+    An answer that is already resolved is taken in the same loop, so no
+    Python frame is spent per goal level.  A leaf that takes steps, a
+    fixed point or a plain callable, suspends the run as one bind whose
+    continuation resumes it on k, and a productive round of `m*` returns
+    one Later that resumes it: those are the steps a run is charged.
+    """
+    while True:
+        if node is not None:
+            cls = type(node)
+            if cls is _OrElse:
+                k = ((_FALLBACK, node.second, ctx, x), k)
+                node = node.first
+                continue
+            if cls is _Rule:
+                value = node.rule.run(ctx, x)
+            elif cls is _All or cls is _Each:
+                if isinstance(x, Subgoals):
+                    k = ((_SWEEP, node, x, x.telescope, None, 0, {}, None, None), k)
+                else:
+                    value = x
+            elif cls is _Id:
+                value = state_unit(node.structure, x)
+            elif cls is _Seq:
+                k = ((_THEN, node), k)
+                node = node.first
+                continue
+            elif cls is _Repeat:
+                if isinstance(x, Subgoals):
+                    k = ((_ROUND, node, x, ctx), k)
+                    node = node.body
+                    continue
+                value = state_unit(node.outer, x)
+            else:
+                m = node(ctx, x)
+                if not isinstance(m, Now):
+                    return bind(m, partial(_run, None, None, None, k))
+                value = m.value
+        while k is not None:
+            frame, k = k
+            tag = frame[0]
+            if tag == _FALLBACK:
+                if not isinstance(value, Subgoals):
+                    _, node, ctx, x = frame
+                    break
+            elif tag == _SWEEP:
+                _, sweep, state, tele, done, index, memo, goal, sub = frame
+                if goal is not None:
+                    _fire_trace(goal, value)
+                    if (
+                        sub is not None
+                        and isinstance(value, Subgoals)
+                        and isinstance(value.telescope, TeleNil)
+                    ):
+                        # entry fully discharged: record its evidence for
+                        # instantiating the goals that bound these names
+                        resolved = (subst_apply(t, sub) for t in value.validation.terms)
+                        memo = memo | dict(zip(tele.names, resolved))
+                    done = ((tele.names, value), done)
+                    tele, index = tele.rest, index + 1
+                if not isinstance(tele, TeleCons):
+                    while done is not None:
+                        (names, result), done = done
+                        tele = TeleCons(names, result, tele)
+                    value = Subgoals(tele, state.validation)
+                    continue
+                ctx, goal, structure = tele.goal.context, tele.goal, sweep.structure
+                if type(sweep) is _All:
+                    node, refusal = sweep.tactic, memo.get(index)
+                    if refusal is not None:
+                        node, value = None, refusal(ctx, structure.output(goal))
+                else:
+                    pending = (memo.get(n, Var(n, sort)) for n, sort in ctx.entries)
+                    sub = Substitution(ctx, ctx, tuple(pending))
+                    goal = structure.subst(goal, sub)
+                    node = sweep.tactics[index] if index < len(sweep.tactics) else None
+                    if node is None:
+                        value = state_unit(structure, goal)
+                k = ((_SWEEP, sweep, state, tele, done, index, memo, goal, sub), k)
+                if node is not None:
+                    x = goal
+                    break
+            elif tag == _THEN:
+                k = ((_FLATTEN, frame[1].structure), k)
+                node, ctx, x = frame[1].then, value.context, value
+                break
+            elif tag == _FLATTEN:
+                value = state_mul(frame[1], value)
+            else:
+                _, repeat, state, ctx = frame
+                healed: dict[int, type] | None = {} if repeat.worklist else None
+                advanced, stop = _next_round(repeat.structure, state, value, healed)
+                if stop:
+                    value = state_unit(repeat.outer, advanced)
+                    continue
+                k = ((_ROUND, repeat, advanced, ctx), k)
+                if healed is None:
+                    return Later(partial(_run, repeat.body, ctx, advanced, k))
+                tele = advanced.telescope
+                frame = (_SWEEP, repeat.body, advanced, tele, None, 0, healed, None, None)
+                return Later(partial(_run, None, None, None, (frame, k)))
+        else:
+            return Now(value)
 
 
 def id_tactic(structure: JudgmentStructure) -> Tactic:
-    def tac(ctx: Context, goal: Any) -> Delayed:
-        return Now(state_unit(structure, goal))
-
-    return _natural(tac)
+    return _Id(structure)
 
 
 def from_rule(rule: Any) -> Tactic:
-    def tac(ctx: Context, goal: Any) -> Delayed:
-        return Now(rule.run(ctx, goal))
-
-    return _natural(tac)
+    return _Rule(rule)
 
 
 def orelse(t1: Tactic, t2: Tactic) -> Tactic:
     """Commit to t1 whenever it answers with subgoals, else fall to t2."""
-
-    def tac(ctx: Context, goal: Any) -> Delayed:
-        def after(state: ProofState) -> Delayed:
-            if isinstance(state, Subgoals):
-                return Now(state)
-            return t2(ctx, goal)
-
-        return bind(t1(ctx, goal), after)
-
-    if getattr(t1, "natural", False) and getattr(t2, "natural", False):
-        return _natural(tac)
-    return tac
+    return _OrElse(t1, t2)
 
 
 def try_tactic(structure: JudgmentStructure, t: Tactic) -> Tactic:
     return orelse(t, id_tactic(structure))
-
-
-# given an entry and the memo: the goal handed over, its delayed answer,
-# and the memo for the next entry as a function of the answer
-_Attack = Callable[[TeleCons, Any], tuple[Any, Delayed, Callable[[ProofState], Any]]]
-
-
-def _sweep(state: ProofState, attack: _Attack, memo: Any) -> Delayed:
-    """Answer the entries of a state's telescope left to right, in place.
-
-    An answer that is already resolved is taken in the same loop; one
-    still running is awaited with a single bind whose continuation
-    resumes the loop, so each step costs one unit of fuel and no chain of
-    binds grows with the telescope.
-    """
-    if isinstance(state, (Fail, Bot)):
-        return Now(state)
-    assert isinstance(state, Subgoals)
-
-    def resume(tele: Telescope, memo: Any, done: Any) -> Delayed:
-        # done holds the answered entries, newest first, as nested pairs
-        while isinstance(tele, TeleCons):
-            goal, answer, settle = attack(tele, memo)
-            if not isinstance(answer, Now):
-                return bind(answer, partial(answered, tele, goal, settle, done))
-            result = answer.value
-            _fire_trace(goal, result)
-            memo = settle(result)
-            done = ((tele.names, result), done)
-            tele = tele.rest
-        while done is not None:
-            (names, result), done = done
-            tele = TeleCons(names, result, tele)
-        return Now(Subgoals(tele, state.validation))
-
-    def answered(tele, goal, settle, done, result: ProofState) -> Delayed:
-        _fire_trace(goal, result)
-        return resume(tele.rest, settle(result), ((tele.names, result), done))
-
-    return resume(state.telescope, memo, None)
 
 
 def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
@@ -244,32 +379,7 @@ def all_mt(structure: JudgmentStructure, t: Tactic) -> Multitactic:
     binders and validation are kept, so the result is a state whose goals
     are the per-subgoal answer states.
     """
-    attack = _attack_unless_standing(structure, t, {})
-
-    def mt(ctx: Context, state: ProofState) -> Delayed:
-        return _sweep(state, attack, 0)
-
-    mt.tactic = t
-    return mt
-
-
-def _attack_unless_standing(
-    structure: JudgmentStructure, t: Tactic, standing: dict[int, type]
-) -> _Attack:
-    """Attack each entry with t, over the entries' positions; an entry
-    whose position is in standing answers with that kind of refusal, and
-    t does not run on it."""
-
-    def attack(entry: TeleCons, index: int):
-        goal = entry.goal
-        refusal = standing.get(index)
-        if refusal is None:
-            answer = t(goal.context, goal)
-        else:
-            answer = Now(refusal(goal.context, structure.output(goal)))
-        return goal, answer, lambda result: index + 1
-
-    return attack
+    return _All(structure, t)
 
 
 def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitactic:
@@ -280,58 +390,12 @@ def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitac
     tactics see instantiated goals.  Goals past the end of the list are
     answered with the unit state of the instantiated goal.
     """
-
-    # the memo is the evidence of the discharged binders, by name, and
-    # the position of the entry
-    def attack(entry: TeleCons, memo: tuple[dict, int]):
-        pending, index = memo
-        ctx_k = entry.goal.context
-        sub = Substitution(
-            ctx_k,
-            ctx_k,
-            tuple(
-                pending.get(name, Var(name, sort)) for name, sort in ctx_k.entries
-            ),
-        )
-        goal = structure.subst(entry.goal, sub)
-        if index < len(tactics):
-            answer = tactics[index](ctx_k, goal)
-        else:
-            answer = Now(state_unit(structure, goal))
-
-        def settle(result: ProofState) -> tuple[dict, int]:
-            if isinstance(result, Subgoals) and isinstance(
-                result.telescope, TeleNil
-            ):
-                # entry fully discharged: record its evidence for
-                # instantiating the goals that bound these names
-                resolved = tuple(
-                    subst_apply(t, sub) for t in result.validation.terms
-                )
-                return pending | dict(zip(entry.names, resolved)), index + 1
-            return pending, index + 1
-
-        return goal, answer, settle
-
-    def mt(ctx: Context, state: ProofState) -> Delayed:
-        return _sweep(state, attack, ({}, 0))
-
-    return mt
+    return _Each(structure, tuple(tactics))
 
 
 def seq(structure: JudgmentStructure, t: Tactic, mt: Multitactic) -> Tactic:
     """Run the tactic, hand the state to the multitactic, flatten."""
-
-    def tac(ctx: Context, goal: Any) -> Delayed:
-        def after_state(state: ProofState) -> Delayed:
-            return bind(
-                mt(state.context, state),
-                lambda ss: Now(state_mul(structure, ss)),
-            )
-
-        return bind(t(ctx, goal), after_state)
-
-    return tac
+    return _Seq(structure, t, mt)
 
 
 def then_tactic(structure: JudgmentStructure, t1: Tactic, t2: Tactic) -> Tactic:
@@ -345,17 +409,7 @@ def fix(transform: Callable[[Tactic], Tactic]) -> Tactic:
     that never answers; running the fixed point races the approximants,
     so any goal some approximant handles is handled in bounded fuel.
     """
-    approximants: list[Tactic] = [never_tactic]
-
-    def at(n: int) -> Tactic:
-        while len(approximants) <= n:
-            approximants.append(transform(approximants[-1]))
-        return approximants[n]
-
-    def tac(ctx: Context, goal: Any) -> Delayed:
-        return lub(lambda n: at(n)(ctx, goal))
-
-    return tac
+    return _Fix(transform)
 
 
 def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
@@ -402,34 +456,12 @@ def repeat_multitactic(
     decides, and hands the stable state back under the unit, ready for
     the caller's flattening.
 
-    Over `all_mt(t)` with t built from rules, `id` and `|`, a round
-    attacks only the goals that may answer differently than before.  A
-    goal the last round refused, and whose flattening only renamed its
-    free variables, injectively, keeps its refusal without t running on
-    it: t answers at once, and every rule is support-local (rule.py).
-    The standing refusal still goes to the trace hook in its place, so
-    the rounds, their states and the trace are those of a full sweep.
+    Over `all_mt(t)` with t natural, a round attacks only the goals that
+    may answer differently than before.  A goal the last round refused,
+    and whose flattening only renamed its free variables, injectively,
+    keeps its refusal without t running on it: t answers at once, and
+    every rule is support-local (rule.py).  The standing refusal still
+    goes to the trace hook in its place, so the rounds, their states and
+    the trace are those of a full sweep.
     """
-    outer = StateStructure(structure)
-    t = getattr(mt, "tactic", None)
-    natural = getattr(t, "natural", False)
-
-    def loop(ctx: Context, state: ProofState, standing: dict[int, type]) -> Delayed:
-        def after(answers: ProofState) -> Delayed:
-            healed: dict[int, type] | None = {} if natural else None
-            advanced, stop = _next_round(structure, state, answers, healed)
-            if stop:
-                return Now(state_unit(outer, advanced))
-            return Later(lambda: loop(ctx, advanced, healed))
-
-        if isinstance(state, (Fail, Bot)):
-            return Now(state_unit(outer, state))
-        if natural:
-            attack = _attack_unless_standing(structure, t, standing)
-            return bind(_sweep(state, attack, 0), after)
-        return bind(mt(ctx, state), after)
-
-    def start(ctx: Context, state: ProofState) -> Delayed:
-        return loop(ctx, state, {})
-
-    return start
+    return _Repeat(structure, mt)

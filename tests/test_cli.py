@@ -19,7 +19,7 @@ from refkit.cli import (
     render_pretty,
 )
 from refkit.logics import arith, dep
-from refkit.script import print_script
+from refkit.script import AllM, EachM, MStar, OrElse, SeqTac, Star, print_script
 from refkit.state import Bot, Subgoals
 
 from reference import ref_execute, ref_state_alpha_eq
@@ -28,7 +28,6 @@ from strategies import rand_closed_expr, rand_dep_closed_prop, rand_script_tacti
 BREADTH = "id; all(num_eval | plus_eval | add)*"
 DEPTH = "(num_eval | plus_eval | add)*"
 TWO_PLUS_THREE = "eval num 2 + num 3"
-# `id*` exits 6 from fuel 125 on (ROADMAP item 6(b))
 RUN_FUEL = 100
 
 
@@ -388,10 +387,26 @@ def test_large_residuals_match_the_pinned_digest(capsys):
 # whole runs against the naive interpreter in tests/reference.py
 
 
+def star_depth(ast):
+    """How deep stars nest in a script's AST."""
+    match ast:
+        case Star(body):
+            return 1 + star_depth(body)
+        case OrElse(a, b) | SeqTac(a, b):
+            return max(star_depth(a), star_depth(b))
+        case AllM(body) | MStar(body):
+            return star_depth(body)
+        case EachM(bodies):
+            return max(map(star_depth, bodies), default=0)
+    return 0
+
+
 def rand_run(rng, fuel):
     """A goal of either logic, a script over that logic's rule names, and
-    a fuel of at most fuel, small fuels as likely as large ones in scale:
-    a diverging star costs about the cube of its fuel."""
+    a fuel of at most fuel, small fuels as likely as large ones in scale.
+    A star that never answers re-runs every approximant, so it costs more
+    than the square of its fuel, and each star nested in it multiplies
+    that again: such a script gets an eighth of the fuel per nesting."""
     if rng.random() < 0.5:
         logic, module = "arith", arith
         goal = f"eval {arith.render_expr(rand_closed_expr(rng, rng.randrange(4)))}"
@@ -399,6 +414,7 @@ def rand_run(rng, fuel):
         logic, module = "dep", dep
         goal = f"true {dep.render_prop(rand_dep_closed_prop(rng, rng.randrange(4)))}"
     ast = rand_script_tactic(rng, rng.randrange(4), tuple(module.RULES))
+    fuel //= 8 ** max(star_depth(ast) - 1, 0)
     return RunConfig(logic, goal, print_script(ast), round((fuel + 1) ** rng.random()) - 1)
 
 
@@ -418,3 +434,19 @@ def test_runs_agree_with_the_reference_interpreter(seed):
     structure = LOGICS[config.logic].STRUCTURE
     assert render_pretty(structure, got) == render_pretty(structure, want)
     assert render_json(structure, got) == render_json(structure, want)
+
+
+@pytest.mark.parametrize(
+    "argv, code, steps",
+    [
+        (["--goal", "eval " + " + ".join(["num 1"] * 129),
+          "--script", arith.AUTO_NAIVE_SCRIPT], 1, 130),
+        (["--goal", "add 1 2", "--script", "id*", "--fuel", "300"], 4, 300),
+    ],
+    ids=["depth-first comb of 128", "id* at fuel 300"],
+)
+def test_deep_approximants_take_no_python_frame_per_level(capsys, argv, code, steps):
+    assert main(["--logic", "arith", *argv]) == code
+    out = capsys.readouterr()
+    assert f"\nsteps_used: {steps}\n" in out.out
+    assert out.err == ""

@@ -596,3 +596,44 @@ def test_breadth_first_auto_attacks_only_goals_that_may_answer(
     assert out.status == "complete"
     assert out.steps == steps
     assert calls[0] == rule_calls
+
+
+def test_natural_follows_how_the_tactic_was_built():
+    plain = lambda ctx, goal: NUM_EVAL(ctx, goal)  # noqa: E731
+    natural = (
+        NUM_EVAL,
+        id_tactic(J),
+        orelse(NUM_EVAL, orelse(PLUS_EVAL, ADD)),
+        try_tactic(J, orelse(ADD, NUM_EVAL)),
+    )
+    assert all(t.natural for t in natural)
+    others = (
+        then_tactic(J, NUM_EVAL, ADD),
+        repeat(J, NUM_EVAL),
+        seq(J, id_tactic(J), all_mt(J, NUM_EVAL)),
+    )
+    assert not any(t.natural for t in others)
+    for other in (*others, plain):
+        assert not orelse(NUM_EVAL, other).natural
+        assert not orelse(other, id_tactic(J)).natural
+
+
+@pytest.mark.parametrize(
+    "wrap, rule_calls",
+    [(lambda step: step, 859), (lambda step: lambda ctx, g: step(ctx, g), 12673)],
+    ids=["natural step", "step behind a plain callable"],
+)
+def test_the_auto_script_built_in_python_runs_as_compiled(monkeypatch, wrap, rule_calls):
+    # a plain callable runs as a leaf that is not natural: the rounds
+    # re-attack every goal, with the same states and steps
+    calls = counted_rules(monkeypatch)
+    step = orelse(
+        from_rule(arith.RULES["num_eval"]),
+        orelse(from_rule(arith.RULES["plus_eval"]), from_rule(arith.RULES["add"])),
+    )
+    auto = seq(J, id_tactic(J), repeat_multitactic(J, all_mt(J, wrap(step))))
+    goal = arith.parse_goal(left_comb(32))
+    got = run_delayed(auto(goal.context, goal), 1000)
+    assert isinstance(got, Resolved) and got.steps == 97
+    assert is_complete(got.value)
+    assert calls[0] == rule_calls
