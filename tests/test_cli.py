@@ -19,7 +19,16 @@ from refkit.cli import (
     render_pretty,
 )
 from refkit.logics import arith, dep
-from refkit.script import AllM, EachM, MStar, OrElse, SeqTac, Star, print_script
+from refkit.script import (
+    AllM,
+    EachM,
+    MStar,
+    OrElse,
+    RuleName,
+    SeqTac,
+    Star,
+    print_script,
+)
 from refkit.state import Bot, Subgoals
 
 from reference import ref_execute, ref_state_alpha_eq
@@ -401,6 +410,19 @@ def star_depth(ast):
     return 0
 
 
+def positional_script(rng, names):
+    """`t; [s, ..., s]` or `t; [s, ..., s]*`, s the logic's rules in some
+    order joined by `|`: each goal is attacked only after the evidence
+    of the goals before it has been put in."""
+    first, *rest = rng.sample(names, len(names))
+    step = RuleName(first)
+    for name in rest:
+        step = OrElse(step, RuleName(name))
+    each = EachM((step,) * rng.randrange(6))
+    multi = MStar(each) if rng.random() < 0.3 else each
+    return SeqTac(rand_script_tactic(rng, 1, names), multi)
+
+
 def rand_run(rng, fuel):
     """A goal of either logic, a script over that logic's rule names, and
     a fuel of at most fuel, small fuels as likely as large ones in scale.
@@ -413,12 +435,16 @@ def rand_run(rng, fuel):
     else:
         logic, module = "dep", dep
         goal = f"true {dep.render_prop(rand_dep_closed_prop(rng, rng.randrange(4)))}"
-    ast = rand_script_tactic(rng, rng.randrange(4), tuple(module.RULES))
+    names = tuple(module.RULES)
+    if rng.random() < 0.25:
+        ast = positional_script(rng, names)
+    else:
+        ast = rand_script_tactic(rng, rng.randrange(4), names)
     fuel //= 8 ** max(star_depth(ast) - 1, 0)
     return RunConfig(logic, goal, print_script(ast), round((fuel + 1) ** rng.random()) - 1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_runs_agree_with_the_reference_interpreter(seed):
     config = rand_run(random.Random(seed), RUN_FUEL)
