@@ -25,7 +25,8 @@ CHECKED |= {
     if inspect.isfunction(f) and f.__module__ == state.__name__
 }
 CHECKED |= {name for name in vars(JudgmentStructure) if not name.startswith("_")}
-# ref_execute runs the script's AST itself: no tactical, driver or compiler
+# ref_execute runs the script's AST itself: no tactical, no run_delayed and
+# no script compiler
 CHECKED |= set(
     "id_tactic from_rule orelse try_tactic all_mt each_mt seq then_tactic fix"
     " repeat repeat_multitactic never_tactic race force search lub run_delayed"
