@@ -1,6 +1,6 @@
 """Time the term walks on a closed and on an open term of the same shape.
 
-Each walk is timed per call on a balanced tree of about --nodes nodes:
+Each walk is timed per call on a balanced tree of about NODES nodes:
 `subst_apply`, `check_term` and `term_vars` on an arith sum, and dep's
 `DepStructure.subst` on an equation between two pair trees and on a sig
 over such an equation.  The closed term has a numeral (or `tt`) at every
@@ -20,7 +20,6 @@ frames of Python's default recursion limit.
 
 from __future__ import annotations
 
-import argparse
 import time
 
 from refkit.logics import arith, dep
@@ -54,6 +53,8 @@ def size(t) -> int:
     return nodes
 
 
+NODES = 1000
+BUDGET = 0.02  # seconds of calls per timing
 # deep enough to show the per-level cost, and deeper than a walk that
 # took one frame per level could go
 DEPTH = 5000
@@ -66,32 +67,26 @@ def spine(bottom, depth: int):
     return bottom
 
 
-def per_call_us(walk, budget: float) -> float:
-    """Microseconds per call of walk(), over calls filling budget seconds."""
+def per_call_us(walk) -> float:
+    """Microseconds per call of walk(), over calls filling BUDGET seconds."""
     calls = 0
     start = time.perf_counter()
     while True:
         walk()
         calls += 1
         elapsed = time.perf_counter() - start
-        if elapsed >= budget:
+        if elapsed >= BUDGET:
             return elapsed / calls * 1e6
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--nodes", type=int, default=1000)
-    parser.add_argument("--budget", type=float, default=0.02,
-                        help="seconds of calls per timing")
-    args = parser.parse_args()
-
     n = Var("n", arith.NUM)
     ctx = Context((("n", arith.NUM),))
     to_one = Substitution(Context(), ctx, (arith.nat(1),))
     # a leaf `num k` is two nodes and a + node one, so a third are leaves
     sums = {
-        "closed": balanced(arith.plus, lambda: arith.num(1), args.nodes // 3),
-        "open": balanced(arith.plus, lambda: App(arith.NUM_OP, (n,)), args.nodes // 3),
+        "closed": balanced(arith.plus, lambda: arith.num(1), NODES // 3),
+        "open": balanced(arith.plus, lambda: App(arith.NUM_OP, (n,)), NODES // 3),
     }
     g = Var("g", dep.EXP)
     dctx = Context((("g", dep.EXP),))
@@ -99,8 +94,8 @@ def main() -> int:
     def pair_eq(left, right):
         # two pair trees of a quarter as many leaves each
         return dep.eq(
-            balanced(dep.pair, left, args.nodes // 4),
-            balanced(dep.pair, right, args.nodes // 4),
+            balanced(dep.pair, left, NODES // 4),
+            balanced(dep.pair, right, NODES // 4),
         )
 
     def slot():
@@ -130,7 +125,7 @@ def main() -> int:
             ("term_vars", t, lambda: term_vars(t)),
         ]
         for name, term, walk in walks:
-            us = per_call_us(walk, args.budget)
+            us = per_call_us(walk)
             print(f"{name:<16} {kind:<7} {size(term):>6} {us:>10.2f}")
     deep_open, deep_closed = spine(g, DEPTH), spine(dep.tt(), DEPTH)
     for name, term, walk in (
@@ -139,7 +134,7 @@ def main() -> int:
         ("check_term", deep_open, lambda: check_term(dctx, deep_open)),
         ("render_term", deep_closed, lambda: render_term(deep_closed)),
     ):
-        us = per_call_us(walk, args.budget)
+        us = per_call_us(walk)
         print(f"{name:<16} {'deep':<7} {size(term):>6} {us:>10.2f}")
     return 0
 

@@ -99,7 +99,8 @@ def execute(config: RunConfig) -> RunOutcome:
             if isinstance(tele, TeleNil):
                 return RunOutcome("complete", 0, result.steps, state)
             return RunOutcome("incomplete", 1, result.steps, state)
-    raise UsageError(f"tactic produced a non-state: {state!r}")
+    # a fault of the tactic or a rule, not of the command line
+    raise TypeError(f"tactic produced a non-state: {state!r}")
 
 
 def _trace_tag(state: ProofState) -> str:

@@ -301,6 +301,19 @@ def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
     assert captured.err == "error: internal: RuntimeError: rule exploded\n"
 
 
+@pytest.mark.parametrize("script", ["num_eval", "id; all(num_eval)*"])
+def test_a_tactic_answering_a_non_state_is_an_internal_error(monkeypatch, capsys, script):
+    from refkit.rule import Rule
+
+    monkeypatch.setattr(arith, "RULES", {"num_eval": Rule("num_eval", lambda ctx, goal: 42)})
+    code = main(["--logic", "arith", "--goal", "eval num 1", "--script", script])
+    assert code == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: internal: ")
+
+
 def test_module_entry_point_matches_main():
     import subprocess
     import sys

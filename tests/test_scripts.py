@@ -28,8 +28,6 @@ raise SystemExit(script.main())
 
 
 def command(script):
-    if script.name == "term_walks.py":
-        return [sys.executable, str(script), "--budget", "0"]
     if "\nBUDGET = " in script.read_text():
         return [sys.executable, "-c", NO_BUDGET, str(script)]
     return [sys.executable, str(script)]
