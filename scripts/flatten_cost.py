@@ -11,13 +11,12 @@ of the one before it and every move is a renaming.
   telescope is spliced in and its validation carried into the rest.
 
 The rows show how the cost of a splice grows with the context.  Reading
-the moved goal's variables, naming its binder, appending it to the
-versions the flat context shares and checking that the goal's context is
-its scope all cost the same at every size, so the two sizes of a family
-should read about the same; what differs is that the larger flattening
-runs over a larger heap, for the caches and the cycle collector.  Each
-row is the best of at least three flattenings and of BUDGET seconds of
-them.
+the moved goal's variables, naming its binder, consing it onto the flat
+context and checking that the goal's context is its scope all cost the
+same at every size, so the two sizes of a family should read about the
+same; what differs is that the larger flattening runs over a larger
+heap, for the caches and the cycle collector.  Each row is the best of
+at least three flattenings and of BUDGET seconds of them.
 """
 
 from __future__ import annotations

@@ -310,14 +310,15 @@ class TeleBuilder:
         named after bases; the variables of the new binders."""
         outputs = self.structure.output(goal).entries
         fresh = self.scope.fresh
-        binder: list[tuple[str, Any]] = []
+        prefix = self.prefix
         variables: list[Var] = []
+        # scope holds every name of the prefix, so fresh names are new to it
         for base, (_, sort) in zip(bases, outputs, strict=True):
             name = fresh(base)
-            binder.append((name, sort))
+            prefix = prefix._snoc(name, sort)
             variables.append(Var(name, sort))
-        self.entries.append((tuple([name for name, _ in binder]), goal))
-        self.prefix = Context._extended(self.prefix, tuple(binder))
+        self.entries.append((tuple([v.name for v in variables]), goal))
+        self.prefix = prefix
         return tuple(variables)
 
     def splice(

@@ -17,24 +17,22 @@ The loop hands back a subterm whose free variables are all bound, a
 closed one among them, as it is, and keeps an explicit stack, so a deep
 term takes no Python frames.
 
-Contexts are persistent, after Baker's version arrays.  A context is
-a length over versions it shares: a log of entries and an index from
-name to position, both only ever appended to.  Extending the newest
-version appends to them, so it costs the new entries alone; a context
-reads only the positions below its length, and builds its `entries`
-tuple only when asked.  Extending an older version copies its part
-once, and the copy remembers where it came from.  Distinctness is
-checked before anything is written, so an extension that raises leaves
-every context as it was.  Of two contexts that share versions one is a
-prefix of the other, which lets `Context._extends` tell in O(k) whether
-a context is another followed by k given names.
+A context is a snoc list, as in the paper's Γ, x : A: a nonempty
+context is its last entry over its parent, the context before it.
+Extending a context conses new cells onto it and writes nothing the
+context shares, so every context extended from another keeps it as an
+ancestor, and an extension that raises changes nothing.  `entries` and
+`names` are built on first read, from the nearest ancestor that has
+them.  A lookup walks back from the end, so it costs its distance from
+there, and `Context._extends` tells in O(k) whether a context is another
+followed by k given names by walking back k cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, partial
-from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, Union
 
 
@@ -154,114 +152,99 @@ def term_vars(t: Term) -> set[str]:
     raise UnsortedTerm(f"not a term: {t!r}")
 
 
-class _Versions:
-    """What contexts extended one from another share: their entries in
-    order and each name's position, both only ever appended to.  A copy
-    of an older version's part keeps origin, the versions it was copied
-    from, and copied, the length of that part."""
-
-    __slots__ = ("log", "index", "origin", "copied")
-
-    def __init__(
-        self,
-        log: list[tuple[str, Sort]],
-        index: dict[str, int],
-        origin: "_Versions | None" = None,
-        copied: int = 0,
-    ):
-        self.log = log
-        self.index = index
-        self.origin = origin
-        self.copied = copied
-
-
 class Context:
     """An immutable ordered list of distinctly named, sorted variables.
 
-    A context is the first len(self) entries of its shared versions (see
-    the module docstring); the tuple `entries` is built on first read.
+    A nonempty context is its last entry, `_name` and `_sort`, over
+    `_parent`, the context before it (see the module docstring).
     """
 
     def __init__(self, entries: tuple[tuple[str, Sort], ...] = ()):
-        index: dict[str, int] = {}
-        for position, (name, _) in enumerate(entries):
-            if name in index:
-                raise ContextMismatch(f"duplicate variable {name!r} in context")
-            index[name] = position
         state = self.__dict__
+        if entries:
+            # the last cell of entries consed onto the empty context
+            state.update(Context._extended(Context(()), entries).__dict__)
+        else:
+            state["_length"] = 0
+            state["names"] = ()
         state["entries"] = entries
-        state["_versions"] = _Versions(list(entries), index)
-        state["_length"] = len(entries)
+
+    def _snoc(self, name: str, sort: Sort) -> "Context":
+        """self followed by name : sort, which the caller has made sure
+        self does not bind."""
+        ctx = object.__new__(Context)
+        state = ctx.__dict__
+        state["_parent"] = self
+        state["_name"] = name
+        state["_sort"] = sort
+        state["_length"] = self._length + 1
+        return ctx
 
     @classmethod
     def _extended(
         cls, base: "Context", extra: tuple[tuple[str, Sort], ...]
     ) -> "Context":
-        # same distinctness guarantee as __init__, reusing base's versions
-        versions, size = base._versions, base._length
-        if len(versions.log) != size:
-            # base is not the newest version: copy its part
-            versions = _Versions(
-                versions.log[:size],
-                dict(islice(versions.index.items(), size)),
-                versions,
-                size,
-            )
-        index = versions.index
-        # check before writing, so a raising extension changes nothing
-        seen: set[str] = set()
+        # check before consing, so a raising extension makes no cell
+        seen = set(base.names)
         for name, _ in extra:
-            if name in index or name in seen:
+            if name in seen:
                 raise ContextMismatch(f"duplicate variable {name!r} in context")
             seen.add(name)
-        for position, (name, _) in enumerate(extra, size):
-            index[name] = position
-        versions.log.extend(extra)
-        self = object.__new__(cls)
-        state = self.__dict__
-        state["_versions"] = versions
-        state["_length"] = size + len(extra)
-        return self
+        for name, sort in extra:
+            base = base._snoc(name, sort)
+        return base
 
     def _extends(self, base: "Context", names: Sequence[str]) -> bool:
         """Whether self is base followed by names, read in O(len(names)).
 
-        It can tell only when self shares base's versions or was extended
-        from a copy of at least base's part of them; False otherwise.
+        It tells only when base is an ancestor of self; False otherwise.
         """
-        size = base._length
-        if self._length != size + len(names):
+        if self._length != base._length + len(names):
             return False
-        versions = self._versions
-        if versions is not base._versions and (
-            versions.origin is not base._versions or versions.copied < size
-        ):
-            return False
-        log = versions.log
-        for position, name in enumerate(names, size):
-            if log[position][0] != name:
+        ctx = self
+        for name in reversed(names):
+            if ctx._name != name:
                 return False
-        return True
+            ctx = ctx._parent
+        return ctx is base
 
     def _names_from(self, start: int) -> list[str]:
         """The names past the first start entries, in O(their number)."""
-        return [name for name, _ in self._versions.log[start : self._length]]
+        names = []
+        ctx = self
+        for _ in range(self._length - start):
+            names.append(ctx._name)
+            ctx = ctx._parent
+        names.reverse()
+        return names
+
+    def _from_ancestor(
+        self, attr: str, read: Callable[["Context"], object]
+    ) -> tuple:
+        """attr of self: the value at the nearest of self and its ancestors
+        that has it, followed by read of each context after that one."""
+        cells = []
+        ctx = self
+        while attr not in ctx.__dict__:
+            cells.append(ctx)
+            ctx = ctx._parent
+        return ctx.__dict__[attr] + tuple(map(read, reversed(cells)))
 
     @cached_property
     def entries(self) -> tuple[tuple[str, Sort], ...]:
-        return tuple(self._versions.log[: self._length])
+        return self._from_ancestor("entries", attrgetter("_name", "_sort"))
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(islice(self._versions.index, self._length))
+        return self._from_ancestor("names", attrgetter("_name"))
 
     def lookup(self, name: str) -> Sort | None:
-        # the shared index also holds the names of later versions
-        versions = self._versions
-        position = versions.index.get(name)
-        if position is None or position >= self._length:
-            return None
-        return versions.log[position][1]
+        ctx = self
+        while ctx._length:
+            if ctx._name == name:
+                return ctx._sort
+            ctx = ctx._parent
+        return None
 
     def __len__(self) -> int:
         return self._length
@@ -269,10 +252,7 @@ class Context:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Context:
             return NotImplemented
-        if self._length != other._length:
-            return False
-        # one versions, one length: the same entries
-        return self._versions is other._versions or self.entries == other.entries
+        return self is other or self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash((self.entries,))
@@ -379,10 +359,14 @@ class Substitution:
             check_term(self.source, t)
 
     def lookup(self, name: str) -> Term | None:
-        position = self.target._versions.index.get(name)
-        if position is None or position >= len(self.terms):
-            return None
-        return self.terms[position]
+        ctx, terms = self.target, self.terms
+        position = len(terms)
+        while position:
+            position -= 1
+            if ctx._name == name:
+                return terms[position]
+            ctx = ctx._parent
+        return None
 
 
 def subst_weaken(source: Context, target: Context) -> Substitution:

@@ -121,23 +121,33 @@ def test_persistent_contexts_behave_as_if_built_from_scratch(seed):
             assert (ctx == other) == (want == other_want)
 
 
-def test_extending_the_newest_context_shares_its_versions():
+def test_an_extension_conses_onto_its_base_and_builds_nothing_when_it_raises(
+    monkeypatch,
+):
     base = Context((("x", NUM),))
-    shared = base._versions
     newer = ctx_concat(base, Context((("y", NUM),)))
-    newest = ctx_concat(newer, Context((("z", EXP),)))
-    assert newer._versions is shared and newest._versions is shared
-    log, index = list(shared.log), dict(shared.index)
-    # newer is an older version now: its extension copies its part
+    newest = ctx_concat(newer, Context((("z", EXP), ("u", NUM))))
+    assert newest._parent._parent is newer and newer._parent is base
+    # a branch off newer is a sibling of newest: neither sees the other's names
     branch = ctx_concat(newer, Context((("w", EXP),)))
-    assert branch._versions is not shared
-    assert (shared.log, shared.index) == (log, index)
+    assert branch._parent is newer
     assert branch.lookup("z") is None and newest.lookup("w") is None
-    # a raising extension writes nothing, so newest stays the newest
-    with pytest.raises(ContextMismatch):
-        ctx_concat(newest, Context((("v", NUM), ("x", NUM))))
-    assert (shared.log, shared.index) == (log, index)
-    assert ctx_concat(newest, Context((("v", NUM),)))._versions is shared
+    assert branch.names == ("x", "y", "w")
+    assert newest.names == ("x", "y", "z", "u")
+    assert newest._names_from(2) == ["z", "u"]
+    # the duplicate comes second, so a cell for v would be made first if
+    # the check came after the consing
+    clash, fine = Context((("v", NUM), ("x", NUM))), Context((("v", NUM),))
+    made = []
+    snoc = Context._snoc
+    monkeypatch.setattr(
+        Context, "_snoc", lambda ctx, *entry: made.append(entry) or snoc(ctx, *entry)
+    )
+    with pytest.raises(ContextMismatch, match="duplicate variable 'x'"):
+        ctx_concat(newest, clash)
+    assert made == []
+    assert ctx_concat(newest, fine)._parent is newest
+    assert made == [("v", NUM)]
 
 
 def test_extends_reads_a_prefix_only_from_shared_or_copied_versions():
@@ -146,18 +156,17 @@ def test_extends_reads_a_prefix_only_from_shared_or_copied_versions():
     assert longer._extends(base, ("y", "z"))
     for names in (("y",), ("z", "y"), ("y", "w"), ("y", "z", "w")):
         assert not longer._extends(base, names)
-    # base is an older version now: the branch copies its part, and the
-    # copy remembers where it came from
+    # a branch off base conses onto it too, beside longer
     branch = ctx_concat(base, Context((("w", NUM),)))
     assert branch._extends(base, ("w",))
     assert not branch._extends(longer, ())
-    # a copy of a shorter part of child's versions says nothing of the
-    # names child has past that part
+    # a cousin shares only a shorter prefix with child, which says
+    # nothing of the names child has past it
     parent = Context((("p", NUM),))
     child = ctx_concat(parent, Context((("r", NUM),)))
     cousin = ctx_concat(ctx_concat(parent, Context((("q", NUM),))), Context((("a", NUM),)))
     assert not cousin._extends(child, ("a",))
-    # nor does a copy of other versions, or a context built apart
+    # nor does an extension of another context, or a context built apart
     other = Context((("q", NUM),))
     ctx_concat(other, Context((("w", NUM),)))
     assert not ctx_concat(other, Context((("a", NUM),)))._extends(base, ("a",))
