@@ -156,7 +156,8 @@ class Context:
     """An immutable ordered list of distinctly named, sorted variables.
 
     A nonempty context is its last entry, `_name` and `_sort`, over
-    `_parent`, the context before it (see the module docstring).
+    `_parent`, the context before it (see the module docstring).  Every
+    walk back ends at an empty context, which has `entries` and `names`.
     """
 
     def __init__(self, entries: tuple[tuple[str, Sort], ...] = ()):
