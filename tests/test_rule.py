@@ -1,6 +1,10 @@
 """Refinement rules, clause tables, indexed dispatch, and the rule law."""
 
+import dataclasses
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refkit.logics import arith, dep
 from refkit.rule import (
@@ -18,14 +22,16 @@ from refkit.state import (
     Subgoals,
     pretty_state,
     state_alpha_eq,
+    state_subst,
     state_unit,
     tele_goals,
 )
-from refkit.theory import App, Context, Substitution, Var
+from refkit.theory import App, Context, Substitution, Var, subst_weaken
 
 from strategies import rand_context, rand_goal, rand_subst
 from test_acceptance import _arith_samples as criterion_03_arith
 from test_acceptance import _dep_samples as criterion_03_dep
+from test_binder_names import rand_any_goal
 
 J = arith.STRUCTURE
 D = dep.STRUCTURE
@@ -185,6 +191,27 @@ def test_shipped_rules_are_support_local_on_the_criterion_03_pools():
         assert check_support_locality(J, rule, arith_moves) == []
     for rule in dep.RULES.values():
         assert check_support_locality(D, rule, dep_moves) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_whole_answers_are_support_local(seed):
+    # a rule handed the goal over the context of its free variables alone
+    # answers as over the full context, up to the names of its binders
+    structure, rules, goal = rand_any_goal(random.Random(seed))
+    free = goal_support(goal)
+    support = Context(tuple(e for e in goal.context.entries if e[0] in free))
+    local = dataclasses.replace(goal, context=support)
+    back = subst_weaken(goal.context, support)
+    for rule in rules.values():
+        full = rule.run(goal.context, goal)
+        answer = rule.run(support, local)
+        assert type(answer) is type(full)
+        if isinstance(full, Subgoals):
+            moved = state_subst(structure, answer, back)
+            assert state_alpha_eq(structure, moved, full)
+            # the binders' stems are the rule's own, so the names agree too
+            assert moved == full
 
 
 def test_a_rule_that_reads_its_context_is_caught():

@@ -464,6 +464,38 @@ def test_rounds_match_the_full_re_sweep(seed):
             assert pretty_state(J, settled) == pretty_state(J, reference)
 
 
+
+def rand_left_comb(rng, ctx):
+    """eval of a left comb of 6 to 12 `+` over numerals: each round's
+    answers sit in front of a long run of standing add goals."""
+    expr = arith.num(rng.randrange(4))
+    for _ in range(rng.randint(6, 12)):
+        expr = arith.plus(expr, arith.num(rng.randrange(4)))
+    return arith.EvalGoal(ctx, expr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_untraced_rounds_match_the_traced_full_re_sweep(seed):
+    # with no trace hook the rounds need no goal named until the end
+    rng = random.Random(seed)
+    ctx = rand_context(rng)
+    roll = rng.random()
+    if roll < 0.4:
+        state = arith_state(rng, ctx, max_goals=4, depth=3)
+    elif roll < 0.8:
+        state = state_unit(J, arith.EvalGoal(ctx, rand_expr(rng, ctx, 4)))
+    else:
+        state = state_unit(J, rand_left_comb(rng, ctx))
+    t = rand_round_tactic(rng)
+    got = run_delayed(repeat_multitactic(J, all_mt(J, t))(state.context, state), 300)
+    want, _ = traced_run(full_sweep_repeat(all_mt(J, t)), state, 300)
+    assert type(got) is type(want)
+    assert got.steps == want.steps
+    if isinstance(want, Resolved):
+        assert got.value == want.value
+        assert pretty_state(K, got.value) == pretty_state(K, want.value)
+
 def test_a_round_of_refusals_and_units_stops_as_the_reference_does():
     goal = eval_goal(arith.plus(arith.num(2), arith.plus(arith.num(3), arith.num(4))))
     split = final(PLUS_EVAL, goal)
