@@ -10,10 +10,13 @@ Rules are also required to be support-local: the answer depends only on
 the goal up to an injective renaming of its free variables, never on the
 rest of the context.  Moving a goal by such a renaming, onto a context
 where the other entries were instantiated, dropped or added, moves the
-answer the same way, up to the names of its binders; so a rule may not
-look at which other entries are in scope.  Breadth-first rounds rely on
-this to leave a refused goal alone when a round only renamed it, and
-check_support_locality probes it on the moves support_moves builds.
+answer the same way, up to the primes of its binders' names, which keep
+their stems; so a rule may not look at which other entries are in
+scope.  Breadth-first rounds rely on this twice: they hand a rule the
+goal over the context of its free variables alone, and they leave a
+refused goal alone when a round only renamed it.  check_support_locality
+probes the verdicts on the moves support_moves builds; the tests also
+compare whole answers over the goal's context and over its support.
 Lax naturality alone does not give it: a rule may answer BOT on a goal
 and FAIL on a renaming of it and still be lax natural.
 """

@@ -235,7 +235,6 @@ def state_mul(
     structure: JudgmentStructure,
     outer: ProofState,
     before: Telescope | None = None,
-    standing: dict[int, type] | None = None,
 ) -> ProofState:
     """Flatten a state whose subgoals are themselves states.
 
@@ -253,10 +252,6 @@ def state_mul(
     under fresh binders named after its outputs, just as if the entry
     had answered with the goal's unit state.  If the binders of `before`
     do not line up with the outer entries, it is ignored.
-
-    `standing`, if given, collects each refused goal whose move only
-    renamed its free variables, injectively: its position in the
-    result's telescope, mapped to the kind of its refusal (Fail or Bot).
     """
     match outer:
         case Fail(_, _) | Bot(_, _):
@@ -264,7 +259,7 @@ def state_mul(
         case Subgoals(tele, validation):
             if before is not None and not _same_binders(tele, before):
                 before = None
-            return _mul_tele(structure, tele, validation, before, standing)
+            return _mul_tele(structure, tele, validation, before)
     raise TheoryError(f"not a proof state: {outer!r}")
 
 
@@ -323,15 +318,11 @@ class TeleBuilder:
 
     def splice(
         self, goal: Any, bases: tuple[str, ...], binds: tuple[str, ...]
-    ) -> "_Reindexing":
+    ) -> None:
         """Append goal, reindexed onto the prefix, under fresh binders
-        named after bases that stand for the old names binds from here on;
-        the reindexing that moved it.  That reindexing reads image, which
-        this call has already changed, so only its renames() still holds."""
-        move = self.reindexing(goal.context)
-        moved = self.structure.subst(goal, move)
+        named after bases that stand for the old names binds from here on."""
+        moved = self.structure.subst(goal, self.reindexing(goal.context))
         self._bind(binds, self.push(moved, bases))
-        return move
 
     def _bind(self, names: Sequence[str], terms: Sequence[Term]) -> None:
         """Send the old names to terms over the prefix from here on."""
@@ -371,7 +362,6 @@ def _mul_tele(
     tele: Telescope,
     validation: Substitution,
     before: Telescope | None,
-    standing: dict[int, type] | None,
 ) -> ProofState:
     if isinstance(tele, TeleNil):
         return Subgoals(tele, validation)
@@ -399,9 +389,7 @@ def _mul_tele(
         elif before is not None:
             # a refusal leaves the goal standing, as its unit state would
             goal = before.goal
-            move = b.splice(goal, structure.output(goal).names, walk.names)
-            if standing is not None and move.renames():
-                standing[len(b.entries) - 1] = type(head)
+            b.splice(goal, structure.output(goal).names, walk.names)
         else:
             # an absorbing goal already spliced in sits earlier in
             # dependency order, so its kind wins over the collapse
@@ -434,39 +422,23 @@ class _Reindexing:
     """The substitution sending target, the old names in scope in any
     order, onto source by reading image, a running map of a move.
 
-    Building it checks nothing: the caller has checked that target holds
-    exactly the names image covers (`_check_scope`).  A term pays one
-    lookup per free variable, so moving a goal costs its own variables,
-    not its context.  It notes what each lookup read, so renames() can
-    tell whether the variables read so far went to distinct variables.
-    It reads image live, so lookups and terms hold only until image next
-    changes; renames() reads only what was noted.
+    Building it checks nothing: the caller makes sure that image covers
+    the names of target (`_check_scope`).  A term pays one lookup per
+    free variable, so moving a goal costs its own variables, not its
+    context.  It reads image live, so lookups and terms hold only until
+    image next changes.
     """
 
-    __slots__ = ("source", "target", "_image", "_read")
+    __slots__ = ("source", "target", "lookup")
 
     def __init__(self, source: Context, target: Context, image: dict[str, Term]):
         self.source = source
         self.target = target
-        self._image = image
-        self._read: dict[str, Term] = {}
-
-    def lookup(self, name: str) -> Term | None:
-        term = self._image.get(name)
-        self._read[name] = term
-        return term
+        self.lookup = image.get
 
     @property
     def terms(self) -> tuple[Term, ...]:
         return tuple(map(self.lookup, self.target.names))
-
-    def renames(self) -> bool:
-        """Whether every variable read went to a variable, no two to one."""
-        read = self._read.values()
-        if not all(type(t) is Var for t in read):
-            return False
-        # names in scope are distinct, so distinct names are distinct variables
-        return len({t.name for t in read}) == len(read)
 
 
 def state_alpha_eq(

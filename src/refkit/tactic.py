@@ -21,19 +21,32 @@ from functools import partial
 from typing import Any, Callable, Sequence, Union
 
 from .judgment import JudgmentStructure
+from .rule import goal_support
 from .state import (
     Bot,
     Fail,
     ProofState,
     StateStructure,
     Subgoals,
+    TeleBuilder,
     TeleCons,
     TeleNil,
+    _Reindexing,
     state_alpha_eq,
     state_mul,
+    state_subst,
     state_unit,
+    tele_goals,
 )
-from .theory import Context, Substitution, Var, subst_apply
+from .theory import (
+    Context,
+    NameSupply,
+    Substitution,
+    Term,
+    TheoryError,
+    Var,
+    subst_apply,
+)
 
 
 @dataclass(frozen=True)
@@ -215,7 +228,13 @@ class _Repeat(_Node):
     __slots__ = ("structure", "body", "outer", "worklist")
 
     def __init__(self, structure: JudgmentStructure, body: Multitactic):
-        worklist = isinstance(body, _All) and _is_natural(body.tactic)
+        # _Rounds reads a goal's free variables off its term fields, which
+        # a state, as a goal, does not have
+        worklist = (
+            isinstance(body, _All)
+            and _is_natural(body.tactic)
+            and not isinstance(structure, StateStructure)
+        )
         super().__init__(structure, body, StateStructure(structure), worklist)
 
 
@@ -241,9 +260,12 @@ class _Fix(_Node):
 #   (_FLATTEN, structure)           flatten the state of states
 #   (_SWEEP, sweep, state, tele, done, index, memo, goal, sub)
 #       take the answer to goal, the entry at the head of tele (none when
-#       goal is None), and attack the next; memo holds the standing
-#       refusals by position (all) or the evidence found so far (each)
+#       goal is None), and attack the next; memo holds the evidence found
+#       so far (each)
 #   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
+# A round of `all(t)*` with t natural takes no frame: _Rounds runs it
+# over a telescope of its own, which a run resumes from by _resume_rounds
+# once only, since a round changes it in place.
 _FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
 
 
@@ -278,11 +300,20 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 node = node.first
                 continue
             elif cls is _Repeat:
-                if isinstance(x, Subgoals):
+                if not isinstance(x, Subgoals):
+                    value = state_unit(node.outer, x)
+                elif node.worklist:
+                    # the first round runs here, so a run that settles at
+                    # once takes no Python frame
+                    rounds = _Rounds(node, x)
+                    settled = rounds.round()
+                    if settled is None:
+                        return Later(partial(_resume_rounds, rounds, 1, k))
+                    value = state_unit(node.outer, settled)
+                else:
                     k = ((_ROUND, node, x, ctx), k)
                     node = node.body
                     continue
-                value = state_unit(node.outer, x)
             else:
                 m = node(ctx, x)
                 if not isinstance(m, Now):
@@ -318,9 +349,7 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     continue
                 ctx, goal, structure = tele.goal.context, tele.goal, sweep.structure
                 if type(sweep) is _All:
-                    node, refusal = sweep.tactic, memo.get(index)
-                    if refusal is not None:
-                        node, value = None, refusal(ctx, structure.output(goal))
+                    node = sweep.tactic
                 else:
                     pending = (memo.get(n, Var(n, sort)) for n, sort in ctx.entries)
                     sub = Substitution(ctx, ctx, tuple(pending))
@@ -340,19 +369,282 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 value = state_mul(frame[1], value)
             else:
                 _, repeat, state, ctx = frame
-                healed: dict[int, type] | None = {} if repeat.worklist else None
-                advanced, stop = _next_round(repeat.structure, state, value, healed)
+                advanced, stop = _next_round(repeat.structure, state, value)
                 if stop:
                     value = state_unit(repeat.outer, advanced)
                     continue
                 k = ((_ROUND, repeat, advanced, ctx), k)
-                if healed is None:
-                    return Later(partial(_run, repeat.body, ctx, advanced, k))
-                tele = advanced.telescope
-                frame = (_SWEEP, repeat.body, advanced, tele, None, 0, healed, None, None)
-                return Later(partial(_run, None, None, None, (frame, k)))
+                return Later(partial(_run, repeat.body, ctx, advanced, k))
         else:
             return Now(value)
+
+
+def _resume_rounds(rounds: "_Rounds", done: int, k: Any) -> Delayed:
+    """Go on with an `all(t)*` run after its done-th round, which moved
+    the state, and hand the state it settles on to the frames of k."""
+    if rounds.rounds != done:
+        raise RuntimeError("an all(t)* run was resumed twice from one round")
+    settled = rounds.round()
+    if settled is None:
+        return Later(partial(_resume_rounds, rounds, done + 1, k))
+    return _run(None, None, None, k, state_unit(rounds.outer, settled))
+
+
+class _Entry:
+    """A goal of an `all(t)*` run, over the context of its own free
+    variables: names of the root context and atoms of entries before it.
+
+    atoms are the variables that stand for its outputs, stems the names
+    its binders are named after, and refusal the kind (Fail or Bot) of
+    the answer it stands on, or None while it is to be attacked.
+    """
+
+    __slots__ = ("goal", "atoms", "stems", "refusal", "prev", "next")
+
+    def __init__(self, goal: Any, atoms: tuple[Var, ...], stems: tuple[str, ...]):
+        self.goal, self.atoms, self.stems = goal, atoms, stems
+        self.refusal = self.prev = self.next = None
+
+
+class _Image:
+    """Names sent to terms, which subst_apply reads as a substitution."""
+
+    __slots__ = ("lookup",)
+
+    def __init__(self, image: dict[str, Term]):
+        self.lookup = image.get
+
+
+def _free(t: Term) -> Any:
+    return (t,) if t.__class__ is Var else t.free
+
+
+def _substituted(terms: Any, image: dict[str, Term]) -> tuple[Term, ...]:
+    move = _Image(image)
+    return tuple(subst_apply(t, move) for t in terms)
+
+
+class _Rounds:
+    """The rounds of `all(t)*` with t natural, over a telescope of its own
+    (see repeat_multitactic).
+
+    The telescope is a linked list of entries after head.  Its binders
+    are atoms: variables named `%`, `%'1`, ..., fresh against the root
+    context, which no goal text can name.  uses maps each atom to the
+    entries that mention it, and to None if the validation, outputs over
+    the root context and the atoms, does.  work holds the entries the
+    next round attacks.  Names are given only where they are read: in
+    the state a run settles on, and in each round's goals while a trace
+    hook is installed.  They are the names a flattening gives, NameSupply
+    replayed from the root context's names over the stems in telescope
+    order.
+    """
+
+    def __init__(self, repeat: _Repeat, state: Subgoals):
+        self.structure = repeat.structure
+        self.tactic = repeat.body.tactic
+        self.outer = repeat.outer
+        self.root = state.context
+        self.target = state.validation.target
+        self.supply = NameSupply(self.root.names)
+        self.uses: dict[str, dict[_Entry | None, None]] = {}
+        self.work: dict[_Entry, None] = {}
+        self.rounds = 0
+        self.head = _Entry(None, (), ())
+        image: dict[str, Term] = {n: Var(n, sort) for n, sort in self.root.entries}
+        self._link(self.head, self._entries(state.telescope, image), None)
+        self._set_outputs(state.validation.terms, image)
+        # the first round's trace shows the goals as they were handed in
+        goals = [goal for _, goal in tele_goals(state.telescope)]
+        self.view: Any = goals, {t.name: Var(n, t.sort) for n, t in image.items()}
+
+    def round(self) -> Subgoals | None:
+        """Attack, splice, substitute and compare: the state the round
+        leaves if it equals the state before it up to renaming, else None.
+
+        The round is a flattening of the answers: each entry that answered
+        with subgoals is replaced by them, and its outputs are put in for
+        its atoms where they are used.  A refused entry stands as its unit
+        state would, under binders named after its outputs.
+        """
+        self.rounds += 1
+        work, self.work = self.work, {}
+        if _trace_hook is None:
+            answers = [(entry, self._attack(entry)) for entry in work]
+        else:
+            answers = self._traced(work)
+        self.view = None
+        answered = [(e, a) for e, a in answers if isinstance(a, Subgoals)]
+        if not answered:
+            # every goal refused: the flattening only renames the state
+            return self.state()
+        grown = sum(len(tele_goals(a.telescope)) - 1 for _, a in answered)
+        # states with as many goals may still differ; compare them
+        before = None if grown else self.state()
+        bound: dict[str, Term] = {}
+        for entry, answer in answered:
+            image: dict[str, Term] = {n: Var(n, s) for n, s in entry.goal.context.entries}
+            self._drop(entry, self._entries(answer.telescope, image))
+            outputs = _substituted(answer.validation.terms, image)
+            bound.update(zip([a.name for a in entry.atoms], outputs))
+        self._bind(bound)
+        if before is None:
+            return None
+        after = self.state()
+        return after if state_alpha_eq(self.structure, after, before) else None
+
+    def _attack(self, entry: _Entry) -> ProofState:
+        goal = entry.goal
+        # a natural tactic answers at once
+        answer = _run(self.tactic, goal.context, goal, None).value
+        if isinstance(answer, (Fail, Bot)):
+            entry.refusal = type(answer)
+            entry.stems = self.structure.output(goal).names
+        elif not isinstance(answer, Subgoals):
+            raise TheoryError(f"subgoal is not a proof state: {answer!r}")
+        return answer
+
+    def _traced(self, work: dict[_Entry, None]) -> list[tuple[_Entry, ProofState]]:
+        """The answers of a round that shows every goal to the trace hook,
+        under its names, with its answer, in telescope order."""
+        if self.view is None:
+            b, names = self._named()
+            goals = [goal for _, goal in b.entries]
+        else:
+            goals, names = self.view
+        structure, answers, entry = self.structure, [], self.head.next
+        for goal in goals:
+            if entry in work:
+                answer = self._attack(entry)
+                answers.append((entry, answer))
+                if isinstance(answer, Subgoals):
+                    move = _Reindexing(goal.context, entry.goal.context, names)
+                    shown = state_subst(structure, answer, move)
+                else:
+                    shown = type(answer)(goal.context, answer.target)
+            else:
+                shown = entry.refusal(goal.context, structure.output(goal))
+            _fire_trace(goal, shown)
+            entry = entry.next
+        return answers
+
+    def _entries(self, tele: Any, image: dict[str, Term]) -> list[_Entry]:
+        """Entries, to be attacked, for the goals of tele, a telescope
+        over the names image sends into the run; each binder of tele joins
+        image as its atom."""
+        fresh = []
+        while isinstance(tele, TeleCons):
+            goal = tele.goal
+            outputs = self.structure.output(goal).entries
+            atoms = []
+            for _, sort in outputs:
+                atom = Var(self.supply.fresh("%"), sort)
+                self.uses[atom.name] = {}
+                atoms.append(atom)
+            moved = self._moved(goal, goal_support(goal), image)
+            entry = _Entry(moved, tuple(atoms), tele.names)
+            self._use(entry)
+            image.update(zip(tele.names, atoms, strict=True))
+            fresh.append(entry)
+            tele = tele.rest
+        self.work.update(dict.fromkeys(fresh))
+        return fresh
+
+    def _moved(self, goal: Any, names: Any, image: dict[str, Term]) -> Any:
+        """goal, whose free variables are names, with image put in for
+        them, over the context of the variables that are free after."""
+        free: dict[str, Any] = {}
+        for name in names:
+            term = image.get(name)
+            # a name image lacks is reported by the substitution
+            if term is not None:
+                for v in _free(term):
+                    free[v.name] = v.sort
+        support = Context(tuple(sorted(free.items())))
+        return self.structure.subst(goal, _Reindexing(support, goal.context, image))
+
+    def _use(self, entry: _Entry) -> None:
+        for name in entry.goal.context.names:
+            users = self.uses.get(name)
+            if users is not None:
+                users[entry] = None
+
+    def _set_outputs(self, terms: Any, image: dict[str, Term]) -> None:
+        self.outputs = _substituted(terms, image)
+        for t in self.outputs:
+            for v in _free(t):
+                users = self.uses.get(v.name)
+                if users is not None:
+                    users[None] = None
+
+    def _link(self, prev: _Entry, fresh: list[_Entry], after: _Entry | None) -> None:
+        for entry in fresh:
+            entry.prev, prev.next = prev, entry
+            prev = entry
+        prev.next = after
+        if after is not None:
+            after.prev = prev
+
+    def _drop(self, entry: _Entry, fresh: list[_Entry]) -> None:
+        """Put fresh in place of entry, which no atom is used by any more."""
+        self._link(entry.prev, fresh, entry.next)
+        for name in entry.goal.context.names:
+            users = self.uses.get(name)
+            if users is not None:
+                users.pop(entry, None)
+
+    def _bind(self, bound: dict[str, Term]) -> None:
+        """Put each term of bound in for its atom wherever the atom is
+        used.  An entry whose variables this does not send to distinct
+        variables is attacked again."""
+        # an output may use an atom of an earlier entry answered in the
+        # same round; put those in first
+        while True:
+            pending = [n for n, t in bound.items() if any(v.name in bound for v in _free(t))]
+            if not pending:
+                break
+            for name in pending:
+                term = bound[name]
+                image = {v.name: bound.get(v.name, v) for v in _free(term)}
+                bound[name] = subst_apply(term, _Image(image))
+        users: dict[_Entry | None, None] = {}
+        for name in bound:
+            users.update(self.uses.pop(name))
+        for entry in users:
+            if entry is None:
+                image = {v.name: bound.get(v.name, v) for t in self.outputs for v in _free(t)}
+                self._set_outputs(self.outputs, image)
+                continue
+            support = entry.goal.context
+            image = {n: bound.get(n) or Var(n, s) for n, s in support.entries}
+            entry.goal = self._moved(entry.goal, image, image)
+            self._use(entry)
+            renamed = len(entry.goal.context) == len(image) and all(
+                t.__class__ is Var for t in image.values()
+            )
+            if not renamed:
+                entry.refusal = None
+                self.work[entry] = None
+
+    def _named(self) -> tuple[TeleBuilder, dict[str, Term]]:
+        """The goals, in order and under their names, in a builder, and
+        the variable each name of the root and each atom stands for."""
+        structure = self.structure
+        names: dict[str, Term] = {n: Var(n, sort) for n, sort in self.root.entries}
+        b = TeleBuilder(structure, self.root)
+        entry = self.head.next
+        while entry is not None:
+            move = _Reindexing(b.prefix, entry.goal.context, names)
+            named = b.push(structure.subst(entry.goal, move), entry.stems)
+            names.update(zip([a.name for a in entry.atoms], named))
+            entry = entry.next
+        return b, names
+
+    def state(self) -> Subgoals:
+        """The run's state, its binders named as a flattening names them."""
+        b, names = self._named()
+        terms = _substituted(self.outputs, names)
+        return b.close(Substitution(b.prefix, self.target, terms))
 
 
 def id_tactic(structure: JudgmentStructure) -> Tactic:
@@ -423,19 +715,17 @@ def _next_round(
     structure: JudgmentStructure,
     state: Subgoals,
     answers: ProofState,
-    standing: dict[int, type] | None,
 ) -> tuple[ProofState, bool]:
     """The state after one round of a repeated multitactic, and whether
     the repetition stops there.
 
     A round is heal, flatten, compare: the flattening puts each refused
     goal back in place, and the repetition stops when the result equals
-    the state before it up to renaming.  `standing`, if given, collects
-    the refusals the flattening only renamed (see state_mul).
+    the state before it up to renaming.
     """
     if isinstance(answers, (Fail, Bot)):
         return state, True
-    advanced = state_mul(structure, answers, state.telescope, standing)
+    advanced = state_mul(structure, answers, state.telescope)
     if isinstance(advanced, (Fail, Bot)):
         return state, True
     return advanced, state_alpha_eq(structure, advanced, state)
@@ -456,12 +746,21 @@ def repeat_multitactic(
     decides, and hands the stable state back under the unit, ready for
     the caller's flattening.
 
-    Over `all_mt(t)` with t natural, a round attacks only the goals that
-    may answer differently than before.  A goal the last round refused,
-    and whose flattening only renamed its free variables, injectively,
-    keeps its refusal without t running on it: t answers at once, and
-    every rule is support-local (rule.py).  The standing refusal still
-    goes to the trace hook in its place, so the rounds, their states and
-    the trace are those of a full sweep.
+    Over `all_mt(t)` with t natural, on goals that are not states, the
+    rounds run over a telescope of their own (_Rounds): its binders are
+    atoms, variables no goal text can name, and each goal sits over the
+    context of its own free variables.  A round attacks only the new
+    goals and the goals whose variables the round before sent to
+    something other than distinct variables.  A goal refused before and
+    only renamed since keeps its refusal without t running on it: t
+    answers at once, and every rule is support-local (rule.py).  A round
+    splices only the entries that answered with subgoals, and puts their
+    outputs only into the goals that use them and into the validation,
+    so it costs the goals that answered and those that depend on them.
+    Binders are named only where a name is read: in the stable state
+    handed back and, while a trace hook is installed, in each round's
+    goals, which the hook sees in telescope order with every standing
+    refusal in its place.  So the rounds, their states and the trace are
+    those of a full sweep.
     """
     return _Repeat(structure, mt)

@@ -88,7 +88,7 @@ def test_flattening_and_substitution_name_binders_canonically(seed):
     state = arith_state(rng, ctx, max_goals=4, terminal_chance=0.0)
     answers = rand_answers(rng, state)
     assert_canonical(state_mul(J, answers))
-    assert_canonical(state_mul(J, answers, state.telescope, {}))
+    assert_canonical(state_mul(J, answers, state.telescope))
 
 
 def checked(build):

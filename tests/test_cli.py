@@ -268,6 +268,19 @@ def test_a_600_level_dep_chain_completes(capsys):
     assert report["steps_used"] == 601
 
 
+def test_a_breadth_first_comb_of_1000_additions_completes(capsys):
+    # a round costs the goals that answered, not the goals left standing,
+    # so the work grows linearly with the comb
+    goal = "eval " + " + ".join(["num 1"] * 1001)
+    argv = ["--logic", "arith", "--goal", goal, "--script", arith.AUTO_SCRIPT,
+            "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "complete"
+    assert report["steps_used"] == 3001
+    assert report["extract"] == ["1000", "1001"]
+
+
 def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):
     # the goal parser recurses once per level, and stops a chain this
     # deep with a usage error rather than a crash
