@@ -555,27 +555,30 @@ def test_breadth_first_auto_closes_a_balanced_tree_of_255_additions():
     assert [render_term(t) for t in out.state.validation.terms] == ["255", "256"]
 
 
+def pick_applies(ctx, g):
+    prop = g.prop
+    return (
+        isinstance(prop, App)
+        and prop.op == dep.EQ_OP
+        and isinstance(prop.args[0], Var)
+        and prop.args[1] == dep.tt()
+    )
+
+
+def pick_build(ctx, g):
+    evidence = (g.prop.args[0],)
+    return Subgoals(TeleNil(ctx), Substitution(ctx, dep.TRUTH_OUTPUT, evidence))
+
+
+# answers `true eq(v, tt)` with the variable v itself
+pick = clause_rule(dep.STRUCTURE, "pick", ((pick_applies, pick_build),))
+
+
 def test_a_goal_whose_variables_the_flattening_merged_is_attacked_again():
-    # pick answers `true eq(v, tt)` with v itself, so b's output becomes
-    # a: c = eq(a, b) is refused in the first round and moves to
-    # eq(a', a'), which eq_refl proves; a, a renamed variable goal,
-    # keeps its refusal
+    # pick answers b = `true eq(a, tt)` with a, so b's output becomes a:
+    # c = eq(a, b) is refused in the first round and moves to eq(a', a'),
+    # which eq_refl proves; a, a renamed variable goal, keeps its refusal
     D = dep.STRUCTURE
-
-    def pick_applies(ctx, g):
-        prop = g.prop
-        return (
-            isinstance(prop, App)
-            and prop.op == dep.EQ_OP
-            and isinstance(prop.args[0], Var)
-            and prop.args[1] == dep.tt()
-        )
-
-    def pick_build(ctx, g):
-        evidence = (g.prop.args[0],)
-        return Subgoals(TeleNil(ctx), Substitution(ctx, dep.TRUTH_OUTPUT, evidence))
-
-    pick = clause_rule(D, "pick", ((pick_applies, pick_build),))
     b = TeleBuilder(D, Context((("p", dep.PROP),)))
     (a,) = b.push(dep.TruthGoal(b.prefix, Var("p", dep.PROP)), ("a",))
     (bb,) = b.push(dep.TruthGoal(b.prefix, dep.eq(a, dep.tt())), ("b",))
@@ -590,6 +593,23 @@ def test_a_goal_whose_variables_the_flattening_merged_is_attacked_again():
     assert [D.render(g) for _, g in tele_goals(settled.telescope)] == ["true p"]
     assert [render_term(t) for t in settled.validation.terms] == ["refl"]
 
+
+def test_an_output_using_an_atom_answered_in_the_same_round_is_put_in_first():
+    # in the first round top_i proves a, and pick answers b = eq(a, tt)
+    # with a and c = eq(b, tt) with b, so c's output is tt
+    D = dep.STRUCTURE
+    b = TeleBuilder(D, EMPTY)
+    (a,) = b.push(dep.TruthGoal(b.prefix, dep.top()), ("a",))
+    (bb,) = b.push(dep.TruthGoal(b.prefix, dep.eq(a, dep.tt())), ("b",))
+    (c,) = b.push(dep.TruthGoal(b.prefix, dep.eq(bb, dep.tt())), ("c",))
+    state = b.close(Substitution(b.prefix, dep.TRUTH_OUTPUT, (c,)))
+    t = orelse(from_rule(dep.TOP_I), orelse(from_rule(dep.EQ_REFL), from_rule(pick)))
+    mt = repeat_multitactic(D, all_mt(D, t))
+    got = run_delayed(mt(state.context, state), 50)
+    want, _ = traced_run(full_sweep_repeat(all_mt(D, t)), state, 50)
+    assert got == want
+    [(_, settled)] = tele_goals(got.value.telescope)
+    assert [render_term(t) for t in settled.validation.terms] == ["tt"]
 
 def counted_rules(monkeypatch):
     calls = [0]
