@@ -10,7 +10,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
-from .theory import Context, ContextMismatch, Substitution
+from .theory import App, Context, ContextMismatch, Substitution, Var, term_vars
 
 
 class JudgmentStructure(ABC):
@@ -59,3 +59,9 @@ def require_boundary(judgment: Any, s: Substitution) -> None:
         raise ContextMismatch(
             "substitution target does not match the judgment context"
         )
+
+
+def goal_support(goal: Any) -> set[str]:
+    """The names free in a goal: the free variables of its term fields."""
+    terms = [v for v in vars(goal).values() if isinstance(v, (Var, App))]
+    return set().union(*map(term_vars, terms))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .judgment import JudgmentStructure
+from .judgment import JudgmentStructure, goal_support
 from .state import (
     Fail,
     ProofState,
@@ -36,7 +36,7 @@ from .state import (
     state_subst,
     state_unit,
 )
-from .theory import App, Context, NameSupply, Sort, Substitution, Term, Var, term_vars
+from .theory import Context, NameSupply, Sort, Substitution, Term, Var
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,6 @@ def check_support_locality(
         if type(answer) is not type(moved):
             failures.append(LocalityFailure(rule.name, goal, s, answer, moved))
     return failures
-
-
-def goal_support(goal: Any) -> set[str]:
-    """The names free in a goal: the free variables of its term fields."""
-    terms = [v for v in vars(goal).values() if isinstance(v, (Var, App))]
-    return set().union(*map(term_vars, terms))
 
 
 def support_moves(

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence, Union
 
-from .judgment import JudgmentStructure
-from .rule import goal_support
+from .judgment import JudgmentStructure, goal_support
 from .state import (
     Bot,
     Fail,
