@@ -478,8 +478,8 @@ class _Rounds:
             # every goal refused: the flattening only renames the state
             return self.state()
         grown = sum(len(tele_goals(a.telescope)) - 1 for _, a in answered)
-        # states with as many goals may still differ; compare them
-        before = None if grown else self.state()
+        # states with as many goals may still be equal; compare them
+        before = None if grown else self._snapshot()
         bound: dict[str, Term] = {}
         for entry, answer in answered:
             image: dict[str, Term] = {n: Var(n, s) for n, s in entry.goal.context.entries}
@@ -487,10 +487,9 @@ class _Rounds:
             outputs = _substituted(answer.validation.terms, image)
             bound.update(zip([a.name for a in entry.atoms], outputs))
         self._bind(bound)
-        if before is None:
+        if before is None or not self._same_as(*before):
             return None
-        after = self.state()
-        return after if state_alpha_eq(self.structure, after, before) else None
+        return self.state()
 
     def _attack(self, entry: _Entry) -> ProofState:
         goal = entry.goal
@@ -624,6 +623,42 @@ class _Rounds:
             if not renamed:
                 entry.refusal = None
                 self.work[entry] = None
+
+    def _snapshot(self) -> tuple[list[tuple[Any, tuple[Var, ...]]], tuple[Term, ...]]:
+        """Each entry's goal and atoms, in order, and the outputs."""
+        entries = []
+        entry = self.head.next
+        while entry is not None:
+            entries.append((entry.goal, entry.atoms))
+            entry = entry.next
+        return entries, self.outputs
+
+    def _same_as(
+        self, entries: list[tuple[Any, tuple[Var, ...]]], outputs: tuple[Term, ...]
+    ) -> bool:
+        """Whether the telescope equals one with as many entries, given as
+        by _snapshot, up to renaming: state_alpha_eq over atoms.
+
+        Entries are compared in order, each atom renamed to the one in
+        its place in the other telescope; an atom in the same place in
+        both, and a name of the root, stands for itself.
+        """
+        structure, renamed = self.structure, {}
+        entry = self.head.next
+        for goal, atoms in entries:
+            moved, support = entry.goal, entry.goal.context.entries
+            if any(name in renamed for name, _ in support):
+                image = {n: renamed.get(n) or Var(n, sort) for n, sort in support}
+                moved = self._moved(moved, image, image)
+            if moved is not goal and not structure.alpha_eq(goal, moved):
+                return False
+            if entry.atoms is not atoms:
+                if [a.sort for a in entry.atoms] != [a.sort for a in atoms]:
+                    return False
+                renamed.update(zip([a.name for a in entry.atoms], atoms))
+            entry = entry.next
+        image = {v.name: renamed.get(v.name, v) for t in self.outputs for v in _free(t)}
+        return _substituted(self.outputs, image) == outputs
 
     def _named(self) -> tuple[TeleBuilder, dict[str, Term]]:
         """The goals, in order and under their names, in a builder, and

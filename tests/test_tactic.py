@@ -464,7 +464,6 @@ def test_rounds_match_the_full_re_sweep(seed):
             assert pretty_state(J, settled) == pretty_state(J, reference)
 
 
-
 def rand_left_comb(rng, ctx):
     """eval of a left comb of 6 to 12 `+` over numerals: each round's
     answers sit in front of a long run of standing add goals."""
@@ -495,6 +494,7 @@ def test_untraced_rounds_match_the_traced_full_re_sweep(seed):
     if isinstance(want, Resolved):
         assert got.value == want.value
         assert pretty_state(K, got.value) == pretty_state(K, want.value)
+
 
 def test_a_round_of_refusals_and_units_stops_as_the_reference_does():
     goal = eval_goal(arith.plus(arith.num(2), arith.plus(arith.num(3), arith.num(4))))
@@ -610,6 +610,37 @@ def test_an_output_using_an_atom_answered_in_the_same_round_is_put_in_first():
     assert got == want
     [(_, settled)] = tele_goals(got.value.telescope)
     assert [render_term(t) for t in settled.validation.terms] == ["tt"]
+
+
+def stall_build(ctx, g):
+    # the goal again, but with 0 for its output, not its new binder
+    unit = state_unit(J, g)
+    zero = Substitution(unit.validation.source, arith.ADD_OUTPUT, (arith.nat(0),))
+    return Subgoals(unit.telescope, zero)
+
+
+def swap_build(ctx, g):
+    b = TeleBuilder(J, ctx)
+    (n,) = b.push(arith.AddGoal(b.prefix, g.rhs, g.lhs), ("n",))
+    return b.close(Substitution(b.prefix, arith.ADD_OUTPUT, (n,)))
+
+
+@pytest.mark.parametrize(
+    "build", [stall_build, swap_build], ids=["new outputs", "new goal"]
+)
+def test_a_round_that_keeps_the_number_of_goals_compares_them(build):
+    # stall changes only the validation, and stops after one more round;
+    # swap changes only the goal, and never stops
+    probe = clause_rule(J, "probe", ((lambda ctx, g: isinstance(g, arith.AddGoal), build),))
+    ctx = Context((("x", arith.NUM),))
+    state = state_unit(J, arith.AddGoal(ctx, Var("x", arith.NUM), arith.nat(1)))
+    t = from_rule(probe)
+    got = run_delayed(repeat_multitactic(J, all_mt(J, t))(ctx, state), 20)
+    want, _ = traced_run(full_sweep_repeat(all_mt(J, t)), state, 20)
+    assert type(got) is type(want)
+    assert got.steps == want.steps
+    if isinstance(want, Resolved):
+        assert got.value == want.value
 
 def counted_rules(monkeypatch):
     calls = [0]
