@@ -419,6 +419,56 @@ def test_large_residuals_match_the_pinned_digest(capsys):
     assert digest.hexdigest() == RESIDUAL_DIGEST
 
 
+# A third pin, on the tactic star `t*`: the runs above star only
+# multitactics.  Pinned from a run of the code whose star raced every
+# approximant from scratch.
+
+STAR_DIGEST = (
+    "c1d93a1b944f3d86e8367291f5936fef58374962c6c172d01aefe59e53feaa31"
+)
+
+
+def star_runs():
+    """Seeded closed goals under each logic's depth-first star, trees
+    whose left side is shallower than their right, so that a traced run
+    prints an earlier approximant's lines again, stars inside other
+    tacticals, and `id*` at small fuels, in the three output modes."""
+    dep_star = "(top_i | or_i1 | eq_refl | sig_i)*"
+    runs = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        runs.append(("arith", "eval " + arith.render_expr(rand_closed_expr(rng, 4)),
+                     arith.AUTO_NAIVE_SCRIPT, None))
+        runs.append(("dep", "true " + dep.render_prop(rand_dep_closed_prop(rng, 4)),
+                     dep_star, None))
+    for goal in ("eval num 1 + (num 2 + (num 3 + num 4))",
+                 "eval num 5 + (num 6 + num 7) + (num 1 + (num 2 + (num 3 + num 4)))"):
+        for script in (arith.AUTO_NAIVE_SCRIPT, "(plus_eval | add)*",
+                       "id; all((num_eval | plus_eval)*)", "plus_eval*; all(add)"):
+            runs.append(("arith", goal, script, None))
+        # the outer star is not over a natural tactic, and never answers
+        runs.append(("arith", goal, "((plus_eval | num_eval)*)*", 30))
+    for fuel in (0, 1, 2, 7):
+        runs.append(("arith", "add 1 2", "id*", fuel))
+    for logic, goal, script, fuel in runs:
+        budget = () if fuel is None else ("--fuel", str(fuel))
+        for mode in ((), ("--json",), ("--trace",)):
+            yield ["--logic", logic, "--goal", goal, "--script", script, *budget, *mode]
+
+
+def test_star_output_matches_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in star_runs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        codes.add(code)
+        for part in (str(code), captured.out, captured.err):
+            digest.update(part.encode() + b"\0")
+    assert {0, 1, 4} <= codes
+    assert digest.hexdigest() == STAR_DIGEST
+
+
 # whole runs against the naive interpreter in tests/reference.py
 
 
