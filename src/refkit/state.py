@@ -44,6 +44,20 @@ class TeleCons:
     goal: Any
     rest: "Telescope"
 
+    def __eq__(self, other: object) -> bool:
+        # (names, goal, rest) compared entry by entry without recursion,
+        # so long telescopes compare; the generated __hash__ stays
+        if other.__class__ is not TeleCons:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is TeleCons is b.__class__:
+            if a is b:
+                return True
+            if a.names != b.names or a.goal != b.goal:
+                return False
+            a, b = a.rest, b.rest
+        return a == b
+
 
 Telescope = Union[TeleNil, TeleCons]
 

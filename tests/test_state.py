@@ -12,6 +12,7 @@ from refkit.state import (
     Fail,
     StateStructure,
     Subgoals,
+    TeleBuilder,
     TeleCons,
     TeleNil,
     check_state,
@@ -432,19 +433,42 @@ def test_alpha_equality_compares_goal_counts_before_reindexing(monkeypatch):
         Substitution(mn_ctx, Z, (Var("n", NUM),)),
     )
     check_state(J, two)
-    real, calls = J.subst, []
+    real, calls = type(J).subst, []
 
-    def counted(judgment, s):
+    def counted(self, judgment, s):
         calls.append(judgment)
-        return real(judgment, s)
+        return real(self, judgment, s)
 
-    monkeypatch.setattr(J, "subst", counted)
+    monkeypatch.setattr(type(J), "subst", counted)
     assert not state_alpha_eq(J, one, two)
     assert not state_alpha_eq(J, two, one)
     assert calls == []
     # equal counts go on to reindex the goals
     assert state_alpha_eq(J, two, two)
     assert len(calls) == 2
+
+
+def add_chain(goals, last=1):
+    """A residual of add goals, each adding 1 to the output of the one
+    before it but the last, which adds last."""
+    b = TeleBuilder(J, EMPTY)
+    (n,) = b.push(arith.AddGoal(b.prefix, arith.nat(0), arith.nat(1)), ("n",))
+    for i in range(1, goals):
+        rhs = arith.nat(last if i == goals - 1 else 1)
+        (n,) = b.push(arith.AddGoal(b.prefix, n, rhs), ("n",))
+    return b.close(Substitution(b.prefix, Z, (n,)))
+
+
+def test_long_residuals_compare_without_recursion():
+    # as many goals as the depth-first comb of 200 `+` leaves; comparing
+    # a telescope took Python frames per entry
+    one, two = add_chain(600), add_chain(600)
+    assert one.telescope is not two.telescope
+    assert one == two
+    assert one.telescope == two.telescope
+    assert one != add_chain(600, last=2)
+    assert one != add_chain(599)
+    assert add_chain(599) != one
 
 
 def test_approx_puts_bot_below_everything_at_its_boundary():
