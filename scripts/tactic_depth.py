@@ -3,10 +3,13 @@
 - comb: the depth-first auto script, `(num_eval | plus_eval | add)*`, on
   a left comb of n `+`.  Its k-th approximant takes the goal k levels
   down; the machine keeps those levels on its own stack, so no size
-  runs out of Python frames.  Each approximant still runs from scratch,
-  so the time grows about quadratically with n.
-- id*: `id*` on `add 1 2`, which never answers and runs out of fuel; the
-  time per step grows with the fuel, for the same reason.
+  runs out of Python frames.  The star runs as one depth-first pass
+  whose bound goes a level deeper at each step, so the rule calls grow
+  linearly with n; the time still grows about quadratically, since each
+  level flattens every goal below it.
+- id*: `id*` on `add 1 2`, which never answers and runs out of fuel; each
+  step resumes the pass one level deeper, so the time per step should
+  read about the same at every fuel.
 - race: one `force` of a fixed point after k steps, when it races k
   approximants that never answer; the time per approximant should read
   about the same at every k.
@@ -26,8 +29,8 @@ from typing import Callable
 from refkit.cli import main as cli_main
 from refkit.tactic import Later, force, lub
 
-COMBS = (64, 128, 192)
-FUELS = (100, 300)
+COMBS = (64, 128, 192, 500)
+FUELS = (100, 300, 10000)
 RACES = (10, 100, 1000)
 BUDGET = 2.0  # seconds of runs per row
 

@@ -237,6 +237,32 @@ class _Repeat(_Node):
         super().__init__(structure, body, StateStructure(structure), worklist)
 
 
+class _Star(_Node):
+    """repeat(structure, t) with t natural, run as one depth-first pass
+    (see repeat); race is the fixed point that it computes, which runs in
+    its place while a trace hook is installed."""
+
+    __slots__ = ("root", "race")
+
+
+class _Level(_Node):
+    """The goals depth levels below the root of a _Star's pass.  A pass
+    bounded at depth suspends at them; one bounded deeper runs body,
+    try(t; all(the level below)), built when first run."""
+
+    __slots__ = ("structure", "tactic", "depth", "body")
+
+    def __init__(self, structure: JudgmentStructure, tactic: Tactic, depth: int):
+        super().__init__(structure, tactic, depth, None)
+
+    def expand(self) -> _Node:
+        if self.body is None:
+            below = _Level(self.structure, self.tactic, self.depth + 1)
+            then = then_tactic(self.structure, self.tactic, below)
+            self.body = try_tactic(self.structure, then)
+        return self.body
+
+
 class _Fix(_Node):
     __slots__ = ("transform", "approximants")
 
@@ -268,7 +294,9 @@ class _Fix(_Node):
 _FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
 
 
-def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
+def _run(
+    node: Any, ctx: Any, x: Any, k: Any, value: Any = None, bound: int = 0
+) -> Delayed:
     """Run node on x, a goal or a state, and hand its answer to the frames
     of k; with no node, hand them value.
 
@@ -277,6 +305,11 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     fixed point or a plain callable, suspends the run as one bind whose
     continuation resumes it on k, and a productive round of `m*` returns
     one Later that resumes it: those are the steps a run is charged.
+
+    The pass of a tactic star t* with t natural runs here too, bounded at
+    bound levels below the star's goal: a goal at the bound suspends the
+    run as one Later, which resumes at that goal with the bound one
+    deeper (see repeat).  Only the pass's own levels read the bound.
     """
     while True:
         if node is not None:
@@ -313,6 +346,16 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     k = ((_ROUND, node, x, ctx), k)
                     node = node.body
                     continue
+            elif cls is _Level:
+                if node.depth >= bound:
+                    return Later(partial(_run, node, ctx, x, k, None, bound + 1))
+                node = node.expand()
+                continue
+            elif cls is _Star:
+                if _trace_hook is None:
+                    # approximant 0 never answers: one step
+                    return Later(partial(_run, node.root, ctx, x, k))
+                return bind(node.race(ctx, x), partial(_run, None, None, None, k))
             else:
                 m = node(ctx, x)
                 if not isinstance(m, Now):
@@ -734,15 +777,36 @@ def fix(transform: Callable[[Tactic], Tactic]) -> Tactic:
     The n-th approximant applies the transformer n times to the tactic
     that never answers; running the fixed point races the approximants,
     so any goal some approximant handles is handled in bounded fuel.
+    Each approximant runs from scratch, at step n + 1 for the n-th.
     """
     return _Fix(transform)
 
 
 def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
-    """Apply t to the goal and recursively to all residual subgoals."""
-    return fix(
-        lambda rec: try_tactic(structure, then_tactic(structure, t, rec))
-    )
+    """Apply t to the goal and recursively to all residual subgoals.
+
+    This is fix(rec -> try(t; all(rec))).  With t natural, built from
+    rules, id and `|` only, the race of approximants runs as one
+    depth-first pass whose bound goes one level deeper at each step.
+    Such a t answers at once and is pure, so approximant n either answers
+    at once or never: it stops at the first goal n levels down.
+    Approximant n + 1 does what n did up to that goal, with the same
+    answers, so the pass suspends there as one Later and resumes there
+    with the bound one deeper, and never redoes a subtree.  The steps and
+    the state are those of the race: the pass bounded at level n runs at
+    step n + 1.  Forcing one of its Laters twice resumes the same pass
+    twice, with equal answers.  While a trace hook is installed when the
+    star starts, the race itself runs, since it shows the hook each
+    approximant's answers again.
+    """
+
+    def transform(rec: Tactic) -> Tactic:
+        return try_tactic(structure, then_tactic(structure, t, rec))
+
+    race = fix(transform)
+    if not _is_natural(t):
+        return race
+    return _Star(_Level(structure, t, 0), race)
 
 
 def _next_round(

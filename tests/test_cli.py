@@ -502,9 +502,10 @@ def positional_script(rng, names):
 def rand_run(rng, fuel):
     """A goal of either logic, a script over that logic's rule names, and
     a fuel of at most fuel, small fuels as likely as large ones in scale.
-    A star that never answers re-runs every approximant, so it costs more
-    than the square of its fuel, and each star nested in it multiplies
-    that again: such a script gets an eighth of the fuel per nesting."""
+    A star over a star never answers at once, so it re-runs every
+    approximant and costs more than the square of its fuel, and each
+    star nested in it multiplies that again: such a script gets an
+    eighth of the fuel per nesting."""
     if rng.random() < 0.5:
         logic, module = "arith", arith
         goal = f"eval {arith.render_expr(rand_closed_expr(rng, rng.randrange(4)))}"
@@ -544,8 +545,11 @@ def test_runs_agree_with_the_reference_interpreter(seed):
         (["--goal", "eval " + " + ".join(["num 1"] * 129),
           "--script", arith.AUTO_NAIVE_SCRIPT], 1, 130),
         (["--goal", "add 1 2", "--script", "id*", "--fuel", "300"], 4, 300),
+        # each step resumes one pass a level deeper: the approximants,
+        # raced from scratch, took about 1,000 s here
+        (["--goal", "add 1 2", "--script", "id*", "--fuel", "10000"], 4, 10000),
     ],
-    ids=["depth-first comb of 128", "id* at fuel 300"],
+    ids=["depth-first comb of 128", "id* at fuel 300", "id* at fuel 10000"],
 )
 def test_deep_approximants_take_no_python_frame_per_level(capsys, argv, code, steps):
     assert main(["--logic", "arith", *argv]) == code
