@@ -545,8 +545,8 @@ def test_runs_agree_with_the_reference_interpreter(seed):
         (["--goal", "eval " + " + ".join(["num 1"] * 129),
           "--script", arith.AUTO_NAIVE_SCRIPT], 1, 130),
         (["--goal", "add 1 2", "--script", "id*", "--fuel", "300"], 4, 300),
-        # each step resumes one pass a level deeper: the approximants,
-        # raced from scratch, took about 1,000 s here
+        # each step resumes one pass a level deeper; raced from scratch,
+        # the approximants would take about 1,000 s here
         (["--goal", "add 1 2", "--script", "id*", "--fuel", "10000"], 4, 10000),
     ],
     ids=["depth-first comb of 128", "id* at fuel 300", "id* at fuel 10000"],
