@@ -7,6 +7,10 @@
   whose bound goes a level deeper at each step, so the rule calls grow
   linearly with n; the time still grows about quadratically, since each
   level flattens every goal below it.
+- traced: the comb of 128 again, with `--trace`: each step shows the
+  lines the pass has logged so far again, and then resumes it, so the
+  rule calls are the untraced run's.  The last column is the traced
+  time over the untraced one.
 - id*: `id*` on `add 1 2`, which never answers and runs out of fuel; each
   step resumes the pass one level deeper, so the time per step should
   read about the same at every fuel.
@@ -30,6 +34,7 @@ from refkit.cli import main as cli_main
 from refkit.tactic import Later, force, lub
 
 COMBS = (64, 128, 192, 500)
+TRACED = 128
 FUELS = (100, 300, 10000)
 RACES = (10, 100, 1000)
 BUDGET = 2.0  # seconds of runs per row
@@ -46,12 +51,16 @@ def best_of(run: Callable[[], object]) -> tuple[float, object]:
     return best, out
 
 
-def steps_used(goal: str, script: str, fuel: int) -> int:
-    argv = ["--logic", "arith", "--goal", goal, "--script", script, "--json"]
+def steps_used(goal: str, script: str, fuel: int, *flags: str) -> int:
+    argv = ["--logic", "arith", "--goal", goal, "--script", script, "--json", *flags]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         cli_main([*argv, "--fuel", str(fuel)])
     return json.loads(out.getvalue())["steps_used"]
+
+
+def comb(n: int) -> str:
+    return "eval " + " + ".join(["num 1"] * (n + 1))
 
 
 def spin() -> Later:
@@ -62,11 +71,14 @@ def spin() -> Later:
 
 def main() -> int:
     print(f"{'family':>6} {'size':>6} {'steps':>6} {'seconds':>9} {'us/unit':>9}")
+    script = "(num_eval | plus_eval | add)*"
     for n in COMBS:
-        goal = "eval " + " + ".join(["num 1"] * (n + 1))
-        script = "(num_eval | plus_eval | add)*"
-        seconds, steps = best_of(lambda: steps_used(goal, script, 100000))
+        seconds, steps = best_of(lambda: steps_used(comb(n), script, 100000))
         print(f"{'comb':>6} {n:>6} {steps:>6} {seconds:>9.3f} {'':>9}")
+        if n == TRACED:
+            traced, steps = best_of(lambda: steps_used(comb(n), script, 100000, "--trace"))
+            ratio = f"x{traced / seconds:.2f}"
+            print(f"{'traced':>6} {n:>6} {steps:>6} {traced:>9.3f} {ratio:>9}")
     for fuel in FUELS:
         seconds, steps = best_of(lambda: steps_used("add 1 2", "id*", fuel))
         per_step = seconds / steps * 1e6

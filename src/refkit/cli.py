@@ -70,22 +70,24 @@ def execute(config: RunConfig) -> RunOutcome:
     except RecursionError as err:
         raise UsageError("nesting too deep in the goal or the script") from err
 
+    hook = None
     if config.trace:
         counter = [0]
 
-        def hook(traced_goal, state):
+        def hook(traced_goal, kind, goals):
             counter[0] += 1
             print(
                 f"[{counter[0]}] {structure.render(traced_goal)} "
-                f"=> {_trace_tag(state)}",
+                f"=> {_trace_tag(kind, goals)}",
                 file=sys.stderr,
             )
 
-        set_trace_hook(hook)
+    # the run shows its own hook or none, and the caller's comes back after
+    previous = set_trace_hook(hook)
     try:
         result = run_delayed(tactic(goal.context, goal), config.fuel)
     finally:
-        set_trace_hook(None)
+        set_trace_hook(previous)
 
     if isinstance(result, OutOfFuel):
         return RunOutcome("out_of_fuel", 4, result.steps, None)
@@ -103,17 +105,17 @@ def execute(config: RunConfig) -> RunOutcome:
     raise TypeError(f"tactic produced a non-state: {state!r}")
 
 
-def _trace_tag(state: ProofState) -> str:
-    match state:
-        case Fail(_, _):
-            return "fail"
-        case Bot(_, _):
-            return "bot"
-        case Subgoals(tele, _):
-            goals = len(tele_goals(tele))
-            if goals == 0:
-                return "state (complete)"
-            return f"state ({goals} goal{'s' if goals != 1 else ''})"
+def _trace_tag(kind: type, goals: int) -> str:
+    """A trace line's account of an answer of the kind given, with goals
+    goals."""
+    if kind is Fail:
+        return "fail"
+    if kind is Bot:
+        return "bot"
+    if kind is Subgoals:
+        if goals == 0:
+            return "state (complete)"
+        return f"state ({goals} goal{'s' if goals != 1 else ''})"
     return "?"
 
 

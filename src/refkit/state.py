@@ -46,7 +46,7 @@ class TeleCons:
 
     def __eq__(self, other: object) -> bool:
         # (names, goal, rest) compared entry by entry without recursion,
-        # so long telescopes compare; the generated __hash__ stays
+        # so long telescopes compare
         if other.__class__ is not TeleCons:
             return NotImplemented
         a, b = self, other
@@ -57,6 +57,14 @@ class TeleCons:
                 return False
             a, b = a.rest, b.rest
         return a == b
+
+    def __hash__(self) -> int:
+        # hashed entry by entry, as __eq__ compares
+        h, tele = 0, self
+        while tele.__class__ is TeleCons:
+            h = hash((h, tele.names, tele.goal))
+            tele = tele.rest
+        return hash((h, tele))
 
 
 Telescope = Union[TeleNil, TeleCons]

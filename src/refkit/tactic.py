@@ -33,7 +33,6 @@ from .state import (
     _Reindexing,
     state_alpha_eq,
     state_mul,
-    state_subst,
     state_unit,
     tele_goals,
 )
@@ -151,18 +150,27 @@ def lub(approx: Callable[[int], Delayed]) -> Delayed:
 Tactic = Callable[[Context, Any], Delayed]
 Multitactic = Callable[[Context, ProofState], Delayed]
 
-_trace_hook: Callable[[Any, ProofState], None] | None = None
+TraceHook = Callable[[Any, type, int], None]
+_trace_hook: TraceHook | None = None
 
 
-def set_trace_hook(hook: Callable[[Any, ProofState], None] | None) -> None:
-    """Install a callback fired as each subgoal's tactic result resolves."""
+def set_trace_hook(hook: TraceHook | None) -> TraceHook | None:
+    """Install a callback fired as each subgoal's tactic result resolves,
+    and give back the one it replaces.
+
+    The hook is called as hook(goal, kind, goals): kind is the answer's
+    class, Subgoals, Fail or Bot, and goals the number of goals it has
+    (0 for a refusal).  Watching a run does not change how it runs.
+    """
     global _trace_hook
-    _trace_hook = hook
+    previous, _trace_hook = _trace_hook, hook
+    return previous
 
 
-def _fire_trace(goal: Any, state: ProofState) -> None:
-    if _trace_hook is not None:
-        _trace_hook(goal, state)
+def _event(goal: Any, answer: Any) -> tuple[Any, type, int]:
+    """goal's answer as the trace hook is shown it."""
+    kind = type(answer)
+    return goal, kind, len(tele_goals(answer.telescope)) if kind is Subgoals else 0
 
 
 def never_tactic(ctx: Context, goal: Any) -> Delayed:
@@ -239,16 +247,15 @@ class _Repeat(_Node):
 
 class _Star(_Node):
     """repeat(structure, t) with t natural, run as one depth-first pass
-    (see repeat); race is the fixed point that it computes, which runs in
-    its place while a trace hook is installed."""
+    from root, the level of the star's goal (see repeat)."""
 
-    __slots__ = ("root", "race")
+    __slots__ = ("root",)
 
 
 class _Level(_Node):
     """The goals depth levels below the root of a _Star's pass.  A pass
-    bounded at depth suspends at them; one bounded deeper runs body,
-    try(t; all(the level below)), built when first run."""
+    bounded at depth suspends at them (see _deepen); one bounded deeper
+    runs body, try(t; all(the level below)), built when first run."""
 
     __slots__ = ("structure", "tactic", "depth", "body")
 
@@ -295,7 +302,7 @@ _FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
 
 
 def _run(
-    node: Any, ctx: Any, x: Any, k: Any, value: Any = None, bound: int = 0
+    node: Any, ctx: Any, x: Any, k: Any, value: Any = None, bound: int = 0, log: Any = None
 ) -> Delayed:
     """Run node on x, a goal or a state, and hand its answer to the frames
     of k; with no node, hand them value.
@@ -310,6 +317,10 @@ def _run(
     bound levels below the star's goal: a goal at the bound suspends the
     run as one Later, which resumes at that goal with the bound one
     deeper (see repeat).  Only the pass's own levels read the bound.
+    While a trace hook is installed as the star starts, log holds the
+    events its pass has shown the hook, as a linked list, (event, rest)
+    or (), the last at its head; each of those Laters shows them to the
+    hook again (see _deepen).  Else log is None.
     """
     while True:
         if node is not None:
@@ -348,14 +359,13 @@ def _run(
                     continue
             elif cls is _Level:
                 if node.depth >= bound:
-                    return Later(partial(_run, node, ctx, x, k, None, bound + 1))
+                    return Later(partial(_deepen, node, ctx, x, k, bound + 1, log))
                 node = node.expand()
                 continue
             elif cls is _Star:
-                if _trace_hook is None:
-                    # approximant 0 never answers: one step
-                    return Later(partial(_run, node.root, ctx, x, k))
-                return bind(node.race(ctx, x), partial(_run, None, None, None, k))
+                # approximant 0 never answers: one step
+                log = None if _trace_hook is None else ()
+                return Later(partial(_run, node.root, ctx, x, k, None, 0, log))
             else:
                 m = node(ctx, x)
                 if not isinstance(m, Now):
@@ -371,7 +381,11 @@ def _run(
             elif tag == _SWEEP:
                 _, sweep, state, tele, done, index, memo, goal, sub = frame
                 if goal is not None:
-                    _fire_trace(goal, value)
+                    if _trace_hook is not None:
+                        event = _event(goal, value)
+                        _trace_hook(*event)
+                        if log is not None:
+                            log = (event, log)
                     if (
                         sub is not None
                         and isinstance(value, Subgoals)
@@ -419,6 +433,24 @@ def _run(
                 return Later(partial(_run, repeat.body, ctx, advanced, k))
         else:
             return Now(value)
+
+
+def _deepen(level: _Level, ctx: Any, goal: Any, k: Any, bound: int, log: Any) -> Delayed:
+    """Resume a star's pass at goal, on level, bounded at bound.
+
+    Approximant bound of the race fires what the one before it fired, in
+    the same order, and then goes on from goal: so the events of log are
+    shown the trace hook again first.  log is never changed in place, so
+    a Later forced twice resumes from the same log.
+    """
+    events, rest = [], log
+    while rest:
+        event, rest = rest
+        events.append(event)
+    if _trace_hook is not None:
+        for event in reversed(events):
+            _trace_hook(*event)
+    return _run(level, ctx, goal, k, None, bound, log)
 
 
 def _resume_rounds(rounds: "_Rounds", done: int, k: Any) -> Delayed:
@@ -479,7 +511,8 @@ class _Rounds:
     the state a run settles on, and in each round's goals while a trace
     hook is installed.  They are the names a flattening gives, NameSupply
     replayed from the root context's names over the stems in telescope
-    order.
+    order.  handed is the telescope the run was handed, whose goals the
+    first round shows the hook as they stand, and None after it.
     """
 
     def __init__(self, repeat: _Repeat, state: Subgoals):
@@ -496,9 +529,7 @@ class _Rounds:
         image: dict[str, Term] = {n: Var(n, sort) for n, sort in self.root.entries}
         self._link(self.head, self._entries(state.telescope, image), None)
         self._set_outputs(state.validation.terms, image)
-        # the first round's trace shows the goals as they were handed in
-        goals = [goal for _, goal in tele_goals(state.telescope)]
-        self.view: Any = goals, {t.name: Var(n, t.sort) for n, t in image.items()}
+        self.handed: Any = state.telescope
 
     def round(self) -> Subgoals | None:
         """Attack, splice, substitute and compare: the state the round
@@ -511,12 +542,13 @@ class _Rounds:
         """
         self.rounds += 1
         work, self.work = self.work, {}
-        if _trace_hook is None:
-            answers = [(entry, self._attack(entry)) for entry in work]
-        else:
-            answers = self._traced(work)
-        self.view = None
-        answered = [(e, a) for e, a in answers if isinstance(a, Subgoals)]
+        # named before the attacks, which rename a refused goal's stems
+        goals = None if _trace_hook is None else self._goals()
+        self.handed = None
+        answers = {entry: self._attack(entry) for entry in work}
+        if goals is not None:
+            self._show(goals, answers)
+        answered = [(e, a) for e, a in answers.items() if isinstance(a, Subgoals)]
         if not answered:
             # every goal refused: the flattening only renames the state
             return self.state()
@@ -545,29 +577,25 @@ class _Rounds:
             raise TheoryError(f"subgoal is not a proof state: {answer!r}")
         return answer
 
-    def _traced(self, work: dict[_Entry, None]) -> list[tuple[_Entry, ProofState]]:
-        """The answers of a round that shows every goal to the trace hook,
-        under its names, with its answer, in telescope order."""
-        if self.view is None:
-            b, names = self._named()
-            goals = [goal for _, goal in b.entries]
+    def _goals(self) -> list[Any]:
+        """The goals, in telescope order, as the round shows them."""
+        if self.handed is None:
+            tele = self._named()[0].entries
         else:
-            goals, names = self.view
-        structure, answers, entry = self.structure, [], self.head.next
+            tele = tele_goals(self.handed)
+        return [goal for _, goal in tele]
+
+    def _show(self, goals: list[Any], answers: dict[_Entry, ProofState]) -> None:
+        """Show the trace hook each goal, in telescope order, with its
+        answer, or with its standing refusal if it was not attacked."""
+        entry = self.head.next
         for goal in goals:
-            if entry in work:
-                answer = self._attack(entry)
-                answers.append((entry, answer))
-                if isinstance(answer, Subgoals):
-                    move = _Reindexing(goal.context, entry.goal.context, names)
-                    shown = state_subst(structure, answer, move)
-                else:
-                    shown = type(answer)(goal.context, answer.target)
+            answer = answers.get(entry)
+            if answer is None:
+                _trace_hook(goal, entry.refusal, 0)
             else:
-                shown = entry.refusal(goal.context, structure.output(goal))
-            _fire_trace(goal, shown)
+                _trace_hook(*_event(goal, answer))
             entry = entry.next
-        return answers
 
     def _entries(self, tele: Any, image: dict[str, Term]) -> list[_Entry]:
         """Entries, to be attacked, for the goals of tele, a telescope
@@ -795,18 +823,15 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
     with the bound one deeper, and never redoes a subtree.  The steps and
     the state are those of the race: the pass bounded at level n runs at
     step n + 1.  Forcing one of its Laters twice resumes the same pass
-    twice, with equal answers.  While a trace hook is installed when the
-    star starts, the race itself runs, since it shows the hook each
-    approximant's answers again.
+    twice, with equal answers.  The race shows the trace hook each
+    approximant's answers, so approximant n + 1 shows again what n
+    showed, then more: while a hook is installed as the star starts, the
+    pass logs what it shows, and each step shows the log again before it
+    resumes.  Watched or not, the pass makes the same rule calls.
     """
-
-    def transform(rec: Tactic) -> Tactic:
-        return try_tactic(structure, then_tactic(structure, t, rec))
-
-    race = fix(transform)
-    if not _is_natural(t):
-        return race
-    return _Star(_Level(structure, t, 0), race)
+    if _is_natural(t):
+        return _Star(_Level(structure, t, 0))
+    return fix(lambda rec: try_tactic(structure, then_tactic(structure, t, rec)))
 
 
 def _next_round(
@@ -857,8 +882,10 @@ def repeat_multitactic(
     so it costs the goals that answered and those that depend on them.
     Binders are named only where a name is read: in the stable state
     handed back and, while a trace hook is installed, in each round's
-    goals, which the hook sees in telescope order with every standing
-    refusal in its place.  So the rounds, their states and the trace are
-    those of a full sweep.
+    goals, named before the round attacks any.  After the attacks the
+    hook sees those goals in telescope order, each with its answer or
+    with its standing refusal.  So the rounds, their states and the trace
+    are those of a full sweep, and a watched round attacks as an
+    unwatched one does.
     """
     return _Repeat(structure, mt)

@@ -29,7 +29,9 @@ from refkit.script import (
     Star,
     print_script,
 )
+from refkit.rule import Rule
 from refkit.state import Bot, Subgoals
+from refkit.tactic import set_trace_hook
 
 from reference import ref_execute, ref_state_alpha_eq
 from strategies import rand_closed_expr, rand_dep_closed_prop, rand_script_tactic
@@ -161,6 +163,73 @@ def test_main_trace_goes_to_stderr(capsys):
     err = capsys.readouterr().err
     assert "[1] eval num 2 + num 3 => state (5 goals)" in err
     assert "=> state (complete)" in err
+
+
+def test_execute_restores_the_callers_trace_hook(capsys):
+    fired = []
+
+    def hook(goal, kind, goals):
+        fired.append(goal)
+
+    set_trace_hook(hook)
+    try:
+        for trace in (False, True):
+            config = RunConfig("arith", "eval num 1 + num 2", arith.AUTO_NAIVE_SCRIPT,
+                               trace=trace)
+            execute(config)
+            assert set_trace_hook(hook) is hook
+    finally:
+        set_trace_hook(None)
+    # the run showed its own hook or none, never the caller's
+    assert fired == []
+    assert capsys.readouterr().err.startswith("[1] ")
+
+
+def recorded_rules(monkeypatch, module):
+    """The (rule name, rendered goal) of every rule call made from now
+    on under module's logic, in order."""
+    calls = []
+
+    def recorded(rule):
+        def run(ctx, goal):
+            calls.append((rule.name, module.STRUCTURE.render(goal)))
+            return rule.run(ctx, goal)
+
+        return Rule(rule.name, run)
+
+    table = {name: recorded(rule) for name, rule in module.RULES.items()}
+    monkeypatch.setattr(module, "RULES", table)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "logic, script",
+    [
+        ("arith", arith.AUTO_SCRIPT),
+        ("arith", arith.AUTO_NAIVE_SCRIPT),
+        ("dep", dep.AUTO_SCRIPT),
+        ("dep", "(top_i | or_i1 | eq_refl | sig_i)*"),
+    ],
+    ids=["arith rounds", "arith star", "dep rounds", "dep star"],
+)
+def test_watching_a_run_does_not_change_its_rule_calls(monkeypatch, capsys, logic, script):
+    module = LOGICS[logic]
+    calls = recorded_rules(monkeypatch, module)
+    for seed in range(12):
+        rng = random.Random(seed)
+        if logic == "arith":
+            goal = "eval " + arith.render_expr(rand_closed_expr(rng, 5))
+        else:
+            goal = "true " + dep.render_prop(rand_dep_closed_prop(rng, 4))
+        runs = []
+        for trace in (False, True):
+            calls.clear()
+            out = execute(RunConfig(logic, goal, script, trace=trace))
+            runs.append((out, list(calls)))
+        (plain, plain_calls), (traced, traced_calls) = runs
+        assert traced == plain
+        assert traced_calls == plain_calls
+    assert "=> " in capsys.readouterr().err
 
 
 def test_main_script_file(tmp_path, capsys):

@@ -466,6 +466,7 @@ def test_long_residuals_compare_without_recursion():
     assert one.telescope is not two.telescope
     assert one == two
     assert one.telescope == two.telescope
+    assert hash(one) == hash(two)
     assert one != add_chain(600, last=2)
     assert one != add_chain(599)
     assert add_chain(599) != one

@@ -220,7 +220,7 @@ def test_each_mt_leaves_unlisted_goals_open():
 
 def test_each_substitutes_before_handing_over_the_goal():
     seen = []
-    set_trace_hook(lambda goal, state: seen.append(J.render(goal)))
+    set_trace_hook(lambda goal, kind, goals: seen.append(J.render(goal)))
     try:
         tac = seq(J, PLUS_EVAL, each_mt(J, (NUM_EVAL, NUM_EVAL, ADD, ADD, ADD)))
         final(tac, eval_goal(arith.plus(arith.num(2), arith.num(3))))
@@ -298,7 +298,7 @@ def test_seq_flattens_the_two_layers():
 
 def test_trace_hook_fires_once_per_subgoal_answer():
     fired = []
-    set_trace_hook(lambda goal, state: fired.append((goal, state)))
+    set_trace_hook(lambda goal, kind, goals: fired.append((goal, (kind, goals))))
     try:
         split = final(PLUS_EVAL, eval_goal(arith.plus(arith.num(2), arith.num(3))))
         run_delayed(all_mt(J, NUM_EVAL)(split.context, split), 1000)
@@ -435,7 +435,7 @@ def rand_round_tactic(rng):
 
 def traced_run(mt, state, fuel):
     fired = []
-    set_trace_hook(lambda goal, answer: fired.append((goal, _trace_tag(answer))))
+    set_trace_hook(lambda goal, kind, goals: fired.append((goal, _trace_tag(kind, goals))))
     try:
         got = run_delayed(mt(state.context, state), fuel)
     finally:
@@ -807,13 +807,19 @@ def test_the_depth_first_star_agrees_with_the_race(seed):
 
 
 @pytest.mark.parametrize(
-    "pluses, rule_calls", [(64, 769), (128, 1537)], ids=["comb of 64", "comb of 128"]
+    "pluses, rule_calls, trace",
+    [(64, 769, False), (128, 1537, False), (64, 769, True), (128, 1537, True)],
+    ids=["comb of 64", "comb of 128", "traced comb of 64", "traced comb of 128"],
 )
-def test_the_depth_first_star_does_work_linear_in_the_comb(monkeypatch, pluses, rule_calls):
+def test_the_depth_first_star_does_work_linear_in_the_comb(
+    monkeypatch, capsys, pluses, rule_calls, trace
+):
     # each step resumes the pass at the goal where the last one stopped;
-    # raced from scratch, the approximants made 4,929 and 18,049 calls
+    # raced from scratch, the approximants made 4,929 and 18,049 calls.
+    # A traced step shows the pass's log again and calls no rule for it.
     calls = counted_rules(monkeypatch)
-    out = execute(RunConfig("arith", left_comb(pluses), arith.AUTO_NAIVE_SCRIPT))
+    config = RunConfig("arith", left_comb(pluses), arith.AUTO_NAIVE_SCRIPT, trace=trace)
+    out = execute(config)
     assert out.status == "incomplete"
     assert out.steps == pluses + 2
     assert calls[0] == rule_calls
