@@ -1,6 +1,6 @@
-"""Time one flattening over n goals, per spliced goal, in two families.
+"""Time one flattening over n goals, per spliced goal, in three families.
 
-This is the step a breadth-first round takes after every goal answered:
+Two are the step a breadth-first round takes after every goal answered:
 `state_mul` with the round's state as `before`.  The goals form a chain,
 `add 0 1`, `add n 1`, `add n'1 1`, ..., so each one mentions the binder
 of the one before it and every move is a renaming.
@@ -9,6 +9,14 @@ of the one before it and every move is a renaming.
   in place, moved onto the new flat context.
 - unit: every entry answers with its goal's unit state, so each inner
   telescope is spliced in and its validation carried into the rest.
+
+The third is the one flattening that ends a depth-first star's pass.
+
+- nested: `state_flatten` of an answer nested n levels deep and shaped
+  like a left comb: each level holds the level below it, then an add
+  goal on the level below's output, which stands.  The walk goes down
+  to the innermost level and back up over its own stack, and splices
+  each goal once, however deep it sits.
 
 The rows show how the cost of a splice grows with the context.  Reading
 the moved goal's variables, naming its binder, consing it onto the flat
@@ -22,29 +30,27 @@ at least three flattenings and of BUDGET seconds of them.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Callable
 
 from refkit.logics import arith
 from refkit.state import (
     Bot,
+    Nested,
     Subgoals,
     TeleBuilder,
     TeleCons,
     TeleNil,
+    state_flatten,
     state_mul,
     state_unit,
+    tele_goals,
 )
-from refkit.theory import Context, Substitution
+from refkit.theory import Context, Substitution, Var
 
 J = arith.STRUCTURE
 SIZES = (100, 1000)
 BUDGET = 1.0  # seconds of flattenings per size
-
-FAMILIES: dict[str, Callable[[Any], Any]] = {
-    "refused": lambda goal: Bot(goal.context, arith.ADD_OUTPUT),
-    "unit": lambda goal: state_unit(J, goal),
-}
-
 
 def chain(n: int) -> Subgoals:
     """A state of n chained add goals."""
@@ -68,22 +74,59 @@ def answered(state: Subgoals, answer: Callable[[Any], Any]) -> Subgoals:
     return Subgoals(answers, state.validation)
 
 
+def round_of(answer: Callable[[Any], Any]) -> Callable[[int], Callable[[], Any]]:
+    """The flattening of a round over chain(n) that answers each goal by
+    answer(goal)."""
+
+    def flattening(n: int) -> Callable[[], Any]:
+        state = chain(n)
+        return partial(state_mul, J, answered(state, answer), state.telescope)
+
+    return flattening
+
+
+def nested_comb(n: int) -> Nested:
+    """An answer nested n levels deep, shaped like a left comb."""
+    num, root = arith.NUM, Context()
+    below = Context((("n", num),))
+    ctx = Context((("n", num), ("m", num)))
+    first = arith.AddGoal(root, arith.nat(0), arith.nat(1))
+    answer = Nested(
+        root,
+        TeleCons(("n",), first, TeleNil(below)),
+        Substitution(below, arith.ADD_OUTPUT, (Var("n", num),)),
+    )
+    goal = arith.AddGoal(below, Var("n", num), arith.nat(1))
+    outputs = Substitution(ctx, arith.ADD_OUTPUT, (Var("m", num),))
+    for _ in range(n):
+        tele = TeleCons(("n",), answer, TeleCons(("m",), goal, TeleNil(ctx)))
+        answer = Nested(root, tele, outputs)
+    return answer
+
+
+FAMILIES: dict[str, Callable[[int], Callable[[], Any]]] = {
+    "refused": round_of(lambda goal: Bot(goal.context, arith.ADD_OUTPUT)),
+    "unit": round_of(lambda goal: state_unit(J, goal)),
+    "nested": lambda n: partial(state_flatten, J, nested_comb(n)),
+}
+
+
 def main() -> int:
     print(f"{'family':>8} {'goals':>6} {'runs':>5} {'us/goal':>9}")
-    for family, answer in FAMILIES.items():
+    for family, flattening in FAMILIES.items():
         for n in SIZES:
-            state = chain(n)
-            answers = answered(state, answer)
+            flatten = flattening(n)
             best, runs, spent = float("inf"), 0, 0.0
             while runs < 3 or spent < BUDGET:
                 start = time.perf_counter()
-                flat = state_mul(J, answers, state.telescope)
+                flat = flatten()
                 elapsed = time.perf_counter() - start
                 best = min(best, elapsed)
                 spent += elapsed
                 runs += 1
             assert isinstance(flat, Subgoals)
-            print(f"{family:>8} {n:>6} {runs:>5} {best / n * 1e6:>9.2f}")
+            goals = len(tele_goals(flat.telescope))
+            print(f"{family:>8} {goals:>6} {runs:>5} {best / goals * 1e6:>9.2f}")
     return 0
 
 

@@ -99,6 +99,30 @@ class Bot:
 ProofState = Union[Subgoals, Fail, Bot]
 
 
+class Nested:
+    """An answer whose flattening is put off: a state over context whose
+    telescope holds, in each entry, a Nested answer or a goal that
+    stands, as its unit state would.
+
+    Flattening is associative, so `state_flatten` flattens one in a
+    single walk to the state that flattening it level by level gives.
+    An entry is told from a goal by construction: a Nested is never a
+    goal, while under StateStructure a goal may itself be a state.
+    goals is the number of goals the flattened state has.
+    """
+
+    __slots__ = ("context", "telescope", "validation", "goals")
+
+    def __init__(self, context: Context, telescope: Telescope, validation: Substitution):
+        self.context, self.telescope, self.validation = context, telescope, validation
+        goals, tele = 0, telescope
+        while tele.__class__ is TeleCons:
+            entry = tele.goal
+            goals += entry.goals if entry.__class__ is Nested else 1
+            tele = tele.rest
+        self.goals = goals
+
+
 def tele_context(tele: Telescope) -> Context:
     match tele:
         case TeleNil(ctx):
@@ -285,6 +309,14 @@ def state_mul(
     raise TheoryError(f"not a proof state: {outer!r}")
 
 
+def state_flatten(structure: JudgmentStructure, answer: Any) -> ProofState:
+    """The state a Nested answer stands for, flattened in one walk as
+    state_mul would flatten it level by level; a flat answer as it is."""
+    if answer.__class__ is not Nested:
+        return answer
+    return _mul_tele(structure, answer.telescope, answer.validation, None, True)
+
+
 def _same_binders(a: Telescope, b: Telescope) -> bool:
     while isinstance(a, TeleCons) and isinstance(b, TeleCons):
         if a.names != b.names:
@@ -346,6 +378,11 @@ class TeleBuilder:
         moved = self.structure.subst(goal, self.reindexing(goal.context))
         self._bind(binds, self.push(moved, bases))
 
+    def stand(self, goal: Any, binds: tuple[str, ...]) -> None:
+        """Append goal as its unit state would splice in: under fresh
+        binders named after its outputs, standing for binds."""
+        self.splice(goal, self.structure.output(goal).names, binds)
+
     def _bind(self, names: Sequence[str], terms: Sequence[Term]) -> None:
         """Send the old names to terms over the prefix from here on."""
         self.image.update(zip(names, terms))
@@ -374,6 +411,16 @@ class TeleBuilder:
         self.checked, self.since = target, []
         return _Reindexing(self.prefix, target, self.image)
 
+    def rejoin(self, answer: Any, end: Context, names: tuple[str, ...]) -> None:
+        """After the goals of answer, whose telescope ends at end: its
+        binders leave scope, and names, the binders of its entry, stand
+        for what its validation produced."""
+        reindex = self.reindexing(answer.validation.source)
+        outputs = [subst_apply(t, reindex) for t in answer.validation.terms]
+        outer = answer.context
+        self._unbind(outer, end._names_from(len(outer)))
+        self._bind(names, outputs)
+
     def close(self, validation: Substitution) -> Subgoals:
         """The state of the goals pushed, with a validation over the prefix."""
         return Subgoals(_tele_from(self.entries, TeleNil(self.prefix)), validation)
@@ -384,49 +431,64 @@ def _mul_tele(
     tele: Telescope,
     validation: Substitution,
     before: Telescope | None,
+    nested: bool = False,
 ) -> ProofState:
+    """Flatten tele, validation in one walk: a state of answers, or the
+    state of a Nested answer when nested is set.
+
+    A Nested entry is walked into over an explicit stack of the entries
+    walked into, so a deep answer takes no Python frame per level.
+    `before` lines up with tele's own entries only.
+    """
     if isinstance(tele, TeleNil):
         return Subgoals(tele, validation)
     root = tele_context(tele)
     image: dict[str, Term] = {name: Var(name, sort) for name, sort in root.entries}
     b = TeleBuilder(structure, root, image)
+    # the entries walked into, each with what `before` was there
+    above: list[tuple[TeleCons, Telescope | None]] = []
     walk = tele
-    while isinstance(walk, TeleCons):
-        head = walk.goal
-        if isinstance(head, Subgoals):
-            inner = head.telescope
-            while isinstance(inner, TeleCons):
-                b.splice(inner.goal, inner.names, inner.names)
-                inner = inner.rest
-            # walk.names bind head's outputs over the rest; from here on
-            # they stand for what the inner validation produced, and the
-            # inner binders leave scope
-            reindex = b.reindexing(head.validation.source)
-            outputs = [subst_apply(t, reindex) for t in head.validation.terms]
-            outer = head.context
-            b._unbind(outer, inner.context._names_from(len(outer)))
-            b._bind(walk.names, outputs)
-        elif not isinstance(head, (Fail, Bot)):
-            raise TheoryError(f"subgoal is not a proof state: {head!r}")
-        elif before is not None:
-            # a refusal leaves the goal standing, as its unit state would
-            goal = before.goal
-            b.splice(goal, structure.output(goal).names, walk.names)
+    while True:
+        if isinstance(walk, TeleCons):
+            head = walk.goal
+            if head.__class__ is Nested:
+                above.append((walk, before))
+                walk, before = head.telescope, None
+                continue
+            if nested or above:
+                # a goal that stands in a Nested answer
+                b.stand(head, walk.names)
+            elif isinstance(head, Subgoals):
+                inner = head.telescope
+                while isinstance(inner, TeleCons):
+                    b.splice(inner.goal, inner.names, inner.names)
+                    inner = inner.rest
+                b.rejoin(head, inner.context, walk.names)
+            elif not isinstance(head, (Fail, Bot)):
+                raise TheoryError(f"subgoal is not a proof state: {head!r}")
+            elif before is not None:
+                # a refusal leaves the goal standing
+                b.stand(before.goal, walk.names)
+            else:
+                # an absorbing goal already spliced in sits earlier in
+                # dependency order, so its kind wins over the collapse
+                kind = "fail" if isinstance(head, Fail) else "bot"
+                for _, goal in b.entries:
+                    found = structure.obstruction(goal)
+                    if found is not None:
+                        kind = found
+                        break
+                wrap = Fail if kind == "fail" else Bot
+                return wrap(root, validation.target)
+        elif above:
+            end = walk.context
+            walk, before = above.pop()
+            b.rejoin(walk.goal, end, walk.names)
         else:
-            # an absorbing goal already spliced in sits earlier in
-            # dependency order, so its kind wins over the collapse
-            kind = "fail" if isinstance(head, Fail) else "bot"
-            for _, goal in b.entries:
-                found = structure.obstruction(goal)
-                if found is not None:
-                    kind = found
-                    break
-            wrap = Fail if kind == "fail" else Bot
-            return wrap(root, validation.target)
+            return b.close(subst_compose(b.reindexing(walk.context), validation))
         walk = walk.rest
         if before is not None:
             before = before.rest
-    return b.close(subst_compose(b.reindexing(walk.context), validation))
 
 
 def _check_scope(image: dict[str, Term], target: Context) -> None:

@@ -24,6 +24,7 @@ from .judgment import JudgmentStructure, goal_support
 from .state import (
     Bot,
     Fail,
+    Nested,
     ProofState,
     StateStructure,
     Subgoals,
@@ -32,6 +33,7 @@ from .state import (
     TeleNil,
     _Reindexing,
     state_alpha_eq,
+    state_flatten,
     state_mul,
     state_unit,
     tele_goals,
@@ -168,8 +170,11 @@ def set_trace_hook(hook: TraceHook | None) -> TraceHook | None:
 
 
 def _event(goal: Any, answer: Any) -> tuple[Any, type, int]:
-    """goal's answer as the trace hook is shown it."""
+    """goal's answer as the trace hook is shown it: a Nested answer as
+    the state it stands for."""
     kind = type(answer)
+    if kind is Nested:
+        return goal, Subgoals, answer.goals
     return goal, kind, len(tele_goals(answer.telescope)) if kind is Subgoals else 0
 
 
@@ -220,7 +225,10 @@ class _OrElse(_Node):
 
 
 class _Seq(_Node):
-    __slots__ = ("structure", "first", "then")
+    """first, then the multitactic then on its answer; the state of
+    answers is flattened, or, when nests is set, kept as a Nested answer."""
+
+    __slots__ = ("structure", "first", "then", "nests")
 
 
 class _All(_Node):
@@ -255,7 +263,8 @@ class _Star(_Node):
 class _Level(_Node):
     """The goals depth levels below the root of a _Star's pass.  A pass
     bounded at depth suspends at them (see _deepen); one bounded deeper
-    runs body, try(t; all(the level below)), built when first run."""
+    runs body, try(t; all(the level below)), built when first run, whose
+    all answer is kept as a Nested answer, unflattened."""
 
     __slots__ = ("structure", "tactic", "depth", "body")
 
@@ -265,7 +274,7 @@ class _Level(_Node):
     def expand(self) -> _Node:
         if self.body is None:
             below = _Level(self.structure, self.tactic, self.depth + 1)
-            then = then_tactic(self.structure, self.tactic, below)
+            then = _Seq(self.structure, self.tactic, all_mt(self.structure, below), True)
             self.body = try_tactic(self.structure, then)
         return self.body
 
@@ -290,6 +299,9 @@ class _Fix(_Node):
 #   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
 #   (_THEN, seq)                    hand the state to seq's multitactic
 #   (_FLATTEN, structure)           flatten the state of states
+#   (_NEST, state)                  keep the answers to state's goals as
+#                                   a Nested answer, unflattened
+#   (_UNNEST, structure)            flatten a Nested answer (a star's pass)
 #   (_SWEEP, sweep, state, tele, done, index, memo, goal, sub)
 #       take the answer to goal, the entry at the head of tele (none when
 #       goal is None), and attack the next; memo holds the evidence found
@@ -298,7 +310,7 @@ class _Fix(_Node):
 # A round of `all(t)*` with t natural takes no frame: _Rounds runs it
 # over a telescope of its own, which a run resumes from by _resume_rounds
 # once only, since a round changes it in place.
-_FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
+_FALLBACK, _THEN, _FLATTEN, _NEST, _UNNEST, _SWEEP, _ROUND = range(7)
 
 
 def _run(
@@ -365,6 +377,7 @@ def _run(
             elif cls is _Star:
                 # approximant 0 never answers: one step
                 log = None if _trace_hook is None else ()
+                k = ((_UNNEST, node.root.structure), k)
                 return Later(partial(_run, node.root, ctx, x, k, None, 0, log))
             else:
                 m = node(ctx, x)
@@ -375,7 +388,7 @@ def _run(
             frame, k = k
             tag = frame[0]
             if tag == _FALLBACK:
-                if not isinstance(value, Subgoals):
+                if not isinstance(value, (Subgoals, Nested)):
                     _, node, ctx, x = frame
                     break
             elif tag == _SWEEP:
@@ -418,11 +431,17 @@ def _run(
                     x = goal
                     break
             elif tag == _THEN:
-                k = ((_FLATTEN, frame[1].structure), k)
-                node, ctx, x = frame[1].then, value.context, value
+                seq, ctx, x = frame[1], value.context, value
+                k = ((_NEST, value) if seq.nests else (_FLATTEN, seq.structure), k)
+                node = seq.then
                 break
             elif tag == _FLATTEN:
                 value = state_mul(frame[1], value)
+            elif tag == _NEST:
+                if isinstance(value, Subgoals):
+                    value = _nest(frame[1], value)
+            elif tag == _UNNEST:
+                value = state_flatten(frame[1], value)
             else:
                 _, repeat, state, ctx = frame
                 advanced, stop = _next_round(repeat.structure, state, value)
@@ -433,6 +452,28 @@ def _run(
                 return Later(partial(_run, repeat.body, ctx, advanced, k))
         else:
             return Now(value)
+
+
+def _nest(state: Subgoals, answers: Subgoals) -> Nested:
+    """The Nested answer that is state, t's answer at a level of a star's
+    pass, with each goal that the level below answered with a Nested
+    answer put in its place.  The level below answers any other goal
+    with the goal's unit state, so the goal stands.  The entries after
+    the last Nested answer are state's own."""
+    entries, last = [], 0
+    tele, below = state.telescope, answers.telescope
+    tail = tele
+    while isinstance(tele, TeleCons):
+        answer = below.goal
+        if answer.__class__ is Nested:
+            entries.append((tele.names, answer))
+            last, tail = len(entries), tele.rest
+        else:
+            entries.append((tele.names, tele.goal))
+        tele, below = tele.rest, below.rest
+    for names, entry in reversed(entries[:last]):
+        tail = TeleCons(names, entry, tail)
+    return Nested(state.context, tail, state.validation)
 
 
 def _deepen(level: _Level, ctx: Any, goal: Any, k: Any, bound: int, log: Any) -> Delayed:
@@ -792,7 +833,7 @@ def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitac
 
 def seq(structure: JudgmentStructure, t: Tactic, mt: Multitactic) -> Tactic:
     """Run the tactic, hand the state to the multitactic, flatten."""
-    return _Seq(structure, t, mt)
+    return _Seq(structure, t, mt, False)
 
 
 def then_tactic(structure: JudgmentStructure, t1: Tactic, t2: Tactic) -> Tactic:
@@ -827,7 +868,11 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
     approximant's answers, so approximant n + 1 shows again what n
     showed, then more: while a hook is installed as the star starts, the
     pass logs what it shows, and each step shows the log again before it
-    resumes.  Watched or not, the pass makes the same rule calls.
+    resumes.  Watched or not, the pass makes the same rule calls.  No
+    level flattens its answer: it keeps its all answer as a Nested
+    answer, and the pass flattens the whole of it once, at its end
+    (state_flatten).  Flattening is associative, so that is the race's
+    state, and each goal is spliced once, not once per level above it.
     """
     if _is_natural(t):
         return _Star(_Level(structure, t, 0))

@@ -35,6 +35,7 @@ from refkit.tactic import set_trace_hook
 
 from reference import ref_execute, ref_state_alpha_eq
 from strategies import rand_closed_expr, rand_dep_closed_prop, rand_script_tactic
+from test_tactic import counted_rules
 
 BREADTH = "id; all(num_eval | plus_eval | add)*"
 DEPTH = "(num_eval | plus_eval | add)*"
@@ -348,6 +349,20 @@ def test_a_breadth_first_comb_of_1000_additions_completes(capsys):
     assert report["status"] == "complete"
     assert report["steps_used"] == 3001
     assert report["extract"] == ["1000", "1001"]
+
+
+def test_a_depth_first_comb_of_1000_additions_flattens_once(monkeypatch, capsys):
+    # the pass keeps each level's answer nested and flattens it once, at
+    # its end, so the comb takes 12n + 1 rule calls, as for 64 and 128
+    calls = counted_rules(monkeypatch)
+    goal = "eval " + " + ".join(["num 1"] * 1001)
+    argv = ["--logic", "arith", "--goal", goal, "--script",
+            arith.AUTO_NAIVE_SCRIPT, "--json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "incomplete"
+    assert report["steps_used"] == 1002
+    assert calls[0] == 12_001
 
 
 def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):

@@ -10,6 +10,7 @@ from refkit.logics import arith, dep
 from refkit.state import (
     Bot,
     Fail,
+    Nested,
     StateStructure,
     Subgoals,
     TeleBuilder,
@@ -19,6 +20,7 @@ from refkit.state import (
     pretty_state,
     state_alpha_eq,
     state_approx,
+    state_flatten,
     state_map,
     state_mul,
     state_obstruction,
@@ -39,6 +41,7 @@ from refkit.theory import (
 )
 
 from reference import (
+    fresh_name,
     ref_rename,
     ref_state_alpha_eq,
     ref_state_mul,
@@ -56,6 +59,7 @@ from strategies import (
     rand_goal,
     rand_num_term,
     rand_subst,
+    rand_target,
 )
 
 J = arith.STRUCTURE
@@ -644,3 +648,89 @@ def test_state_subst_primes_binders_the_source_already_binds():
         "zv : add xv'1 yv.\n"
         "▹ [zc1, zv]"
     )
+
+
+def rand_nested(rng, ctx, depth):
+    """A Nested answer over ctx, at most depth levels deep: each entry a
+    Nested answer or an arith goal that stands."""
+    walk, spine = ctx, []
+    for _ in range(rng.randrange(5)):
+        if depth and rng.random() < 0.5:
+            entry = rand_nested(rng, walk, depth - 1)
+        else:
+            entry = rand_goal(rng, walk, 2)
+        output = entry.validation.target if isinstance(entry, Nested) else J.output(entry)
+        taken, names = set(walk.names), []
+        for base, _ in output.entries:
+            names.append(fresh_name(base, taken))
+            taken.add(names[-1])
+        spine.append((tuple(names), entry))
+        binder = tuple((n, sort) for n, (_, sort) in zip(names, output.entries))
+        walk = ctx_concat(walk, Context(binder))
+    tele = TeleNil(walk)
+    for names, entry in reversed(spine):
+        tele = TeleCons(names, entry, tele)
+    target = rand_target(rng)
+    terms = tuple(rand_num_term(rng, walk) for _ in target.entries)
+    return Nested(ctx, tele, Substitution(walk, target, terms))
+
+
+def by_levels(answer, unit, mul):
+    """answer flattened level by level, the innermost first, with each
+    goal that stands put in as its unit state: the state of the race of
+    a star's approximants, each of which flattens at every level."""
+    entries = state_map(
+        lambda entry: by_levels(entry, unit, mul) if isinstance(entry, Nested) else unit(entry),
+        Subgoals(answer.telescope, answer.validation),
+    )
+    return mul(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_nested_answer_flattens_in_one_walk_as_level_by_level(seed):
+    rng = random.Random(seed)
+    answer = rand_nested(rng, rand_context(rng), 4)
+    got = state_flatten(J, answer)
+    for unit, mul in (
+        (lambda goal: state_unit(J, goal), lambda state: state_mul(J, state)),
+        (ref_state_unit, ref_state_mul),
+    ):
+        want = by_levels(answer, unit, mul)
+        assert pretty_state(J, got) == pretty_state(J, want)
+        assert got == want
+    test_binder_names.assert_canonical(got)
+    assert answer.goals == len(tele_goals(got.telescope))
+
+
+def test_a_nested_answer_3000_levels_deep_flattens_at_the_recursion_limit():
+    # each level holds the level below it, then a goal that stands and
+    # uses the level below's output: a left comb of add goals
+    n_ctx = Context((("n", NUM),))
+    nm_ctx = ctx_concat(n_ctx, Context((("m", NUM),)))
+    added = arith.AddGoal(n_ctx, Var("n", NUM), arith.nat(1))
+    validation = Substitution(nm_ctx, arith.ADD_OUTPUT, (Var("m", NUM),))
+    first = arith.AddGoal(EMPTY, arith.nat(0), arith.nat(1))
+    answer = Nested(
+        EMPTY,
+        TeleCons(("n",), first, TeleNil(n_ctx)),
+        Substitution(n_ctx, arith.ADD_OUTPUT, (Var("n", NUM),)),
+    )
+    for _ in range(3000):
+        tele = TeleCons(("n",), answer, TeleCons(("m",), added, TeleNil(nm_ctx)))
+        answer = Nested(EMPTY, tele, validation)
+    try:
+        got = state_flatten(J, answer)
+    except RecursionError:
+        pytest.fail("flattening a deep nested answer recursed", pytrace=False)
+    names = ["n"] + [f"n'{i}" for i in range(1, 3001)]
+    lines = ["n : add 0 1."]
+    lines += [f"{name} : add {prev} 1." for prev, name in zip(names, names[1:])]
+    lines.append("▹ [n'3000]")
+    assert pretty_state(J, got) == "\n".join(lines)
+    assert answer.goals == 3001
+
+
+# test_binder_names imports this module, so it is imported last, and its
+# check read when a test runs
+import test_binder_names  # noqa: E402
