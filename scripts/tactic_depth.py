@@ -2,26 +2,29 @@
 
 - comb: the depth-first auto script, `(num_eval | plus_eval | add)*`, on
   a left comb of n `+`.  Its k-th approximant takes the goal k levels
-  down; the machine keeps those levels on its own stack, so no size
-  runs out of Python frames.  The star runs as one depth-first pass
-  whose bound goes a level deeper at each step, so the rule calls grow
-  linearly with n.  No level flattens its answer: the pass keeps them
-  nested and flattens them once, at its end, so the time grows about
-  linearly too, and the comb of 1000 should take about twice the time
-  of the comb of 500.
+  down.  The star runs as one loop over a path of the levels it is in,
+  kept as data, so no size runs out of Python frames; the loop goes a
+  level deeper at each step, so the rule calls grow linearly with n.
+  A level that ends is kept as a nested answer in the level above it,
+  and the loop flattens the whole answer once, at its end, so the time
+  grows about linearly too, and the comb of 1000 should take about
+  twice the time of the comb of 500.
 - traced: the comb of 128 again, with `--trace`: each step shows the
   lines the pass has logged so far again, and then resumes it, so the
   rule calls are the untraced run's.  The last column is the traced
   time over the untraced one.
 - id*: `id*` on `add 1 2`, which never answers and runs out of fuel; each
   step resumes the pass one level deeper, so the time per step should
-  read about the same at every fuel.
+  read about the same at every fuel.  KB/step is the run's tracemalloc
+  peak over its steps, from one more run: the path holds a level per
+  step, so it should read about the same at every fuel too.
 - race: one `force` of a fixed point after k steps, when it races k
   approximants that never answer; the time per approximant should read
   about the same at every k.
 
 Each row is the best of at least one run and of BUDGET seconds of them;
-us/unit is the time per step (id*) or per approximant (race).
+us/unit is the time per step (id*) or per approximant (race).  The peak
+is measured apart from the timed runs, which tracemalloc would slow.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 from typing import Callable
 
 from refkit.cli import main as cli_main
@@ -72,7 +76,7 @@ def spin() -> Later:
 
 
 def main() -> int:
-    print(f"{'family':>6} {'size':>6} {'steps':>6} {'seconds':>9} {'us/unit':>9}")
+    print(f"{'family':>6} {'size':>6} {'steps':>6} {'seconds':>9} {'us/unit':>9} {'KB/step':>8}")
     script = "(num_eval | plus_eval | add)*"
     for n in COMBS:
         seconds, steps = best_of(lambda: steps_used(comb(n), script, 100000))
@@ -84,7 +88,11 @@ def main() -> int:
     for fuel in FUELS:
         seconds, steps = best_of(lambda: steps_used("add 1 2", "id*", fuel))
         per_step = seconds / steps * 1e6
-        print(f"{'id*':>6} {fuel:>6} {steps:>6} {seconds:>9.3f} {per_step:>9.1f}")
+        tracemalloc.start()
+        steps_used("add 1 2", "id*", fuel)
+        peak = tracemalloc.get_traced_memory()[1] / steps / 1024
+        tracemalloc.stop()
+        print(f"{'id*':>6} {fuel:>6} {steps:>6} {seconds:>9.3f} {per_step:>9.1f} {peak:>8.2f}")
     for k in RACES:
         m = lub(lambda n: spin())
         for _ in range(k):

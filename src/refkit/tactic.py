@@ -169,12 +169,9 @@ def set_trace_hook(hook: TraceHook | None) -> TraceHook | None:
     return previous
 
 
-def _event(goal: Any, answer: Any) -> tuple[Any, type, int]:
-    """goal's answer as the trace hook is shown it: a Nested answer as
-    the state it stands for."""
+def _event(goal: Any, answer: ProofState) -> tuple[Any, type, int]:
+    """goal's answer as the trace hook is shown it."""
     kind = type(answer)
-    if kind is Nested:
-        return goal, Subgoals, answer.goals
     return goal, kind, len(tele_goals(answer.telescope)) if kind is Subgoals else 0
 
 
@@ -225,10 +222,7 @@ class _OrElse(_Node):
 
 
 class _Seq(_Node):
-    """first, then the multitactic then on its answer; the state of
-    answers is flattened, or, when nests is set, kept as a Nested answer."""
-
-    __slots__ = ("structure", "first", "then", "nests")
+    __slots__ = ("structure", "first", "then")
 
 
 class _All(_Node):
@@ -254,29 +248,10 @@ class _Repeat(_Node):
 
 
 class _Star(_Node):
-    """repeat(structure, t) with t natural, run as one depth-first pass
-    from root, the level of the star's goal (see repeat)."""
+    """repeat(structure, tactic) with tactic natural, run as one
+    depth-first pass (_walk)."""
 
-    __slots__ = ("root",)
-
-
-class _Level(_Node):
-    """The goals depth levels below the root of a _Star's pass.  A pass
-    bounded at depth suspends at them (see _deepen); one bounded deeper
-    runs body, try(t; all(the level below)), built when first run, whose
-    all answer is kept as a Nested answer, unflattened."""
-
-    __slots__ = ("structure", "tactic", "depth", "body")
-
-    def __init__(self, structure: JudgmentStructure, tactic: Tactic, depth: int):
-        super().__init__(structure, tactic, depth, None)
-
-    def expand(self) -> _Node:
-        if self.body is None:
-            below = _Level(self.structure, self.tactic, self.depth + 1)
-            then = _Seq(self.structure, self.tactic, all_mt(self.structure, below), True)
-            self.body = try_tactic(self.structure, then)
-        return self.body
+    __slots__ = ("structure", "tactic")
 
 
 class _Fix(_Node):
@@ -299,9 +274,6 @@ class _Fix(_Node):
 #   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
 #   (_THEN, seq)                    hand the state to seq's multitactic
 #   (_FLATTEN, structure)           flatten the state of states
-#   (_NEST, state)                  keep the answers to state's goals as
-#                                   a Nested answer, unflattened
-#   (_UNNEST, structure)            flatten a Nested answer (a star's pass)
 #   (_SWEEP, sweep, state, tele, done, index, memo, goal, sub)
 #       take the answer to goal, the entry at the head of tele (none when
 #       goal is None), and attack the next; memo holds the evidence found
@@ -309,30 +281,22 @@ class _Fix(_Node):
 #   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
 # A round of `all(t)*` with t natural takes no frame: _Rounds runs it
 # over a telescope of its own, which a run resumes from by _resume_rounds
-# once only, since a round changes it in place.
-_FALLBACK, _THEN, _FLATTEN, _NEST, _UNNEST, _SWEEP, _ROUND = range(7)
+# once only, since a round changes it in place.  Nor does the pass of a
+# star `t*` with t natural: _walk runs it over a path of its own.
+_FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
 
 
-def _run(
-    node: Any, ctx: Any, x: Any, k: Any, value: Any = None, bound: int = 0, log: Any = None
-) -> Delayed:
+def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     """Run node on x, a goal or a state, and hand its answer to the frames
     of k; with no node, hand them value.
 
     An answer that is already resolved is taken in the same loop, so no
     Python frame is spent per goal level.  A leaf that takes steps, a
     fixed point or a plain callable, suspends the run as one bind whose
-    continuation resumes it on k, and a productive round of `m*` returns
-    one Later that resumes it: those are the steps a run is charged.
-
-    The pass of a tactic star t* with t natural runs here too, bounded at
-    bound levels below the star's goal: a goal at the bound suspends the
-    run as one Later, which resumes at that goal with the bound one
-    deeper (see repeat).  Only the pass's own levels read the bound.
-    While a trace hook is installed as the star starts, log holds the
-    events its pass has shown the hook, as a linked list, (event, rest)
-    or (), the last at its head; each of those Laters shows them to the
-    hook again (see _deepen).  Else log is None.
+    continuation resumes it on k; a productive round of `m*` returns one
+    Later that resumes it, and so does a star's pass at each goal deeper
+    than any it has attacked (_walk): those are the steps a run is
+    charged.
     """
     while True:
         if node is not None:
@@ -369,16 +333,10 @@ def _run(
                     k = ((_ROUND, node, x, ctx), k)
                     node = node.body
                     continue
-            elif cls is _Level:
-                if node.depth >= bound:
-                    return Later(partial(_deepen, node, ctx, x, k, bound + 1, log))
-                node = node.expand()
-                continue
             elif cls is _Star:
                 # approximant 0 never answers: one step
                 log = None if _trace_hook is None else ()
-                k = ((_UNNEST, node.root.structure), k)
-                return Later(partial(_run, node.root, ctx, x, k, None, 0, log))
+                return Later(partial(_walk, node, ctx, x, None, 0, 0, log, k))
             else:
                 m = node(ctx, x)
                 if not isinstance(m, Now):
@@ -388,17 +346,16 @@ def _run(
             frame, k = k
             tag = frame[0]
             if tag == _FALLBACK:
-                if not isinstance(value, (Subgoals, Nested)):
+                if not isinstance(value, Subgoals):
+                    if not isinstance(value, (Fail, Bot)):
+                        raise TheoryError(f"subgoal is not a proof state: {value!r}")
                     _, node, ctx, x = frame
                     break
             elif tag == _SWEEP:
                 _, sweep, state, tele, done, index, memo, goal, sub = frame
                 if goal is not None:
                     if _trace_hook is not None:
-                        event = _event(goal, value)
-                        _trace_hook(*event)
-                        if log is not None:
-                            log = (event, log)
+                        _trace_hook(*_event(goal, value))
                     if (
                         sub is not None
                         and isinstance(value, Subgoals)
@@ -432,16 +389,11 @@ def _run(
                     break
             elif tag == _THEN:
                 seq, ctx, x = frame[1], value.context, value
-                k = ((_NEST, value) if seq.nests else (_FLATTEN, seq.structure), k)
+                k = ((_FLATTEN, seq.structure), k)
                 node = seq.then
                 break
             elif tag == _FLATTEN:
                 value = state_mul(frame[1], value)
-            elif tag == _NEST:
-                if isinstance(value, Subgoals):
-                    value = _nest(frame[1], value)
-            elif tag == _UNNEST:
-                value = state_flatten(frame[1], value)
             else:
                 _, repeat, state, ctx = frame
                 advanced, stop = _next_round(repeat.structure, state, value)
@@ -454,44 +406,78 @@ def _run(
             return Now(value)
 
 
-def _nest(state: Subgoals, answers: Subgoals) -> Nested:
-    """The Nested answer that is state, t's answer at a level of a star's
-    pass, with each goal that the level below answered with a Nested
-    answer put in its place.  The level below answers any other goal
-    with the goal's unit state, so the goal stands.  The entries after
-    the last Nested answer are state's own."""
-    entries, last = [], 0
-    tele, below = state.telescope, answers.telescope
-    tail = tele
-    while isinstance(tele, TeleCons):
-        answer = below.goal
-        if answer.__class__ is Nested:
-            entries.append((tele.names, answer))
-            last, tail = len(entries), tele.rest
-        else:
-            entries.append((tele.names, tele.goal))
-        tele, below = tele.rest, below.rest
-    for names, entry in reversed(entries[:last]):
-        tail = TeleCons(names, entry, tail)
-    return Nested(state.context, tail, state.validation)
+def _walk(
+    star: _Star, ctx: Any, goal: Any, path: Any, depth: int, bound: int, log: Any, k: Any
+) -> Delayed:
+    """Go on with star's pass at goal, depth levels below the star's goal,
+    bounded at bound levels, and hand the state it ends on to the frames
+    of k (see repeat).
 
-
-def _deepen(level: _Level, ctx: Any, goal: Any, k: Any, bound: int, log: Any) -> Delayed:
-    """Resume a star's pass at goal, on level, bounded at bound.
-
-    Approximant bound of the race fires what the one before it fired, in
-    the same order, and then goes on from goal: so the events of log are
-    shown the trace hook again first.  log is never changed in place, so
-    a Later forced twice resumes from the same log.
+    path holds the levels the pass is in, innermost first, as a linked
+    list ((goal, answer, tele, done), rest) or None: answer is the
+    tactic's answer to goal, tele the entry of its telescope attacked
+    next, and done the entries before tele, the last at its head, each
+    (entry, put): put is the Nested answer the level below the entry
+    ended on, or the entry's goal, which stands, if the tactic refused
+    it.  While a trace hook is installed as the star starts, log holds
+    the events the pass has shown it, the last at its head; else it is
+    None.  Nothing is changed in place, so a Later forced twice resumes
+    the same pass twice.
     """
-    events, rest = [], log
-    while rest:
-        event, rest = rest
-        events.append(event)
-    if _trace_hook is not None:
+    if log and _trace_hook is not None:
+        # approximant bound shows again what the one before it showed
+        events, rest = [], log
+        while rest:
+            event, rest = rest
+            events.append(event)
         for event in reversed(events):
             _trace_hook(*event)
-    return _run(level, ctx, goal, k, None, bound, log)
+    structure, tactic = star.structure, star.tactic
+    while True:
+        if depth >= bound:
+            return Later(partial(_walk, star, ctx, goal, path, depth, bound + 1, log, k))
+        # a natural tactic answers at once
+        answer = _run(tactic, ctx, goal, None).value
+        if isinstance(answer, Subgoals):
+            path = ((goal, answer, answer.telescope, None), path)
+            depth += 1
+            ended = None
+        elif isinstance(answer, (Fail, Bot)):
+            ended, put, goals = goal, goal, 1
+        else:
+            raise TheoryError(f"subgoal is not a proof state: {answer!r}")
+        # hand what ended to the level above it, and end each level that
+        # has no entry left to attack
+        while True:
+            if ended is None:
+                (above, answer, tele, done), rest = path
+                if isinstance(tele, TeleCons):
+                    break
+                # the entries after the last Nested one stand as they are
+                while done is not None and done[0][1].__class__ is not Nested:
+                    tele, done = done[0][0], done[1]
+                while done is not None:
+                    (entry, kept), done = done
+                    tele = TeleCons(entry.names, kept, tele)
+                put = Nested(answer.context, tele, answer.validation)
+                ended, goals, path = above, put.goals, rest
+                depth -= 1
+            if path is None:
+                if put.__class__ is Nested:
+                    value = state_flatten(structure, put)
+                else:
+                    value = state_unit(structure, put)
+                return _run(None, None, None, k, value)
+            if _trace_hook is not None:
+                event = ended, Subgoals, goals
+                _trace_hook(*event)
+                if log is not None:
+                    log = event, log
+            (above, answer, tele, done), rest = path
+            path = ((above, answer, tele.rest, ((tele, put), done)), rest)
+            ended = None
+        goal = tele.goal
+        ctx = goal.context
 
 
 def _resume_rounds(rounds: "_Rounds", done: int, k: Any) -> Delayed:
@@ -802,7 +788,9 @@ def from_rule(rule: Any) -> Tactic:
 
 
 def orelse(t1: Tactic, t2: Tactic) -> Tactic:
-    """Commit to t1 whenever it answers with subgoals, else fall to t2."""
+    """Commit to t1 whenever it answers with subgoals, and fall to t2
+    when it refuses (Fail or Bot); any other answer is not a proof state,
+    and raises TheoryError."""
     return _OrElse(t1, t2)
 
 
@@ -833,7 +821,7 @@ def each_mt(structure: JudgmentStructure, tactics: Sequence[Tactic]) -> Multitac
 
 def seq(structure: JudgmentStructure, t: Tactic, mt: Multitactic) -> Tactic:
     """Run the tactic, hand the state to the multitactic, flatten."""
-    return _Seq(structure, t, mt, False)
+    return _Seq(structure, t, mt)
 
 
 def then_tactic(structure: JudgmentStructure, t1: Tactic, t2: Tactic) -> Tactic:
@@ -856,26 +844,26 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
 
     This is fix(rec -> try(t; all(rec))).  With t natural, built from
     rules, id and `|` only, the race of approximants runs as one
-    depth-first pass whose bound goes one level deeper at each step.
-    Such a t answers at once and is pure, so approximant n either answers
-    at once or never: it stops at the first goal n levels down.
-    Approximant n + 1 does what n did up to that goal, with the same
-    answers, so the pass suspends there as one Later and resumes there
-    with the bound one deeper, and never redoes a subtree.  The steps and
-    the state are those of the race: the pass bounded at level n runs at
-    step n + 1.  Forcing one of its Laters twice resumes the same pass
-    twice, with equal answers.  The race shows the trace hook each
-    approximant's answers, so approximant n + 1 shows again what n
-    showed, then more: while a hook is installed as the star starts, the
-    pass logs what it shows, and each step shows the log again before it
-    resumes.  Watched or not, the pass makes the same rule calls.  No
-    level flattens its answer: it keeps its all answer as a Nested
-    answer, and the pass flattens the whole of it once, at its end
+    depth-first pass (_walk).  Such a t answers at once and is pure, so
+    approximant n either answers at once or never: it stops at the first
+    goal n levels down.  Approximant n + 1 does what n did up to that
+    goal, with the same answers, so the pass suspends there as one Later
+    and goes one level deeper from there when forced, and never redoes a
+    subtree.  The steps and the state are those of the race: at step
+    n + 1 the pass does what approximant n does.  Forcing one of its
+    Laters twice resumes the same pass twice, with equal answers.  The
+    race shows the trace hook each approximant's answers, so approximant
+    n + 1 shows again what n showed, then more: while a hook is
+    installed as the star starts, the pass logs what it shows, and each
+    step shows the log again before it resumes.  Watched or not, the pass
+    makes the same rule calls.  A goal t refuses stands, without a unit
+    state, and a goal t answers keeps its subgoals' answers as a Nested
+    answer; the pass flattens the whole of it once, at its end
     (state_flatten).  Flattening is associative, so that is the race's
     state, and each goal is spliced once, not once per level above it.
     """
     if _is_natural(t):
-        return _Star(_Level(structure, t, 0))
+        return _Star(structure, t)
     return fix(lambda rec: try_tactic(structure, then_tactic(structure, t, rec)))
 
 

@@ -398,7 +398,9 @@ def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
     assert captured.err == "error: internal: RuntimeError: rule exploded\n"
 
 
-@pytest.mark.parametrize("script", ["num_eval", "id; all(num_eval)*"])
+@pytest.mark.parametrize(
+    "script", ["num_eval", "id; all(num_eval)*", "num_eval | id", "num_eval*"]
+)
 def test_a_tactic_answering_a_non_state_is_an_internal_error(monkeypatch, capsys, script):
     from refkit.rule import Rule
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refkit import tactic
 from refkit.cli import RunConfig, _trace_tag, execute
 from refkit.logics import arith, dep
 from refkit.rule import Rule, clause_rule
@@ -823,6 +824,22 @@ def test_the_depth_first_star_does_work_linear_in_the_comb(
     assert out.status == "incomplete"
     assert out.steps == pluses + 2
     assert calls[0] == rule_calls
+
+
+def test_the_depth_first_star_builds_no_unit_state_for_a_refused_goal(monkeypatch):
+    # a refused goal stands in the pass as it is; a pass that ran try's id
+    # on each built 192 unit states on this comb and dropped them
+    calls = [0]
+
+    def counted(structure, goal):
+        calls[0] += 1
+        return state_unit(structure, goal)
+
+    monkeypatch.setattr(tactic, "state_unit", counted)
+    out = execute(RunConfig("arith", left_comb(64), arith.AUTO_NAIVE_SCRIPT))
+    monkeypatch.undo()
+    assert out.status == "incomplete"
+    assert calls[0] <= 1
 
 
 def test_a_depth_first_star_step_forced_twice_answers_alike():
