@@ -12,11 +12,11 @@ of the one before it and every move is a renaming.
 
 The third is the one flattening that ends a depth-first star's pass.
 
-- nested: `state_flatten` of an answer nested n levels deep and shaped
-  like a left comb: each level holds the level below it, then an add
-  goal on the level below's output, which stands.  The walk goes down
-  to the innermost level and back up over its own stack, and splices
-  each goal once, however deep it sits.
+- pass: `state_spliced` of the steps of a pass n levels deep, shaped
+  like a left comb: each level answers with the goal the level below
+  answered, then an add goal on its output, which stands.  The steps
+  come in the order the pass took them, innermost first, and the loop
+  splices each goal once, however deep it sits.
 
 The rows show how the cost of a splice grows with the context.  Reading
 the moved goal's variables, naming its binder, consing it onto the flat
@@ -36,13 +36,12 @@ from typing import Any, Callable
 from refkit.logics import arith
 from refkit.state import (
     Bot,
-    Nested,
     Subgoals,
     TeleBuilder,
     TeleCons,
     TeleNil,
-    state_flatten,
     state_mul,
+    state_spliced,
     state_unit,
     tele_goals,
 )
@@ -85,29 +84,36 @@ def round_of(answer: Callable[[Any], Any]) -> Callable[[int], Callable[[], Any]]
     return flattening
 
 
-def nested_comb(n: int) -> Nested:
-    """An answer nested n levels deep, shaped like a left comb."""
+def comb_pass(n: int) -> tuple[Subgoals, Any]:
+    """The answer to its goal and the steps of a pass n levels deep,
+    shaped like a left comb."""
     num, root = arith.NUM, Context()
     below = Context((("n", num),))
     ctx = Context((("n", num), ("m", num)))
     first = arith.AddGoal(root, arith.nat(0), arith.nat(1))
-    answer = Nested(
-        root,
+    goal = arith.AddGoal(below, Var("n", num), arith.nat(1))
+    ended = Subgoals(
         TeleCons(("n",), first, TeleNil(below)),
         Substitution(below, arith.ADD_OUTPUT, (Var("n", num),)),
     )
-    goal = arith.AddGoal(below, Var("n", num), arith.nat(1))
-    outputs = Substitution(ctx, arith.ADD_OUTPUT, (Var("m", num),))
+    end = below
+    # every level above the innermost answers alike
+    level = Subgoals(
+        TeleCons(("n",), first, TeleCons(("m",), goal, TeleNil(ctx))),
+        Substitution(ctx, arith.ADD_OUTPUT, (Var("m", num),)),
+    )
+    steps: Any = ((None, (first, ("n",))), None)
     for _ in range(n):
-        tele = TeleCons(("n",), answer, TeleCons(("m",), goal, TeleNil(ctx)))
-        answer = Nested(root, tele, outputs)
-    return answer
+        steps = ((None, (ended, end, ("n",))), steps)
+        steps = ((None, (goal, ("m",))), steps)
+        ended, end = level, ctx
+    return level, steps
 
 
 FAMILIES: dict[str, Callable[[int], Callable[[], Any]]] = {
     "refused": round_of(lambda goal: Bot(goal.context, arith.ADD_OUTPUT)),
     "unit": round_of(lambda goal: state_unit(J, goal)),
-    "nested": lambda n: partial(state_flatten, J, nested_comb(n)),
+    "pass": lambda n: partial(state_spliced, J, *comb_pass(n)),
 }
 
 

@@ -5,13 +5,13 @@
   down.  The star runs as one loop over a path of the levels it is in,
   kept as data, so no size runs out of Python frames; the loop goes a
   level deeper at each step, so the rule calls grow linearly with n.
-  A level that ends is kept as a nested answer in the level above it,
-  and the loop flattens the whole answer once, at its end, so the time
+  The loop records what each goal and each level handed up as a step of
+  the flattening, and splices the steps once, at its end, so the time
   grows about linearly too, and the comb of 1000 should take about
   twice the time of the comb of 500.
 - traced: the comb of 128 again, with `--trace`: each step shows the
-  lines the pass has logged so far again, and then resumes it, so the
-  rule calls are the untraced run's.  The last column is the traced
+  lines of the steps recorded so far again, and then resumes the pass,
+  so the rule calls are the untraced run's.  The last column is the traced
   time over the untraced one.
 - id*: `id*` on `add 1 2`, which never answers and runs out of fuel; each
   step resumes the pass one level deeper, so the time per step should

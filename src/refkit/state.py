@@ -99,30 +99,6 @@ class Bot:
 ProofState = Union[Subgoals, Fail, Bot]
 
 
-class Nested:
-    """An answer whose flattening is put off: a state over context whose
-    telescope holds, in each entry, a Nested answer or a goal that
-    stands, as its unit state would.
-
-    Flattening is associative, so `state_flatten` flattens one in a
-    single walk to the state that flattening it level by level gives.
-    An entry is told from a goal by construction: a Nested is never a
-    goal, while under StateStructure a goal may itself be a state.
-    goals is the number of goals the flattened state has.
-    """
-
-    __slots__ = ("context", "telescope", "validation", "goals")
-
-    def __init__(self, context: Context, telescope: Telescope, validation: Substitution):
-        self.context, self.telescope, self.validation = context, telescope, validation
-        goals, tele = 0, telescope
-        while tele.__class__ is TeleCons:
-            entry = tele.goal
-            goals += entry.goals if entry.__class__ is Nested else 1
-            tele = tele.rest
-        self.goals = goals
-
-
 def tele_context(tele: Telescope) -> Context:
     match tele:
         case TeleNil(ctx):
@@ -309,14 +285,6 @@ def state_mul(
     raise TheoryError(f"not a proof state: {outer!r}")
 
 
-def state_flatten(structure: JudgmentStructure, answer: Any) -> ProofState:
-    """The state a Nested answer stands for, flattened in one walk as
-    state_mul would flatten it level by level; a flat answer as it is."""
-    if answer.__class__ is not Nested:
-        return answer
-    return _mul_tele(structure, answer.telescope, answer.validation, None, True)
-
-
 def _same_binders(a: Telescope, b: Telescope) -> bool:
     while isinstance(a, TeleCons) and isinstance(b, TeleCons):
         if a.names != b.names:
@@ -431,64 +399,65 @@ def _mul_tele(
     tele: Telescope,
     validation: Substitution,
     before: Telescope | None,
-    nested: bool = False,
 ) -> ProofState:
-    """Flatten tele, validation in one walk: a state of answers, or the
-    state of a Nested answer when nested is set.
-
-    A Nested entry is walked into over an explicit stack of the entries
-    walked into, so a deep answer takes no Python frame per level.
-    `before` lines up with tele's own entries only.
-    """
+    """Flatten tele, validation, a state of answers, in one walk."""
     if isinstance(tele, TeleNil):
         return Subgoals(tele, validation)
     root = tele_context(tele)
-    image: dict[str, Term] = {name: Var(name, sort) for name, sort in root.entries}
-    b = TeleBuilder(structure, root, image)
-    # the entries walked into, each with what `before` was there
-    above: list[tuple[TeleCons, Telescope | None]] = []
-    walk = tele
-    while True:
-        if isinstance(walk, TeleCons):
-            head = walk.goal
-            if head.__class__ is Nested:
-                above.append((walk, before))
-                walk, before = head.telescope, None
-                continue
-            if nested or above:
-                # a goal that stands in a Nested answer
-                b.stand(head, walk.names)
-            elif isinstance(head, Subgoals):
-                inner = head.telescope
-                while isinstance(inner, TeleCons):
-                    b.splice(inner.goal, inner.names, inner.names)
-                    inner = inner.rest
-                b.rejoin(head, inner.context, walk.names)
-            elif not isinstance(head, (Fail, Bot)):
-                raise TheoryError(f"subgoal is not a proof state: {head!r}")
-            elif before is not None:
-                # a refusal leaves the goal standing
-                b.stand(before.goal, walk.names)
-            else:
-                # an absorbing goal already spliced in sits earlier in
-                # dependency order, so its kind wins over the collapse
-                kind = "fail" if isinstance(head, Fail) else "bot"
-                for _, goal in b.entries:
-                    found = structure.obstruction(goal)
-                    if found is not None:
-                        kind = found
-                        break
-                wrap = Fail if kind == "fail" else Bot
-                return wrap(root, validation.target)
-        elif above:
-            end = walk.context
-            walk, before = above.pop()
-            b.rejoin(walk.goal, end, walk.names)
+    b = TeleBuilder(structure, root, {name: Var(name, sort) for name, sort in root.entries})
+    while isinstance(tele, TeleCons):
+        head = tele.goal
+        if isinstance(head, Subgoals):
+            inner = head.telescope
+            while isinstance(inner, TeleCons):
+                b.splice(inner.goal, inner.names, inner.names)
+                inner = inner.rest
+            b.rejoin(head, inner.context, tele.names)
+        elif not isinstance(head, (Fail, Bot)):
+            raise TheoryError(f"subgoal is not a proof state: {head!r}")
+        elif before is not None:
+            # a refusal leaves the goal standing
+            b.stand(before.goal, tele.names)
         else:
-            return b.close(subst_compose(b.reindexing(walk.context), validation))
-        walk = walk.rest
+            # an absorbing goal already spliced in sits earlier in
+            # dependency order, so its kind wins over the collapse
+            kind = "fail" if isinstance(head, Fail) else "bot"
+            for _, goal in b.entries:
+                found = structure.obstruction(goal)
+                if found is not None:
+                    kind = found
+                    break
+            wrap = Fail if kind == "fail" else Bot
+            return wrap(root, validation.target)
+        tele = tele.rest
         if before is not None:
             before = before.rest
+    return b.close(subst_compose(b.reindexing(tele.context), validation))
+
+
+def state_spliced(structure: JudgmentStructure, answer: Subgoals, steps: Any) -> Subgoals:
+    """The state a depth-first pass ends on, whose tactic answered its
+    goal with answer: steps, the pass's record, the last at its head, of
+    entries (_, step), spliced in one loop.  A step is (goal, names) for
+    a goal that stands, as its unit state would, under binders for names,
+    or (answer, end, names) after the goals of an answer whose telescope
+    ends at end and whose entry in the level above binds names.
+    Flattening is associative, so this is the state that flattening the
+    answers level by level gives."""
+    order = []
+    while steps is not None:
+        (_, step), steps = steps
+        order.append(step)
+    root, tele = answer.context, answer.telescope
+    while isinstance(tele, TeleCons):
+        tele = tele.rest
+    b = TeleBuilder(structure, root, {name: Var(name, sort) for name, sort in root.entries})
+    for step in reversed(order):
+        if len(step) == 2:
+            b.stand(*step)
+        else:
+            b.rejoin(*step)
+    return b.close(subst_compose(b.reindexing(tele.context), answer.validation))
 
 
 def _check_scope(image: dict[str, Term], target: Context) -> None:

@@ -24,7 +24,6 @@ from .judgment import JudgmentStructure, goal_support
 from .state import (
     Bot,
     Fail,
-    Nested,
     ProofState,
     StateStructure,
     Subgoals,
@@ -33,8 +32,8 @@ from .state import (
     TeleNil,
     _Reindexing,
     state_alpha_eq,
-    state_flatten,
     state_mul,
+    state_spliced,
     state_unit,
     tele_goals,
 )
@@ -335,8 +334,7 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     continue
             elif cls is _Star:
                 # approximant 0 never answers: one step
-                log = None if _trace_hook is None else ()
-                return Later(partial(_walk, node, ctx, x, None, 0, 0, log, k))
+                return Later(partial(_walk, node, ctx, x, None, 0, 0, None, 0, k))
             else:
                 m = node(ctx, x)
                 if not isinstance(m, Now):
@@ -407,74 +405,66 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
 
 
 def _walk(
-    star: _Star, ctx: Any, goal: Any, path: Any, depth: int, bound: int, log: Any, k: Any
+    star: _Star, ctx: Any, goal: Any, path: Any, depth: int, bound: int,
+    steps: Any, stood: int, k: Any,
 ) -> Delayed:
     """Go on with star's pass at goal, depth levels below the star's goal,
     bounded at bound levels, and hand the state it ends on to the frames
     of k (see repeat).
 
     path holds the levels the pass is in, innermost first, as a linked
-    list ((goal, answer, tele, done), rest) or None: answer is the
+    list ((goal, answer, tele, start), rest) or None: answer is the
     tactic's answer to goal, tele the entry of its telescope attacked
-    next, and done the entries before tele, the last at its head, each
-    (entry, put): put is the Nested answer the level below the entry
-    ended on, or the entry's goal, which stands, if the tactic refused
-    it.  While a trace hook is installed as the star starts, log holds
-    the events the pass has shown it, the last at its head; else it is
-    None.  Nothing is changed in place, so a Later forced twice resumes
-    the same pass twice.
+    next, and start the number of goals that stood as the level began.
+    stood counts the goals the tactic refused, which stand.  steps
+    records what the pass handed to a level above, the last at its head,
+    each ((goal, goals), step): the goal that ended, the number of goals
+    that stand for it, and its step of the flattening (state_spliced).
+    Nothing is changed in place, so a Later forced twice resumes the same
+    pass twice.
     """
-    if log and _trace_hook is not None:
+    if _trace_hook is not None:
         # approximant bound shows again what the one before it showed
-        events, rest = [], log
-        while rest:
-            event, rest = rest
-            events.append(event)
-        for event in reversed(events):
-            _trace_hook(*event)
+        shown, rest = [], steps
+        while rest is not None:
+            (event, _), rest = rest
+            shown.append(event)
+        for ended, goals in reversed(shown):
+            _trace_hook(ended, Subgoals, goals)
     structure, tactic = star.structure, star.tactic
     while True:
         if depth >= bound:
-            return Later(partial(_walk, star, ctx, goal, path, depth, bound + 1, log, k))
+            resume = partial(_walk, star, ctx, goal, path, depth, bound + 1, steps, stood, k)
+            return Later(resume)
         # a natural tactic answers at once
         answer = _run(tactic, ctx, goal, None).value
         if isinstance(answer, Subgoals):
-            path = ((goal, answer, answer.telescope, None), path)
+            path = ((goal, answer, answer.telescope, stood), path)
             depth += 1
             ended = None
-        elif isinstance(answer, (Fail, Bot)):
-            ended, put, goals = goal, goal, 1
-        else:
+        elif not isinstance(answer, (Fail, Bot)):
             raise TheoryError(f"subgoal is not a proof state: {answer!r}")
+        elif path is None:
+            return _run(None, None, None, k, state_unit(structure, goal))
+        else:
+            ended, put, goals = goal, (goal,), 1
+            stood += 1
         # hand what ended to the level above it, and end each level that
         # has no entry left to attack
         while True:
             if ended is None:
-                (above, answer, tele, done), rest = path
+                (above, answer, tele, start), rest = path
                 if isinstance(tele, TeleCons):
                     break
-                # the entries after the last Nested one stand as they are
-                while done is not None and done[0][1].__class__ is not Nested:
-                    tele, done = done[0][0], done[1]
-                while done is not None:
-                    (entry, kept), done = done
-                    tele = TeleCons(entry.names, kept, tele)
-                put = Nested(answer.context, tele, answer.validation)
-                ended, goals, path = above, put.goals, rest
+                ended, put, goals, path = above, (answer, tele.context), stood - start, rest
                 depth -= 1
-            if path is None:
-                if put.__class__ is Nested:
-                    value = state_flatten(structure, put)
-                else:
-                    value = state_unit(structure, put)
-                return _run(None, None, None, k, value)
+                if path is None:
+                    return _run(None, None, None, k, state_spliced(structure, answer, steps))
             if _trace_hook is not None:
-                event = ended, Subgoals, goals
-                _trace_hook(*event)
-                if log is not None:
-                    log = event, log
-            (above, answer, tele, done), rest = path
-            path = ((above, answer, tele.rest, ((tele, put), done)), rest)
+                _trace_hook(ended, Subgoals, goals)
+            (above, answer, tele, start), rest = path
+            steps = (((ended, goals), (*put, tele.names)), steps)
+            path = ((above, answer, tele.rest, start), rest)
             ended = None
         goal = tele.goal
         ctx = goal.context
@@ -853,14 +843,15 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
     n + 1 the pass does what approximant n does.  Forcing one of its
     Laters twice resumes the same pass twice, with equal answers.  The
     race shows the trace hook each approximant's answers, so approximant
-    n + 1 shows again what n showed, then more: while a hook is
-    installed as the star starts, the pass logs what it shows, and each
-    step shows the log again before it resumes.  Watched or not, the pass
-    makes the same rule calls.  A goal t refuses stands, without a unit
-    state, and a goal t answers keeps its subgoals' answers as a Nested
-    answer; the pass flattens the whole of it once, at its end
-    (state_flatten).  Flattening is associative, so that is the race's
-    state, and each goal is spliced once, not once per level above it.
+    n + 1 shows again what n showed, then more: the pass records what
+    each goal and each level hands to the level above, and each step
+    shows the record again, if a hook is installed, before it resumes.
+    Watched or not, the pass makes the same rule calls.  A goal t refuses
+    stands, without a unit state.  The record is the flattening of the
+    pass's answers as builder steps, and the pass splices it once, at its
+    end (state_spliced).  Flattening is associative, so that is the
+    race's state, and each goal is spliced once, not once per level above
+    it.
     """
     if _is_natural(t):
         return _Star(structure, t)

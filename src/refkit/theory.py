@@ -82,6 +82,8 @@ class App:
     args: tuple["Term", ...]
     # the free variables below; left out of repr, == and hash
     free: frozenset[Var] = field(init=False, repr=False, compare=False)
+    # hash((op, args)) once found; not a field
+    _hash = None
 
     def __post_init__(self) -> None:
         op = self.op
@@ -113,7 +115,7 @@ class App:
 
     def __eq__(self, other: object) -> bool:
         # (a.op, a.args) == (b.op, b.args) without recursion, so deep
-        # terms compare; the generated __hash__ stays
+        # terms compare
         if other.__class__ is not App:
             return NotImplemented
         todo = [(self, other)]
@@ -129,6 +131,21 @@ class App:
                 elif x != y:
                     return False
         return True
+
+    def __hash__(self) -> int:
+        # hash((op, args)), found below first and kept, so hashing an
+        # argument takes no recursion and deep terms hash
+        if self._hash is None:
+            todo = [self]
+            while todo:
+                t = todo[-1]
+                below = [a for a in t.args if a.__class__ is App and a._hash is None]
+                if below:
+                    todo.extend(below)
+                else:
+                    todo.pop()
+                    object.__setattr__(t, "_hash", hash((t.op, t.args)))
+        return self._hash
 
 
 Term = Union[Var, App]

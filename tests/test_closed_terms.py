@@ -10,6 +10,7 @@ import random
 import pytest
 
 from refkit.logics import arith, dep
+from refkit.state import state_unit
 from refkit.theory import (
     App,
     Context,
@@ -290,6 +291,8 @@ def test_the_walks_take_no_frame_per_level(build):
         flat(check_term, Context(), t)
     target = Context((("t", t.op.result),))
     assert flat(Substitution, ctx, target, (t,)).terms == (t,)
+    # each App keeps its hash, found below first
+    assert flat(hash, want) == hash((want.op, want.args)) == hash(build(dep.tt()))
 
 
 def test_equality_matches_the_field_tuples():
@@ -326,3 +329,11 @@ def test_equality_of_deep_terms_does_not_recurse():
 
     assert chain(dep.tt()) == chain(dep.tt())
     assert chain(dep.tt()) != chain(dep.refl())
+
+
+def test_a_state_holding_a_deep_goal_hashes():
+    # a left comb of 1500 +, as the goal parser builds it
+    goal = arith.parse_goal("eval " + " + ".join(["num 1"] * 1501))
+    state = state_unit(arith.STRUCTURE, goal)
+    assert flat(hash, goal.expr) == hash((goal.expr.op, goal.expr.args))
+    assert flat(hash, state) == hash(state_unit(arith.STRUCTURE, goal))

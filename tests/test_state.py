@@ -10,7 +10,6 @@ from refkit.logics import arith, dep
 from refkit.state import (
     Bot,
     Fail,
-    Nested,
     StateStructure,
     Subgoals,
     TeleBuilder,
@@ -20,10 +19,10 @@ from refkit.state import (
     pretty_state,
     state_alpha_eq,
     state_approx,
-    state_flatten,
     state_map,
     state_mul,
     state_obstruction,
+    state_spliced,
     state_subst,
     state_unit,
     tele_context,
@@ -650,85 +649,114 @@ def test_state_subst_primes_binders_the_source_already_binds():
     )
 
 
-def rand_nested(rng, ctx, depth):
-    """A Nested answer over ctx, at most depth levels deep: each entry a
-    Nested answer or an arith goal that stands."""
-    walk, spine = ctx, []
+def rand_level(rng, ctx, target, depth):
+    """A level of a depth-first pass over ctx, at most depth levels deep:
+    (answer, below), where answer is the answer with the given target
+    that the tactic gave, and below holds, for each goal of answer, in
+    order, the level that answered it, or None if the goal stands."""
+    walk, spine, below = ctx, [], []
     for _ in range(rng.randrange(5)):
+        goal = rand_goal(rng, walk, 2)
+        output = J.output(goal)
         if depth and rng.random() < 0.5:
-            entry = rand_nested(rng, walk, depth - 1)
+            below.append(rand_level(rng, walk, output, depth - 1))
         else:
-            entry = rand_goal(rng, walk, 2)
-        output = entry.validation.target if isinstance(entry, Nested) else J.output(entry)
+            below.append(None)
         taken, names = set(walk.names), []
         for base, _ in output.entries:
             names.append(fresh_name(base, taken))
             taken.add(names[-1])
-        spine.append((tuple(names), entry))
+        spine.append((tuple(names), goal))
         binder = tuple((n, sort) for n, (_, sort) in zip(names, output.entries))
         walk = ctx_concat(walk, Context(binder))
     tele = TeleNil(walk)
-    for names, entry in reversed(spine):
-        tele = TeleCons(names, entry, tele)
-    target = rand_target(rng)
+    for names, goal in reversed(spine):
+        tele = TeleCons(names, goal, tele)
     terms = tuple(rand_num_term(rng, walk) for _ in target.entries)
-    return Nested(ctx, tele, Substitution(walk, target, terms))
+    return Subgoals(tele, Substitution(walk, target, terms)), below
 
 
-def by_levels(answer, unit, mul):
-    """answer flattened level by level, the innermost first, with each
-    goal that stands put in as its unit state: the state of the race of
-    a star's approximants, each of which flattens at every level."""
-    entries = state_map(
-        lambda entry: by_levels(entry, unit, mul) if isinstance(entry, Nested) else unit(entry),
-        Subgoals(answer.telescope, answer.validation),
-    )
-    return mul(entries)
+def pass_steps(level):
+    """The steps a depth-first pass that made level's answers hands
+    state_spliced, the last at the head, found without recursion."""
+    steps, above = None, []
+    answer, below = level
+    tele, kids = answer.telescope, iter(below)
+    while True:
+        if isinstance(tele, TeleCons):
+            kid = next(kids)
+            if kid is not None:
+                above.append((answer, tele, kids))
+                answer, below = kid
+                tele, kids = answer.telescope, iter(below)
+                continue
+            steps = ((None, (tele.goal, tele.names)), steps)
+        elif above:
+            ended, end = answer, tele.context
+            answer, tele, kids = above.pop()
+            steps = ((None, (ended, end, tele.names)), steps)
+        else:
+            return steps
+        tele = tele.rest
+
+
+def by_levels(level, unit, mul):
+    """level's answers flattened level by level, the innermost first, with
+    each goal that stands put in as its unit state: the state of the race
+    of a star's approximants, each of which flattens at every level."""
+    answer, below = level
+    kids = iter(below)
+
+    def answered(goal):
+        kid = next(kids)
+        return unit(goal) if kid is None else by_levels(kid, unit, mul)
+
+    return mul(state_map(answered, answer))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_a_nested_answer_flattens_in_one_walk_as_level_by_level(seed):
+def test_a_pass_splices_in_one_loop_as_flattening_level_by_level(seed):
     rng = random.Random(seed)
-    answer = rand_nested(rng, rand_context(rng), 4)
-    got = state_flatten(J, answer)
+    level = rand_level(rng, rand_context(rng), rand_target(rng), 4)
+    got = state_spliced(J, level[0], pass_steps(level))
     for unit, mul in (
         (lambda goal: state_unit(J, goal), lambda state: state_mul(J, state)),
         (ref_state_unit, ref_state_mul),
     ):
-        want = by_levels(answer, unit, mul)
+        want = by_levels(level, unit, mul)
         assert pretty_state(J, got) == pretty_state(J, want)
         assert got == want
     test_binder_names.assert_canonical(got)
-    assert answer.goals == len(tele_goals(got.telescope))
 
 
-def test_a_nested_answer_3000_levels_deep_flattens_at_the_recursion_limit():
-    # each level holds the level below it, then a goal that stands and
-    # uses the level below's output: a left comb of add goals
+def test_a_pass_3000_levels_deep_splices_at_the_recursion_limit():
+    # each level answers with the goal the level below answered, then a
+    # goal that stands and uses its output: a left comb of add goals
     n_ctx = Context((("n", NUM),))
     nm_ctx = ctx_concat(n_ctx, Context((("m", NUM),)))
     added = arith.AddGoal(n_ctx, Var("n", NUM), arith.nat(1))
     validation = Substitution(nm_ctx, arith.ADD_OUTPUT, (Var("m", NUM),))
     first = arith.AddGoal(EMPTY, arith.nat(0), arith.nat(1))
-    answer = Nested(
-        EMPTY,
-        TeleCons(("n",), first, TeleNil(n_ctx)),
-        Substitution(n_ctx, arith.ADD_OUTPUT, (Var("n", NUM),)),
+    level = (
+        Subgoals(
+            TeleCons(("n",), first, TeleNil(n_ctx)),
+            Substitution(n_ctx, arith.ADD_OUTPUT, (Var("n", NUM),)),
+        ),
+        (None,),
     )
+    answer = Subgoals(TeleCons(("n",), first, TeleCons(("m",), added, TeleNil(nm_ctx))), validation)
     for _ in range(3000):
-        tele = TeleCons(("n",), answer, TeleCons(("m",), added, TeleNil(nm_ctx)))
-        answer = Nested(EMPTY, tele, validation)
+        level = (answer, (level, None))
     try:
-        got = state_flatten(J, answer)
+        got = state_spliced(J, answer, pass_steps(level))
     except RecursionError:
-        pytest.fail("flattening a deep nested answer recursed", pytrace=False)
+        pytest.fail("splicing a deep pass recursed", pytrace=False)
     names = ["n"] + [f"n'{i}" for i in range(1, 3001)]
     lines = ["n : add 0 1."]
     lines += [f"{name} : add {prev} 1." for prev, name in zip(names, names[1:])]
     lines.append("▹ [n'3000]")
     assert pretty_state(J, got) == "\n".join(lines)
-    assert answer.goals == 3001
 
 
 # test_binder_names imports this module, so it is imported last, and its

@@ -855,3 +855,27 @@ def test_a_depth_first_star_step_forced_twice_answers_alike():
     assert isinstance(got, Resolved)
     assert got == run_delayed(second, 100)
     assert got.value == final(race_star(J, orelse(NUM_EVAL, orelse(PLUS_EVAL, ADD))), goal)
+
+
+@pytest.mark.parametrize("forces", range(1, 8))
+def test_a_hook_installed_mid_star_is_shown_what_the_race_shows(forces):
+    # each step of the race runs its approximant from scratch, so a hook
+    # installed while the star runs is shown every answer before it again
+    expr = arith.num(1)
+    for _ in range(6):
+        expr = arith.plus(arith.num(1), expr)
+    goal = eval_goal(expr)
+    t = orelse(NUM_EVAL, orelse(PLUS_EVAL, ADD))
+    runs = []
+    for tac in (repeat(J, t), race_star(J, t)):
+        m = tac(EMPTY, goal)
+        for _ in range(forces):
+            m = force(m)
+        fired = []
+        set_trace_hook(lambda goal, kind, goals: fired.append((goal, _trace_tag(kind, goals))))
+        try:
+            got = run_delayed(m, 1000)
+        finally:
+            set_trace_hook(None)
+        runs.append((got, fired))
+    assert runs[0] == runs[1]
