@@ -97,12 +97,9 @@ def execute(config: RunConfig) -> RunOutcome:
             return RunOutcome("failed", 2, result.steps, state)
         case Bot(_, _):
             return RunOutcome("unsuccess", 3, result.steps, state)
-        case Subgoals(tele, _):
-            if isinstance(tele, TeleNil):
-                return RunOutcome("complete", 0, result.steps, state)
-            return RunOutcome("incomplete", 1, result.steps, state)
-    # a fault of the tactic or a rule, not of the command line
-    raise TypeError(f"tactic produced a non-state: {state!r}")
+    if isinstance(state.telescope, TeleNil):
+        return RunOutcome("complete", 0, result.steps, state)
+    return RunOutcome("incomplete", 1, result.steps, state)
 
 
 def _trace_tag(kind: type, goals: int) -> str:
@@ -112,11 +109,9 @@ def _trace_tag(kind: type, goals: int) -> str:
         return "fail"
     if kind is Bot:
         return "bot"
-    if kind is Subgoals:
-        if goals == 0:
-            return "state (complete)"
-        return f"state ({goals} goal{'s' if goals != 1 else ''})"
-    return "?"
+    if goals == 0:
+        return "state (complete)"
+    return f"state ({goals} goal{'s' if goals != 1 else ''})"
 
 
 def render_pretty(structure, outcome: RunOutcome) -> str:

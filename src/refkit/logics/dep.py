@@ -236,10 +236,6 @@ _STEP = "top_i | or_i1 | eq_refl | sig_i"
 AUTO_SCRIPT = f"id; all({_STEP})*"
 
 
-def aux_tactic() -> Tactic:
-    return compile_text(STRUCTURE, RULES, _STEP)
-
-
 def auto() -> Tactic:
     return compile_text(STRUCTURE, RULES, AUTO_SCRIPT)
 

@@ -389,9 +389,14 @@ class TeleBuilder:
         self._unbind(outer, end._names_from(len(outer)))
         self._bind(names, outputs)
 
+    @property
+    def telescope(self) -> Telescope:
+        """The telescope of the goals pushed, over the prefix."""
+        return _tele_from(self.entries, TeleNil(self.prefix))
+
     def close(self, validation: Substitution) -> Subgoals:
         """The state of the goals pushed, with a validation over the prefix."""
-        return Subgoals(_tele_from(self.entries, TeleNil(self.prefix)), validation)
+        return Subgoals(self.telescope, validation)
 
 
 def _mul_tele(
@@ -494,50 +499,51 @@ class _Reindexing:
         return tuple(map(self.lookup, self.target.names))
 
 
+def _renaming(
+    structure: JudgmentStructure, ta: Telescope, tb: Telescope
+) -> _Reindexing | None:
+    """The move that renames tb, binder by binder, onto ta, a telescope
+    over the same context, if that makes them equal, else None; it sends
+    the context at tb's end onto ta's.  The goal counts are compared, by
+    walking the two side by side, before any goal is reindexed."""
+    wa, wb = ta, tb
+    while isinstance(wa, TeleCons) and isinstance(wb, TeleCons):
+        wa, wb = wa.rest, wb.rest
+    if not (isinstance(wa, TeleNil) and isinstance(wb, TeleNil)):
+        return None
+    # image sends each of tb's names in scope to ta's
+    image: dict[str, Term] = {n: Var(n, sort) for n, sort in tele_context(tb).entries}
+    while isinstance(ta, TeleCons):
+        if len(ta.names) != len(tb.names):
+            return None
+        sorts = tuple(s for _, s in structure.output(ta.goal).entries)
+        if sorts != tuple(s for _, s in structure.output(tb.goal).entries):
+            return None
+        _check_scope(image, tb.goal.context)
+        renamed = _Reindexing(ta.goal.context, tb.goal.context, image)
+        if not structure.alpha_eq(ta.goal, structure.subst(tb.goal, renamed)):
+            return None
+        for old, new, sort in zip(tb.names, ta.names, sorts):
+            image[old] = Var(new, sort)
+        ta, tb = ta.rest, tb.rest
+    _check_scope(image, tb.context)
+    return _Reindexing(ta.context, tb.context, image)
+
+
 def state_alpha_eq(
     structure: JudgmentStructure, a: ProofState, b: ProofState
 ) -> bool:
-    """Equality of states up to renaming of telescope binders.
-
-    Goal counts are compared, by walking the two telescopes side by side,
-    before any goal is reindexed: two states with different numbers of
-    goals are never equal.
-    """
+    """Equality of states up to renaming of telescope binders: the same
+    boundary, telescopes equal up to a renaming (_renaming), and
+    validations equal through it."""
     match a, b:
-        case Fail(ca, ta), Fail(cb, tb):
-            return ca == cb and ta == tb
-        case Bot(ca, ta), Bot(cb, tb):
+        case (Fail(ca, ta), Fail(cb, tb)) | (Bot(ca, ta), Bot(cb, tb)):
             return ca == cb and ta == tb
         case Subgoals(ta, va), Subgoals(tb, vb):
-            wa, wb = ta, tb
-            while isinstance(wa, TeleCons) and isinstance(wb, TeleCons):
-                wa, wb = wa.rest, wb.rest
-            if isinstance(wa, TeleCons) or isinstance(wb, TeleCons):
-                return False
             if a.context != b.context or va.target != vb.target:
                 return False
-            # b is renamed onto a, binder by binder: image sends each of
-            # b's names in scope to a's
-            image: dict[str, Term] = {
-                name: Var(name, sort) for name, sort in b.context.entries
-            }
-            while isinstance(ta, TeleCons) and isinstance(tb, TeleCons):
-                if len(ta.names) != len(tb.names):
-                    return False
-                sorts = tuple(s for _, s in structure.output(ta.goal).entries)
-                if sorts != tuple(s for _, s in structure.output(tb.goal).entries):
-                    return False
-                _check_scope(image, tb.goal.context)
-                renamed = _Reindexing(ta.goal.context, tb.goal.context, image)
-                if not structure.alpha_eq(ta.goal, structure.subst(tb.goal, renamed)):
-                    return False
-                for old, new, sort in zip(tb.names, ta.names, sorts):
-                    image[old] = Var(new, sort)
-                ta, tb = ta.rest, tb.rest
-            if not (isinstance(ta, TeleNil) and isinstance(tb, TeleNil)):
-                return False
-            _check_scope(image, tb.context)
-            return va == subst_compose(_Reindexing(ta.context, tb.context, image), vb)
+            move = _renaming(structure, ta, tb)
+            return move is not None and va == subst_compose(move, vb)
     return False
 
 

@@ -31,6 +31,7 @@ from .state import (
     TeleCons,
     TeleNil,
     _Reindexing,
+    _renaming,
     state_alpha_eq,
     state_mul,
     state_spliced,
@@ -45,6 +46,7 @@ from .theory import (
     TheoryError,
     Var,
     subst_apply,
+    subst_compose,
 )
 
 
@@ -295,7 +297,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     continuation resumes it on k; a productive round of `m*` returns one
     Later that resumes it, and so does a star's pass at each goal deeper
     than any it has attacked (_walk): those are the steps a run is
-    charged.
+    charged.  A rule's or a plain callable's answer that is not a proof
+    state raises TheoryError as it is taken, before any frame sees it.
     """
     while True:
         if node is not None:
@@ -306,6 +309,9 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 continue
             if cls is _Rule:
                 value = node.rule.run(ctx, x)
+                kind = value.__class__
+                if kind is not Subgoals and kind is not Fail and kind is not Bot:
+                    raise TheoryError(f"subgoal is not a proof state: {value!r}")
             elif cls is _All or cls is _Each:
                 if isinstance(x, Subgoals):
                     k = ((_SWEEP, node, x, x.telescope, None, 0, {}, None, None), k)
@@ -338,15 +344,13 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
             else:
                 m = node(ctx, x)
                 if not isinstance(m, Now):
-                    return bind(m, partial(_run, None, None, None, k))
-                value = m.value
+                    return bind(m, lambda v: _run(None, None, None, k, _proof_state(v)))
+                value = _proof_state(m.value)
         while k is not None:
             frame, k = k
             tag = frame[0]
             if tag == _FALLBACK:
                 if not isinstance(value, Subgoals):
-                    if not isinstance(value, (Fail, Bot)):
-                        raise TheoryError(f"subgoal is not a proof state: {value!r}")
                     _, node, ctx, x = frame
                     break
             elif tag == _SWEEP:
@@ -404,6 +408,13 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
             return Now(value)
 
 
+def _proof_state(value: Any) -> ProofState:
+    """value, the answer of a plain callable, checked to be a state."""
+    if not isinstance(value, (Subgoals, Fail, Bot)):
+        raise TheoryError(f"subgoal is not a proof state: {value!r}")
+    return value
+
+
 def _walk(
     star: _Star, ctx: Any, goal: Any, path: Any, depth: int, bound: int,
     steps: Any, stood: int, k: Any,
@@ -442,8 +453,6 @@ def _walk(
             path = ((goal, answer, answer.telescope, stood), path)
             depth += 1
             ended = None
-        elif not isinstance(answer, (Fail, Bot)):
-            raise TheoryError(f"subgoal is not a proof state: {answer!r}")
         elif path is None:
             return _run(None, None, None, k, state_unit(structure, goal))
         else:
@@ -525,11 +534,13 @@ class _Rounds:
     entries that mention it, and to None if the validation, outputs over
     the root context and the atoms, does.  work holds the entries the
     next round attacks.  Names are given only where they are read: in
-    the state a run settles on, and in each round's goals while a trace
-    hook is installed.  They are the names a flattening gives, NameSupply
-    replayed from the root context's names over the stems in telescope
-    order.  handed is the telescope the run was handed, whose goals the
-    first round shows the hook as they stand, and None after it.
+    the state a run settles on, in a round that keeps the number of
+    goals, whose stop test is state_alpha_eq's (state._renaming), and in
+    each round's goals while a trace hook is installed.  They are the
+    names a flattening gives, NameSupply replayed from the root context's
+    names over the stems in telescope order.  handed is the telescope the
+    run was handed, whose goals the first round shows the hook as they
+    stand, and None after it.
     """
 
     def __init__(self, repeat: _Repeat, state: Subgoals):
@@ -570,8 +581,9 @@ class _Rounds:
             # every goal refused: the flattening only renames the state
             return self.state()
         grown = sum(len(tele_goals(a.telescope)) - 1 for _, a in answered)
-        # states with as many goals may still be equal; compare them
-        before = None if grown else self._snapshot()
+        # states with as many goals may still be equal: name the goals
+        # before and after, and build the validations only if they match
+        before = None if grown else (*self._named(), self.outputs)
         bound: dict[str, Term] = {}
         for entry, answer in answered:
             image: dict[str, Term] = {n: Var(n, s) for n, s in entry.goal.context.entries}
@@ -579,9 +591,16 @@ class _Rounds:
             outputs = _substituted(answer.validation.terms, image)
             bound.update(zip([a.name for a in entry.atoms], outputs))
         self._bind(bound)
-        if before is None or not self._same_as(*before):
+        if before is None:
             return None
-        return self.state()
+        b, names = self._named()
+        move = _renaming(self.structure, b.telescope, before[0].telescope)
+        if move is None:
+            return None
+        state = b.close(self._validation(b, names, self.outputs))
+        if state.validation != subst_compose(move, self._validation(*before)):
+            return None
+        return state
 
     def _attack(self, entry: _Entry) -> ProofState:
         goal = entry.goal
@@ -590,17 +609,12 @@ class _Rounds:
         if isinstance(answer, (Fail, Bot)):
             entry.refusal = type(answer)
             entry.stems = self.structure.output(goal).names
-        elif not isinstance(answer, Subgoals):
-            raise TheoryError(f"subgoal is not a proof state: {answer!r}")
         return answer
 
     def _goals(self) -> list[Any]:
         """The goals, in telescope order, as the round shows them."""
-        if self.handed is None:
-            tele = self._named()[0].entries
-        else:
-            tele = tele_goals(self.handed)
-        return [goal for _, goal in tele]
+        tele = self._named()[0].telescope if self.handed is None else self.handed
+        return [goal for _, goal in tele_goals(tele)]
 
     def _show(self, goals: list[Any], answers: dict[_Entry, ProofState]) -> None:
         """Show the trace hook each goal, in telescope order, with its
@@ -712,42 +726,6 @@ class _Rounds:
                 entry.refusal = None
                 self.work[entry] = None
 
-    def _snapshot(self) -> tuple[list[tuple[Any, tuple[Var, ...]]], tuple[Term, ...]]:
-        """Each entry's goal and atoms, in order, and the outputs."""
-        entries = []
-        entry = self.head.next
-        while entry is not None:
-            entries.append((entry.goal, entry.atoms))
-            entry = entry.next
-        return entries, self.outputs
-
-    def _same_as(
-        self, entries: list[tuple[Any, tuple[Var, ...]]], outputs: tuple[Term, ...]
-    ) -> bool:
-        """Whether the telescope equals one with as many entries, given as
-        by _snapshot, up to renaming: state_alpha_eq over atoms.
-
-        Entries are compared in order, each atom renamed to the one in
-        its place in the other telescope; an atom in the same place in
-        both, and a name of the root, stands for itself.
-        """
-        structure, renamed = self.structure, {}
-        entry = self.head.next
-        for goal, atoms in entries:
-            moved, support = entry.goal, entry.goal.context.entries
-            if any(name in renamed for name, _ in support):
-                image = {n: renamed.get(n) or Var(n, sort) for n, sort in support}
-                moved = self._moved(moved, image, image)
-            if moved is not goal and not structure.alpha_eq(goal, moved):
-                return False
-            if entry.atoms is not atoms:
-                if [a.sort for a in entry.atoms] != [a.sort for a in atoms]:
-                    return False
-                renamed.update(zip([a.name for a in entry.atoms], atoms))
-            entry = entry.next
-        image = {v.name: renamed.get(v.name, v) for t in self.outputs for v in _free(t)}
-        return _substituted(self.outputs, image) == outputs
-
     def _named(self) -> tuple[TeleBuilder, dict[str, Term]]:
         """The goals, in order and under their names, in a builder, and
         the variable each name of the root and each atom stands for."""
@@ -762,11 +740,17 @@ class _Rounds:
             entry = entry.next
         return b, names
 
+    def _validation(
+        self, b: TeleBuilder, names: dict[str, Term], outputs: tuple[Term, ...]
+    ) -> Substitution:
+        """outputs, over the root context and the atoms, as the validation
+        of the goals named in b, under names (_named)."""
+        return Substitution(b.prefix, self.target, _substituted(outputs, names))
+
     def state(self) -> Subgoals:
         """The run's state, its binders named as a flattening names them."""
         b, names = self._named()
-        terms = _substituted(self.outputs, names)
-        return b.close(Substitution(b.prefix, self.target, terms))
+        return b.close(self._validation(b, names, self.outputs))
 
 
 def id_tactic(structure: JudgmentStructure) -> Tactic:
@@ -779,8 +763,9 @@ def from_rule(rule: Any) -> Tactic:
 
 def orelse(t1: Tactic, t2: Tactic) -> Tactic:
     """Commit to t1 whenever it answers with subgoals, and fall to t2
-    when it refuses (Fail or Bot); any other answer is not a proof state,
-    and raises TheoryError."""
+    when it refuses (Fail or Bot).  An answer that is not a proof state
+    raises TheoryError where the rule or callable gives it, so t2 never
+    sees it."""
     return _OrElse(t1, t2)
 
 
@@ -904,9 +889,12 @@ def repeat_multitactic(
     splices only the entries that answered with subgoals, and puts their
     outputs only into the goals that use them and into the validation,
     so it costs the goals that answered and those that depend on them.
-    Binders are named only where a name is read: in the stable state
-    handed back and, while a trace hook is installed, in each round's
-    goals, named before the round attacks any.  After the attacks the
+    A round that keeps the number of goals names them before and after
+    and compares them as `state_alpha_eq` does, building the validations
+    only if the goals match.  Binders are named only where a name is
+    read: there, in the stable state handed back and, while a trace hook
+    is installed, in each round's goals, named before the round attacks
+    any.  After the attacks the
     hook sees those goals in telescope order, each with its answer or
     with its standing refusal.  So the rounds, their states and the trace
     are those of a full sweep, and a watched round attacks as an

@@ -399,18 +399,47 @@ def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "script", ["num_eval", "id; all(num_eval)*", "num_eval | id", "num_eval*"]
+    "goal, args",
+    [
+        pytest.param("eval num 1", ["--script", script], id=script)
+        for script in ["num_eval", "id; all(num_eval)*", "num_eval | id", "num_eval*"]
+    ] + [
+        pytest.param("eval num 1 + num 2", ["--script", script, "--trace"], id=script)
+        for script in ["plus_eval; all(num_eval)", "plus_eval; [num_eval, num_eval, add]"]
+    ],
 )
-def test_a_tactic_answering_a_non_state_is_an_internal_error(monkeypatch, capsys, script):
-    from refkit.rule import Rule
+def test_a_tactic_answering_a_non_state_is_an_internal_error(monkeypatch, capsys, goal, args):
+    # the answer is caught where the rule answers it: before a trace line
+    # shows it, and before any other goal is attacked
+    calls = [0]
 
-    monkeypatch.setattr(arith, "RULES", {"num_eval": Rule("num_eval", lambda ctx, goal: 42)})
-    code = main(["--logic", "arith", "--goal", "eval num 1", "--script", script])
+    def faulty(ctx, judgment):
+        calls[0] += 1
+        return 42
+
+    table = {**arith.RULES, "num_eval": Rule("num_eval", faulty)}
+    monkeypatch.setattr(arith, "RULES", table)
+    code = main(["--logic", "arith", "--goal", goal, *args])
     assert code == 6
     captured = capsys.readouterr()
     assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: internal: ")
+    assert captured.err.splitlines() == [
+        "error: internal: TheoryError: subgoal is not a proof state: 42"
+    ]
+    assert calls[0] == 1
+
+
+def test_a_script_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bom.tac"
+    path.write_bytes(b"\xff\xfe")
+    argv = ["--logic", "arith", "--goal", "eval num 1", "--script-file", str(path)]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    ]
 
 
 def test_module_entry_point_matches_main():

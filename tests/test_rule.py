@@ -182,6 +182,18 @@ def _dep_moves():
     return support_moves(goals, fillers, Context((("k", dep.EXP),)))
 
 
+def test_support_moves_add_no_extra_entry_over_a_kept_name():
+    # the goal mentions x only, so y is kept or instantiated; adding the
+    # extra y in front of the kept y would bind y twice
+    ctx = Context((("x", arith.NUM), ("y", arith.NUM)))
+    goal = arith.AddGoal(ctx, Var("x", arith.NUM), arith.nat(1))
+    fillers = {arith.NUM: arith.nat(3)}
+    clashing = support_moves([goal], fillers, Context((("y", arith.NUM),)))
+    assert len(clashing) == 3
+    assert [m.source.names.count("y") for _, m in clashing] == [1, 0, 1]
+    assert len(support_moves([goal], fillers, Context((("z", arith.NUM),)))) == 4
+
+
 def test_shipped_rules_are_support_local_on_the_criterion_03_pools():
     arith_moves = _arith_moves()
     dep_moves = _dep_moves()

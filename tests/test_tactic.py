@@ -49,7 +49,7 @@ from refkit.tactic import (
     then_tactic,
     try_tactic,
 )
-from refkit.theory import App, Context, Substitution, Var, render_term
+from refkit.theory import App, Context, Substitution, TheoryError, Var, render_term
 
 from reference import full_sweep_repeat, ref_round
 from strategies import (
@@ -840,6 +840,50 @@ def test_the_depth_first_star_builds_no_unit_state_for_a_refused_goal(monkeypatc
     monkeypatch.undo()
     assert out.status == "incomplete"
     assert calls[0] <= 1
+
+
+def test_a_breadth_first_round_builds_validations_only_when_its_goals_match(monkeypatch):
+    # every round of a sig chain keeps the number of goals, and each
+    # validation is the whole evidence spine; comparing whole states there
+    # built 399 validations on this chain
+    calls = [0]
+
+    def counted(*fields):
+        calls[0] += 1
+        return Substitution(*fields)
+
+    prop = "top"
+    for _ in range(200):
+        prop = f"sig(x. eq(x, x), {prop})"
+    monkeypatch.setattr(tactic, "Substitution", counted)
+    out = execute(RunConfig("dep", "true " + prop, dep.AUTO_SCRIPT))
+    monkeypatch.undo()
+    assert out.status == "complete"
+    assert out.steps == 201
+    assert calls[0] <= 1
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["at once", "after a step"])
+def test_a_plain_tactic_answering_a_non_state_raises_where_it_answers(later):
+    # the answer is checked as the machine takes it, before an or-else
+    # falls back on it or a sweep attacks the next goal
+    calls = [0]
+
+    def plain(ctx, goal):
+        calls[0] += 1
+        return Later(lambda: Now(42)) if later else Now(42)
+
+    goal = eval_goal(arith.plus(arith.num(1), arith.num(2)))
+    tactics = (
+        orelse(plain, id_tactic(J)),
+        then_tactic(J, plain, id_tactic(J)),
+        then_tactic(J, PLUS_EVAL, plain),
+    )
+    for t in tactics:
+        calls[0] = 0
+        with pytest.raises(TheoryError, match="subgoal is not a proof state: 42"):
+            resolve(t, goal)
+        assert calls[0] == 1
 
 
 def test_a_depth_first_star_step_forced_twice_answers_alike():
