@@ -297,8 +297,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     continuation resumes it on k; a productive round of `m*` returns one
     Later that resumes it, and so does a star's pass at each goal deeper
     than any it has attacked (_walk): those are the steps a run is
-    charged.  A rule's or a plain callable's answer that is not a proof
-    state raises TheoryError as it is taken, before any frame sees it.
+    charged.  A leaf's answer of the wrong kind raises TheoryError as it
+    is taken, before any frame sees it.
     """
     while True:
         if node is not None:
@@ -343,8 +343,10 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 return Later(partial(_walk, node, ctx, x, None, 0, 0, None, 0, k))
             else:
                 m = node(ctx, x)
-                if not isinstance(m, Now):
+                if isinstance(m, (Later, Race)):
                     return bind(m, lambda v: _run(None, None, None, k, _proof_state(v)))
+                if not isinstance(m, Now):
+                    raise TheoryError(f"tactic answered {type(m).__name__}, not a Delayed")
                 value = _proof_state(m.value)
         while k is not None:
             frame, k = k
@@ -531,16 +533,18 @@ class _Rounds:
     The telescope is a linked list of entries after head.  Its binders
     are atoms: variables named `%`, `%'1`, ..., fresh against the root
     context, which no goal text can name.  uses maps each atom to the
-    entries that mention it, and to None if the validation, outputs over
-    the root context and the atoms, does.  work holds the entries the
-    next round attacks.  Names are given only where they are read: in
-    the state a run settles on, in a round that keeps the number of
-    goals, whose stop test is state_alpha_eq's (state._renaming), and in
-    each round's goals while a trace hook is installed.  They are the
-    names a flattening gives, NameSupply replayed from the root context's
-    names over the stems in telescope order.  handed is the telescope the
-    run was handed, whose goals the first round shows the hook as they
-    stand, and None after it.
+    entries that mention it.  The validation is kept as outputs, over the
+    root context and the first atoms, and bound, each answered atom in
+    the order it was answered, with its output over the atoms that stood
+    then; the two are put together once, where the state is named.  work
+    holds the entries the next round attacks.  Names are given only where
+    they are read: in the state a run settles on, in a round that keeps
+    the number of goals, whose stop test is state_alpha_eq's
+    (state._renaming), and in each round's goals while a trace hook is
+    installed.  They are the names a flattening gives, NameSupply
+    replayed from the root context's names over the stems in telescope
+    order.  handed is the telescope the run was handed, whose goals the
+    first round shows the hook as they stand, and None after it.
     """
 
     def __init__(self, repeat: _Repeat, state: Subgoals):
@@ -550,13 +554,14 @@ class _Rounds:
         self.root = state.context
         self.target = state.validation.target
         self.supply = NameSupply(self.root.names)
-        self.uses: dict[str, dict[_Entry | None, None]] = {}
+        self.uses: dict[str, dict[_Entry, None]] = {}
         self.work: dict[_Entry, None] = {}
         self.rounds = 0
         self.head = _Entry(None, (), ())
         image: dict[str, Term] = {n: Var(n, sort) for n, sort in self.root.entries}
         self._link(self.head, self._entries(state.telescope, image), None)
-        self._set_outputs(state.validation.terms, image)
+        self.outputs = _substituted(state.validation.terms, image)
+        self.bound: list[tuple[str, Term]] = []
         self.handed: Any = state.telescope
 
     def round(self) -> Subgoals | None:
@@ -564,9 +569,9 @@ class _Rounds:
         leaves if it equals the state before it up to renaming, else None.
 
         The round is a flattening of the answers: each entry that answered
-        with subgoals is replaced by them, and its outputs are put in for
-        its atoms where they are used.  A refused entry stands as its unit
-        state would, under binders named after its outputs.
+        with subgoals is replaced by them, and its outputs are bound to its
+        atoms (_bind).  A refused entry stands as its unit state would,
+        under binders named after its outputs.
         """
         self.rounds += 1
         work, self.work = self.work, {}
@@ -583,7 +588,7 @@ class _Rounds:
         grown = sum(len(tele_goals(a.telescope)) - 1 for _, a in answered)
         # states with as many goals may still be equal: name the goals
         # before and after, and build the validations only if they match
-        before = None if grown else (*self._named(), self.outputs)
+        before = None if grown else (*self._named(), len(self.bound))
         bound: dict[str, Term] = {}
         for entry, answer in answered:
             image: dict[str, Term] = {n: Var(n, s) for n, s in entry.goal.context.entries}
@@ -597,7 +602,7 @@ class _Rounds:
         move = _renaming(self.structure, b.telescope, before[0].telescope)
         if move is None:
             return None
-        state = b.close(self._validation(b, names, self.outputs))
+        state = b.close(self._validation(b, names, len(self.bound)))
         if state.validation != subst_compose(move, self._validation(*before)):
             return None
         return state
@@ -669,14 +674,6 @@ class _Rounds:
             if users is not None:
                 users[entry] = None
 
-    def _set_outputs(self, terms: Any, image: dict[str, Term]) -> None:
-        self.outputs = _substituted(terms, image)
-        for t in self.outputs:
-            for v in _free(t):
-                users = self.uses.get(v.name)
-                if users is not None:
-                    users[None] = None
-
     def _link(self, prev: _Entry, fresh: list[_Entry], after: _Entry | None) -> None:
         for entry in fresh:
             entry.prev, prev.next = prev, entry
@@ -694,9 +691,9 @@ class _Rounds:
                 users.pop(entry, None)
 
     def _bind(self, bound: dict[str, Term]) -> None:
-        """Put each term of bound in for its atom wherever the atom is
-        used.  An entry whose variables this does not send to distinct
-        variables is attacked again."""
+        """Put each term of bound in for its atom in the entries that use
+        it, and keep it for the validation.  An entry whose variables this
+        does not send to distinct variables is attacked again."""
         # an output may use an atom of an earlier entry answered in the
         # same round; put those in first
         while True:
@@ -707,14 +704,11 @@ class _Rounds:
                 term = bound[name]
                 image = {v.name: bound.get(v.name, v) for v in _free(term)}
                 bound[name] = subst_apply(term, _Image(image))
-        users: dict[_Entry | None, None] = {}
+        self.bound.extend(bound.items())
+        users: dict[_Entry, None] = {}
         for name in bound:
             users.update(self.uses.pop(name))
         for entry in users:
-            if entry is None:
-                image = {v.name: bound.get(v.name, v) for t in self.outputs for v in _free(t)}
-                self._set_outputs(self.outputs, image)
-                continue
             support = entry.goal.context
             image = {n: bound.get(n) or Var(n, s) for n, s in support.entries}
             entry.goal = self._moved(entry.goal, image, image)
@@ -741,16 +735,21 @@ class _Rounds:
         return b, names
 
     def _validation(
-        self, b: TeleBuilder, names: dict[str, Term], outputs: tuple[Term, ...]
+        self, b: TeleBuilder, names: dict[str, Term], known: int
     ) -> Substitution:
-        """outputs, over the root context and the atoms, as the validation
-        of the goals named in b, under names (_named)."""
-        return Substitution(b.prefix, self.target, _substituted(outputs, names))
+        """The validation of the goals named in b, under names (_named),
+        with the first known terms of bound put in for their atoms, which
+        names gains.  A term uses only atoms standing or bound after it,
+        so the last is put in first."""
+        move = _Image(names)
+        for name, term in reversed(self.bound[:known]):
+            names[name] = subst_apply(term, move)
+        return Substitution(b.prefix, self.target, _substituted(self.outputs, names))
 
     def state(self) -> Subgoals:
         """The run's state, its binders named as a flattening names them."""
         b, names = self._named()
-        return b.close(self._validation(b, names, self.outputs))
+        return b.close(self._validation(b, names, len(self.bound)))
 
 
 def id_tactic(structure: JudgmentStructure) -> Tactic:
@@ -881,23 +880,23 @@ def repeat_multitactic(
     Over `all_mt(t)` with t natural, on goals that are not states, the
     rounds run over a telescope of their own (_Rounds): its binders are
     atoms, variables no goal text can name, and each goal sits over the
-    context of its own free variables.  A round attacks only the new
-    goals and the goals whose variables the round before sent to
-    something other than distinct variables.  A goal refused before and
-    only renamed since keeps its refusal without t running on it: t
-    answers at once, and every rule is support-local (rule.py).  A round
-    splices only the entries that answered with subgoals, and puts their
-    outputs only into the goals that use them and into the validation,
-    so it costs the goals that answered and those that depend on them.
-    A round that keeps the number of goals names them before and after
-    and compares them as `state_alpha_eq` does, building the validations
-    only if the goals match.  Binders are named only where a name is
-    read: there, in the stable state handed back and, while a trace hook
-    is installed, in each round's goals, named before the round attacks
-    any.  After the attacks the
-    hook sees those goals in telescope order, each with its answer or
-    with its standing refusal.  So the rounds, their states and the trace
-    are those of a full sweep, and a watched round attacks as an
-    unwatched one does.
+    context of its own free variables.  A round attacks only the new goals
+    and the goals whose variables the round before sent to something other
+    than distinct variables.  A goal refused before and only renamed since
+    keeps its refusal without t running on it: t answers at once, and
+    every rule is support-local (rule.py).  A round splices only the
+    entries that answered with subgoals, and puts their outputs only into
+    the goals that use them, so it costs the goals that answered and those
+    that depend on them.  Each output is kept with its atom (bound), and
+    the validation is put together once, where the state is named.  A
+    round that keeps the number of goals names them before and after and
+    compares them as `state_alpha_eq` does, building the validations only
+    if the goals match.  Binders are named only where a name is read:
+    there, in the stable state handed back and, while a trace hook is
+    installed, in each round's goals, named before the round attacks any.
+    After the attacks the hook sees those goals in telescope order, each
+    with its answer or with its standing refusal.  So the rounds, their
+    states and the trace are those of a full sweep, and a watched round
+    attacks as an unwatched one does.
     """
     return _Repeat(structure, mt)

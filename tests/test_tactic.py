@@ -56,6 +56,7 @@ from strategies import (
     arith_state,
     rand_context,
     rand_dep_context,
+    rand_dep_exp,
     rand_dep_prop,
     rand_expr,
     rand_num_term,
@@ -620,6 +621,57 @@ def test_an_output_using_an_atom_answered_in_the_same_round_is_put_in_first():
     assert [render_term(t) for t in settled.validation.terms] == ["tt"]
 
 
+DEP_LEAVES = (
+    from_rule(dep.TOP_I),
+    from_rule(dep.OR_I1),
+    from_rule(dep.EQ_REFL),
+    from_rule(dep.SIG_I),
+    from_rule(pick),
+    id_tactic(dep.STRUCTURE),
+)
+
+
+def rand_dep_state(rng, ctx):
+    """One to three dep goals, each over the outputs of those before it,
+    with evidence over all of them."""
+    b = TeleBuilder(dep.STRUCTURE, ctx)
+    for _ in range(rng.randint(1, 3)):
+        b.push(dep.TruthGoal(b.prefix, rand_dep_prop(rng, b.prefix, 4)), ("g",))
+    evidence = rand_dep_exp(rng, b.prefix, 2)
+    return b.close(Substitution(b.prefix, dep.TRUTH_OUTPUT, (evidence,)))
+
+
+def rand_dep_tactic(rng):
+    """The auto step with pick, in some order, or a natural tactic."""
+    if rng.random() < 0.5:
+        return rand_natural(rng, 3, DEP_LEAVES)
+    first, *rest = rng.sample(DEP_LEAVES[:-1], len(DEP_LEAVES) - 1)
+    for leaf in rest:
+        first = orelse(first, leaf)
+    return first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dep_rounds_match_the_full_re_sweep(seed):
+    # sig_i's second goal uses the first's output, pick answers with a
+    # variable and a goal may use an earlier goal's output, so atoms are
+    # bound to terms over atoms bound in later rounds
+    D = dep.STRUCTURE
+    rng = random.Random(seed)
+    state = rand_dep_state(rng, rand_dep_context(rng))
+    t = rand_dep_tactic(rng)
+    got, got_trace = traced_run(repeat_multitactic(D, all_mt(D, t)), state, 300)
+    want, want_trace = traced_run(full_sweep_repeat(all_mt(D, t)), state, 300)
+    assert type(got) is type(want)
+    assert got.steps == want.steps
+    assert got_trace == want_trace
+    if isinstance(want, Resolved):
+        assert got.value == want.value
+        KD = StateStructure(D)
+        assert pretty_state(KD, got.value) == pretty_state(KD, want.value)
+
+
 def stall_build(ctx, g):
     # the goal again, but with 0 for its output, not its new binder
     unit = state_unit(J, g)
@@ -863,6 +915,35 @@ def test_a_breadth_first_round_builds_validations_only_when_its_goals_match(monk
     assert calls[0] <= 1
 
 
+def test_breadth_first_auto_does_work_linear_in_the_dep_chain(monkeypatch):
+    # a round binds its answers' outputs and the validation puts them in
+    # once, where the state is named; substituting them into the
+    # validation every round built 157.5 and 457.5 terms per level here
+    calls, post_init = [0], App.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        post_init(self)
+
+    per_level = []
+    for levels in (300, 900):
+        prop = "top"
+        for _ in range(levels):
+            prop = f"sig(x. eq(x, x), {prop})"
+        goal = dep.parse_goal("true " + prop)
+        calls[0] = 0
+        monkeypatch.setattr(App, "__post_init__", counted)
+        got = resolve(dep.auto(), goal, fuel=10 * levels)
+        monkeypatch.undo()
+        per_level.append(calls[0] / levels)
+        assert got.steps == levels + 1
+        assert isinstance(got.value, Subgoals)
+        assert isinstance(got.value.telescope, TeleNil)
+        [evidence] = got.value.validation.terms
+        assert render_term(evidence) == render_term(dep.prove_oracle(goal.prop))
+    assert max(per_level) < 1.1 * min(per_level)
+
+
 @pytest.mark.parametrize("later", [False, True], ids=["at once", "after a step"])
 def test_a_plain_tactic_answering_a_non_state_raises_where_it_answers(later):
     # the answer is checked as the machine takes it, before an or-else
@@ -884,6 +965,13 @@ def test_a_plain_tactic_answering_a_non_state_raises_where_it_answers(later):
         with pytest.raises(TheoryError, match="subgoal is not a proof state: 42"):
             resolve(t, goal)
         assert calls[0] == 1
+
+
+def test_a_plain_tactic_answering_a_state_not_a_delayed_raises_where_it_answers():
+    goal = eval_goal(arith.num(1))
+    t = orelse(lambda ctx, g: state_unit(J, g), id_tactic(J))
+    with pytest.raises(TheoryError, match="^tactic answered Subgoals, not a Delayed$"):
+        resolve(t, goal)
 
 
 def test_a_depth_first_star_step_forced_twice_answers_alike():
