@@ -11,11 +11,13 @@ so it is closed too; the open sig's body has a context variable at half
 of them.  The benchmark's traced run cannot show this, because it times
 whole substitutions, not the walks.
 
-Four more rows time deep terms: `subst_apply`, `instantiate` and
+Six more rows time deep terms: `subst_apply`, `instantiate` and
 `check_term` on a left-nested `pair` spine DEPTH levels deep with a
 variable at the bottom, and `render_term` on a closed spine of the same
 depth.  Each walks an explicit stack, so DEPTH lies past the ~1000
-frames of Python's default recursion limit.
+frames of Python's default recursion limit.  The last two time `==` on
+two closed spines built apart, equal ones and ones that differ at the
+leaf: equal terms are one object, so neither walks the spines.
 """
 
 from __future__ import annotations
@@ -128,11 +130,14 @@ def main() -> int:
             us = per_call_us(walk)
             print(f"{name:<16} {kind:<7} {size(term):>6} {us:>10.2f}")
     deep_open, deep_closed = spine(g, DEPTH), spine(dep.tt(), DEPTH)
+    equal, unequal = spine(dep.tt(), DEPTH), spine(dep.refl(), DEPTH)
     for name, term, walk in (
         ("subst_apply", deep_open, lambda: subst_apply(deep_open, to_tt)),
         ("instantiate", deep_open, lambda: instantiate(deep_open, g, dep.tt())),
         ("check_term", deep_open, lambda: check_term(dctx, deep_open)),
         ("render_term", deep_closed, lambda: render_term(deep_closed)),
+        ("== equal", deep_closed, lambda: deep_closed == equal),
+        ("== unequal", deep_closed, lambda: deep_closed == unequal),
     ):
         us = per_call_us(walk)
         print(f"{name:<16} {'deep':<7} {size(term):>6} {us:>10.2f}")

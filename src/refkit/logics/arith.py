@@ -306,23 +306,19 @@ class _GoalCursor(Cursor):
             limit = sys.get_int_max_str_digits()
             message = f"a numeral or the sum of numerals passes {limit} digits"
             raise self.error(message, self.pos - 1) from None
-        # nat() makes a new operator each time, so numerals share by value
-        term = self.memo.get(value)
-        if term is None:
-            term = self.memo[value] = nat(value)
-        return term
+        return nat(value)
 
 
 def _parse_expr(cur: _GoalCursor) -> Term:
     term = _parse_atom(cur)
     while cur.take("+"):
-        term = cur.app(PLUS_OP, (term, _parse_atom(cur)))
+        term = App(PLUS_OP, (term, _parse_atom(cur)))
     return term
 
 
 def _parse_atom(cur: _GoalCursor) -> Term:
     if cur.take("num"):
-        return cur.app(NUM_OP, (cur.nat(),))
+        return App(NUM_OP, (cur.nat(),))
     if cur.take("("):
         expr = _parse_expr(cur)
         cur.expect(")")

@@ -282,11 +282,11 @@ def _parse_prop(cur: Cursor, bound: str | None) -> Term:
     word = cur.expect("ident")
     match word:
         case "top":
-            return cur.app(TOP_OP, ())
+            return App(TOP_OP, ())
         case "or":
-            return cur.app(OR_OP, _parse_args(cur, _parse_prop, bound, 2))
+            return App(OR_OP, _parse_args(cur, _parse_prop, bound, 2))
         case "eq":
-            return cur.app(EQ_OP, _parse_args(cur, _parse_exp, bound, 2))
+            return App(EQ_OP, _parse_args(cur, _parse_exp, bound, 2))
         case "sig":
             cur.expect("(")
             binder = cur.expect("ident")
@@ -297,7 +297,7 @@ def _parse_prop(cur: Cursor, bound: str | None) -> Term:
             cur.expect(",")
             base = _parse_prop(cur, bound)
             cur.expect(")")
-            return cur.app(SIG_OP, (base, body))
+            return App(SIG_OP, (base, body))
     raise cur.error(f"unknown proposition form {word!r}", cur.pos - 1)
 
 
@@ -305,13 +305,13 @@ def _parse_exp(cur: Cursor, bound: str | None) -> Term:
     word = cur.expect("ident")
     match word:
         case "tt":
-            return cur.app(TT_OP, ())
+            return App(TT_OP, ())
         case "refl":
-            return cur.app(REFL_OP, ())
+            return App(REFL_OP, ())
         case "inl":
-            return cur.app(INL_OP, _parse_args(cur, _parse_exp, bound, 1))
+            return App(INL_OP, _parse_args(cur, _parse_exp, bound, 1))
         case "pair":
-            return cur.app(PAIR_OP, _parse_args(cur, _parse_exp, bound, 2))
+            return App(PAIR_OP, _parse_args(cur, _parse_exp, bound, 2))
         case name if name == bound:
             return SLOT
     raise cur.error(f"unknown or unbound name {word!r}", cur.pos - 1)

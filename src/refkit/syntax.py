@@ -18,18 +18,12 @@ The whole text is read into words before any grammar is applied, so the
 first unknown character, or the first word a language's `vet` rejects,
 is reported ahead of any grammar error, whichever comes first in the
 text.
-
-A goal parser builds its terms through the cursor's `app`, which builds
-each distinct subterm of one text once: equal subterms of a parsed goal
-are one object, sort-checked once.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Callable
-
-from .theory import App, Operator, Term
 
 # \d and \w are str.isdecimal and str.isalnum-or-'_'; whitespace matches
 # none of the three, so findall skips it.  \d+ is tried first, so a \w+
@@ -107,9 +101,6 @@ class Cursor:
         # words repeat, so `expect` looks a kind up instead of reading it
         self.kinds = {word: kind_of(word) for word in set(self.words)}
         self.pos = 0
-        # the terms built so far, keyed by the ids of operator and
-        # arguments; hashing an Operator would walk its sorts
-        self.memo: dict = {}
 
     def peek(self) -> str:
         return self.words[self.pos]
@@ -137,14 +128,3 @@ class Cursor:
     def error(self, message: str, at: int | None = None) -> ParseError:
         """A ParseError at word `at`, by default the next word."""
         return ParseError(message, _offset(self.text, self.pos if at is None else at))
-
-    def app(self, op: Operator, args: tuple[Term, ...]) -> App:
-        """op over args, built once per distinct subterm of the text.
-
-        The arguments came from this cursor, so equal ones are one object.
-        """
-        key = (id(op), *map(id, args))
-        term = self.memo.get(key)
-        if term is None:
-            term = self.memo[key] = App(op, args)
-        return term

@@ -738,12 +738,18 @@ class _Rounds:
         self, b: TeleBuilder, names: dict[str, Term], known: int
     ) -> Substitution:
         """The validation of the goals named in b, under names (_named),
-        with the first known terms of bound put in for their atoms, which
-        names gains.  A term uses only atoms standing or bound after it,
-        so the last is put in first."""
+        with the first known terms of bound that it reaches put in for
+        their atoms, which names gains.  A term uses only atoms standing
+        or bound after it, so a pass forward finds the atoms reached, and
+        the last is put in first."""
+        reached = {v.name for t in self.outputs for v in _free(t)}
+        for name, term in self.bound[:known]:
+            if name in reached:
+                reached.update(v.name for v in _free(term))
         move = _Image(names)
         for name, term in reversed(self.bound[:known]):
-            names[name] = subst_apply(term, move)
+            if name in reached:
+                names[name] = subst_apply(term, move)
         return Substitution(b.prefix, self.target, _substituted(self.outputs, names))
 
     def state(self) -> Subgoals:

@@ -17,6 +17,12 @@ The loop hands back a subterm whose free variables are all bound, a
 closed one among them, as it is, and keeps an explicit stack, so a deep
 term takes no Python frames.
 
+Terms are hash-consed: `App` and `Operator` look their fields up in one
+table per process, which holds its objects weakly, and build an object
+only on a miss.  So equal terms are one object, `==` is identity, and
+an App's sort checks, free variables and hash, hash((op, args)), are
+found once (`App.__post_init__`); a term that fails them is not kept.
+
 A context is a snoc list, as in the paper's Γ, x : A: a nonempty
 context is its last entry over its parent, the context before it.
 Extending a context conses new cells onto it and writes nothing the
@@ -33,7 +39,8 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
+from weakref import ref
 
 
 class TheoryError(Exception):
@@ -56,7 +63,40 @@ class Sort:
         return f"Sort({self.name!r})"
 
 
-@dataclass(frozen=True)
+class _Entry(ref):
+    """A table entry: its object, held weakly, and its key."""
+
+    __slots__ = ("key",)
+
+
+# The one live App or Operator per key, its fields: (op, args) or
+# (name, arg_sorts, result, binds), whose lengths keep the two apart.
+_TABLE: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    # an object built after this one died may have taken its key
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+def _interned(cls: type, key: tuple) -> Any:
+    """The cls whose fields are key: the table's, or a new one, which
+    goes in once its __post_init__ has passed."""
+    entry = _TABLE.get(key)
+    obj = None if entry is None else entry()
+    if obj is None:
+        obj = object.__new__(cls)
+        # a dataclass's __match_args__ are its fields, in order
+        for name, value in zip(cls.__match_args__, key):
+            object.__setattr__(obj, name, value)
+        obj.__post_init__()
+        entry = _TABLE[key] = _Entry(obj, _forget)
+        entry.key = key
+    return obj
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True, weakref_slot=True)
 class Operator:
     """An operator symbol with its argument sorts and result sort."""
 
@@ -65,6 +105,12 @@ class Operator:
     result: Sort
     # per argument the variable it binds, or None; empty if none binds
     binds: tuple[Var | None, ...] = field(default=(), repr=False)
+
+    def __new__(cls, name: str, arg_sorts: tuple, result: Sort, binds: tuple = ()):
+        return _interned(cls, (name, arg_sorts, result, binds))
+
+    def __post_init__(self) -> None:
+        """An operator has nothing to check (see _interned)."""
 
 
 @dataclass(frozen=True)
@@ -76,14 +122,16 @@ class Var:
 _NO_VARS: frozenset[Var] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True, weakref_slot=True)
 class App:
     op: Operator
     args: tuple["Term", ...]
-    # the free variables below; left out of repr, == and hash
-    free: frozenset[Var] = field(init=False, repr=False, compare=False)
-    # hash((op, args)) once found; not a field
-    _hash = None
+    # the free variables below, and hash((op, args)); left out of repr
+    free: frozenset[Var] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __new__(cls, op: Operator, args: tuple[Term, ...]) -> App:
+        return _interned(cls, (op, args))
 
     def __post_init__(self) -> None:
         op = self.op
@@ -108,43 +156,13 @@ class App:
             if below:
                 free = free | below if free else below
         object.__setattr__(self, "free", free)
+        object.__setattr__(self, "_hash", hash((op, self.args)))
 
     @property
     def closed(self) -> bool:
         return not self.free
 
-    def __eq__(self, other: object) -> bool:
-        # (a.op, a.args) == (b.op, b.args) without recursion, so deep
-        # terms compare
-        if other.__class__ is not App:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a.op is not b.op and a.op != b.op:
-                return False
-            for x, y in zip(a.args, b.args):
-                if x is y:
-                    continue
-                if x.__class__ is App is y.__class__:
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
     def __hash__(self) -> int:
-        # hash((op, args)), found below first and kept, so hashing an
-        # argument takes no recursion and deep terms hash
-        if self._hash is None:
-            todo = [self]
-            while todo:
-                t = todo[-1]
-                below = [a for a in t.args if a.__class__ is App and a._hash is None]
-                if below:
-                    todo.extend(below)
-                else:
-                    todo.pop()
-                    object.__setattr__(t, "_hash", hash((t.op, t.args)))
         return self._hash
 
 

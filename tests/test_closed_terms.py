@@ -5,16 +5,20 @@ opening past a binder among them, must give the results of the naive
 walks in `tests/reference.py` and raise the same errors.
 """
 
+import gc
 import random
 
 import pytest
 
+from refkit import theory
+from refkit.cli import RunConfig, execute
 from refkit.logics import arith, dep
 from refkit.state import state_unit
 from refkit.theory import (
     App,
     Context,
     ContextMismatch,
+    Operator,
     Substitution,
     UnsortedTerm,
     Var,
@@ -316,7 +320,7 @@ def test_equality_matches_the_field_tuples():
                     assert got == ((a.op, a.args) == (b.op, b.args))
                     assert not got or hash(a) == hash(b)
                 unequal += not got
-        assert terms[0] == terms[2] and terms[0] is not terms[2]
+        assert terms[0] == terms[2] and terms[0] is terms[2]
     assert unequal >= 300
 
 
@@ -329,6 +333,63 @@ def test_equality_of_deep_terms_does_not_recurse():
 
     assert chain(dep.tt()) == chain(dep.tt())
     assert chain(dep.tt()) != chain(dep.refl())
+
+
+
+# ------------------------------------------------------------ interning
+
+
+def positional_dep_goal(levels):
+    """A sig chain with an `or` level every third level, and the script
+    that proves it level by level, as in the dep-positional workload."""
+    prop, witness, script = "top", "tt", "top_i"
+    for level in range(levels):
+        if level % 3 == 2:
+            prop = f"or({prop}, top)"
+            witness = f"inl({witness})"
+            script = f"or_i1; [{script}]"
+        else:
+            prop = f"sig(x. eq(x, {witness}), {prop})"
+            witness = f"pair({witness}, refl)"
+            script = f"sig_i; [{script}, eq_refl]"
+    return "true " + prop, script
+
+
+def test_equal_terms_built_apart_are_one_object():
+    text = "eval num 7 + (num 7 + num 1)"
+    assert arith.parse_goal(text).expr is arith.parse_goal(text).expr
+    prop, script = positional_dep_goal(12)
+    assert dep.parse_goal(prop).prop is dep.parse_goal(prop).prop
+    assert arith.nat(7) is arith.nat(7)
+    assert arith.nat(7).op is Operator("7", (), arith.NUM)
+    assert Operator("f", (dep.EXP,), dep.PROP) is Operator("f", (dep.EXP,), dep.PROP)
+    # the binds are part of what an operator is
+    assert Operator("sig", (dep.PROP, dep.PROP), dep.PROP) is not dep.SIG_OP
+    # the evidence a run builds is the oracle's term, not a copy of it
+    out = execute(RunConfig("dep", prop, script))
+    assert out.status == "complete"
+    [extract] = out.state.validation.terms
+    assert extract is dep.prove_oracle(dep.parse_goal(prop).prop)
+
+
+def test_the_table_holds_terms_weakly():
+    gc.collect()
+    before = len(theory._TABLE)
+    t = dep.tt()
+    for _ in range(5000):
+        t = dep.inl(t)
+    assert len(theory._TABLE) >= before + 5000
+    del t
+    gc.collect()
+    assert len(theory._TABLE) == before
+
+
+def test_a_term_failing_its_sort_check_is_not_kept():
+    args = (dep.top(),)
+    for _ in range(2):
+        with pytest.raises(UnsortedTerm):
+            App(dep.INL_OP, args)
+        assert (dep.INL_OP, args) not in theory._TABLE
 
 
 def test_a_state_holding_a_deep_goal_hashes():

@@ -944,6 +944,24 @@ def test_breadth_first_auto_does_work_linear_in_the_dep_chain(monkeypatch):
     assert max(per_level) < 1.1 * min(per_level)
 
 
+def test_the_validation_puts_in_only_the_outputs_it_reaches(monkeypatch):
+    # the values an add goal takes are put into goals, never into the
+    # evidence; resolving every bound output read 1,408 calls here
+    calls, apply = [0], tactic.subst_apply
+
+    def counted(*args):
+        calls[0] += 1
+        return apply(*args)
+
+    goal = arith.parse_goal(left_comb(100))
+    monkeypatch.setattr(tactic, "subst_apply", counted)
+    got = resolve(arith.auto(), goal)
+    monkeypatch.undo()
+    assert got.steps == 301
+    assert is_complete(got.value)
+    assert calls[0] == 710
+
+
 @pytest.mark.parametrize("later", [False, True], ids=["at once", "after a step"])
 def test_a_plain_tactic_answering_a_non_state_raises_where_it_answers(later):
     # the answer is checked as the machine takes it, before an or-else
