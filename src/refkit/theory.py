@@ -40,7 +40,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence, Union
-from weakref import ref
+from weakref import KeyedRef
 
 
 class TheoryError(Exception):
@@ -63,18 +63,12 @@ class Sort:
         return f"Sort({self.name!r})"
 
 
-class _Entry(ref):
-    """A table entry: its object, held weakly, and its key."""
-
-    __slots__ = ("key",)
-
-
 # The one live App or Operator per key, its fields: (op, args) or
 # (name, arg_sorts, result, binds), whose lengths keep the two apart.
-_TABLE: dict[tuple, _Entry] = {}
+_TABLE: dict[tuple, KeyedRef] = {}
 
 
-def _forget(entry: _Entry) -> None:
+def _forget(entry: KeyedRef) -> None:
     # an object built after this one died may have taken its key
     if _TABLE.get(entry.key) is entry:
         del _TABLE[entry.key]
@@ -91,13 +85,19 @@ def _interned(cls: type, key: tuple) -> Any:
         for name, value in zip(cls.__match_args__, key):
             object.__setattr__(obj, name, value)
         obj.__post_init__()
-        entry = _TABLE[key] = _Entry(obj, _forget)
-        entry.key = key
+        _TABLE[key] = KeyedRef(obj, _forget, key)
     return obj
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True, weakref_slot=True)
-class Operator:
+class _Weak:
+    """A base whose slotted subclasses the table can hold weakly
+    (dataclass's own weakref_slot needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Operator(_Weak):
     """An operator symbol with its argument sorts and result sort."""
 
     name: str
@@ -122,8 +122,8 @@ class Var:
 _NO_VARS: frozenset[Var] = frozenset()
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True, weakref_slot=True)
-class App:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class App(_Weak):
     op: Operator
     args: tuple["Term", ...]
     # the free variables below, and hash((op, args)); left out of repr
