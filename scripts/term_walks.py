@@ -11,13 +11,16 @@ so it is closed too; the open sig's body has a context variable at half
 of them.  The benchmark's traced run cannot show this, because it times
 whole substitutions, not the walks.
 
-Six more rows time deep terms: `subst_apply`, `instantiate` and
+Eight more rows time deep terms: `subst_apply`, `instantiate` and
 `check_term` on a left-nested `pair` spine DEPTH levels deep with a
-variable at the bottom, and `render_term` on a closed spine of the same
-depth.  Each walks an explicit stack, so DEPTH lies past the ~1000
-frames of Python's default recursion limit.  The last two time `==` on
-two closed spines built apart, equal ones and ones that differ at the
-leaf: equal terms are one object, so neither walks the spines.
+variable at the bottom, `render_term` on a closed spine of the same
+depth, and the two logics' printers, which print through `render_term`
+with their own notation: `dep.render_prop` on a left-nested `or` chain
+and `arith.render_expr` on a right-nested sum, each DEPTH levels deep.
+Each walks an explicit stack, so DEPTH lies past the ~1000 frames of
+Python's default recursion limit.  The last two time `==` on two closed
+spines built apart, equal ones and ones that differ at the leaf: equal
+terms are one object, so neither walks the spines.
 """
 
 from __future__ import annotations
@@ -131,11 +134,16 @@ def main() -> int:
             print(f"{name:<16} {kind:<7} {size(term):>6} {us:>10.2f}")
     deep_open, deep_closed = spine(g, DEPTH), spine(dep.tt(), DEPTH)
     equal, unequal = spine(dep.tt(), DEPTH), spine(dep.refl(), DEPTH)
+    ors, sums = dep.top(), arith.num(1)
+    for _ in range(DEPTH):
+        ors, sums = dep.or_(ors, dep.top()), arith.plus(arith.num(1), sums)
     for name, term, walk in (
         ("subst_apply", deep_open, lambda: subst_apply(deep_open, to_tt)),
         ("instantiate", deep_open, lambda: instantiate(deep_open, g, dep.tt())),
         ("check_term", deep_open, lambda: check_term(dctx, deep_open)),
         ("render_term", deep_closed, lambda: render_term(deep_closed)),
+        ("dep.render_prop", ors, lambda: dep.render_prop(ors)),
+        ("render_expr", sums, lambda: arith.render_expr(sums)),
         ("== equal", deep_closed, lambda: deep_closed == equal),
         ("== unequal", deep_closed, lambda: deep_closed == unequal),
     ):

@@ -27,6 +27,7 @@ from ..theory import (
     UnsortedTerm,
     Var,
     check_term,
+    render_term,
     subst_apply,
     term_sort,
 )
@@ -123,40 +124,25 @@ class ArithStructure(JudgmentStructure):
         if cls is EvalGoal:
             return f"eval {render_expr(judgment.expr)}"
         if cls is AddGoal:
-            return f"add {render_num(judgment.lhs)} {render_num(judgment.rhs)}"
+            return f"add {render_term(judgment.lhs)} {render_term(judgment.rhs)}"
         raise TheoryError(f"unknown judgment: {judgment!r}")
 
 
+def _plus_form(t: App) -> tuple:
+    # + is left associative, so only a sum on the right is parenthesised
+    left, right = t.args
+    if right.__class__ is App and right.op is PLUS_OP:
+        return (left, " + (", right, ")")
+    return (left, " + ", right)
+
+
+_NOTATION = {NUM_OP: lambda t: ("num ", t.args[0]), PLUS_OP: _plus_form}
+
+
 def render_expr(t: Term) -> str:
-    # the left spine is a loop, so a long left comb renders without
-    # recursing; a parenthesised right operand is as deep as the parser
-    # lets nesting go
-    rights = []
-    while isinstance(t, App) and t.op == PLUS_OP:
-        t, right = t.args
-        rights.append(right)
-    match t:
-        case Var(name, _):
-            parts = [name]
-        case App(op, (arg,)) if op == NUM_OP:
-            parts = [f"num {render_num(arg)}"]
-        case _:
-            raise TheoryError(f"not an arith expression: {t!r}")
-    for b in reversed(rights):
-        right = render_expr(b)
-        if isinstance(b, App) and b.op == PLUS_OP:
-            right = f"({right})"
-        parts.append(right)
-    return " + ".join(parts)
-
-
-def render_num(t: Term) -> str:
-    match t:
-        case Var(name, _):
-            return name
-        case App(op, ()) :
-            return op.name
-    raise TheoryError(f"not a number term: {t!r}")
+    if term_sort(t) != EXP:
+        raise TheoryError(f"not an arith expression: {t!r}")
+    return render_term(t, _NOTATION)
 
 
 STRUCTURE = ArithStructure()

@@ -8,6 +8,11 @@ all the binding: substitution passes the binder by, `instantiate` opens
 a body with a term, `check_term` checks a body with its slot in scope,
 and a sig whose body mentions only its slot is closed.
 
+Goals are read and printed from the operator table: one reader reads
+each form as name(arg, ...), each argument at the sort its operator
+declares, and `render_term`'s one loop prints it.  sig is the one
+special form, sig(x. B, A), whose binder is read only as an expression.
+
 A sig body's scope holds only its own binder, because a nested sig's
 slot would capture an outer one: the parser rejects a body that mentions
 an outer binder.  A nested sig's base keeps the enclosing scope.  The
@@ -122,16 +127,19 @@ class DepStructure(JudgmentStructure):
         return f"true {render_prop(judgment.prop)}"
 
 
+def _sig_form(t: App) -> tuple:
+    # sig(x. body, base): the binder named fresh against the body
+    base, body = t.args
+    name = NameSupply(term_vars(body)).fresh("x")
+    body = instantiate(body, SLOT, Var(name, EXP))
+    return ("sig(", name, ". ", body, ", ", base, ")")
+
+
+_NOTATION = {SIG_OP: _sig_form}
+
+
 def render_prop(t: Term) -> str:
-    match t:
-        case App(op, (a, b)) if op == SIG_OP:
-            name = NameSupply(term_vars(b)).fresh("x")
-            body = instantiate(b, SLOT, Var(name, EXP))
-            return f"sig({name}. {render_prop(body)}, {render_prop(a)})"
-        case App(op, args) if PROP in op.arg_sorts:
-            parts = ", ".join(render_prop(a) for a in args)
-            return f"{op.name}({parts})"
-    return render_term(t)
+    return render_term(t, _NOTATION)
 
 
 STRUCTURE = DepStructure()
@@ -268,62 +276,53 @@ def parse_goal(text: str):
     cur = Cursor(text, "(),.")
     if not cur.take("true"):
         raise cur.error("expected: true <proposition>")
-    prop = _parse_prop(cur, None)
+    prop = _parse(cur, _PROPS, None)
     cur.expect_end()
     return TruthGoal(Context(), prop)
 
 
-# the expression forms, which _parse_exp reads before it looks for a binder
-_EXP_FORMS = ("tt", "refl", "inl", "pair")
+# the forms of each sort by name; the expression forms are reserved
+_PROPS = {op.name: op for op in (TOP_OP, OR_OP, EQ_OP, SIG_OP)}
+_EXPS = {op.name: op for op in (TT_OP, REFL_OP, INL_OP, PAIR_OP)}
+# per operator, the table each argument is read from
+_ARG_FORMS = {
+    op: tuple(_PROPS if sort == PROP else _EXPS for sort in op.arg_sorts)
+    for op in (*_PROPS.values(), *_EXPS.values())
+}
 
 
-def _parse_prop(cur: Cursor, bound: str | None) -> Term:
-    """A proposition; `bound` names the binder of the innermost sig body."""
+def _parse(cur: Cursor, forms: dict[str, Operator], bound: str | None) -> Term:
+    """A form of the table `forms`: its name, then its arguments in
+    parentheses, each read at the sort its operator declares.  `bound`
+    names the binder of the innermost sig body, read where an
+    expression is expected."""
     word = cur.expect("ident")
-    match word:
-        case "top":
-            return App(TOP_OP, ())
-        case "or":
-            return App(OR_OP, _parse_args(cur, _parse_prop, bound, 2))
-        case "eq":
-            return App(EQ_OP, _parse_args(cur, _parse_exp, bound, 2))
-        case "sig":
-            cur.expect("(")
-            binder = cur.expect("ident")
-            if not binder.isidentifier() or binder in _EXP_FORMS:
-                raise cur.error(f"bad binder {binder!r}", cur.pos - 1)
-            cur.expect(".")
-            body = _parse_prop(cur, binder)
-            cur.expect(",")
-            base = _parse_prop(cur, bound)
-            cur.expect(")")
-            return App(SIG_OP, (base, body))
-    raise cur.error(f"unknown proposition form {word!r}", cur.pos - 1)
-
-
-def _parse_exp(cur: Cursor, bound: str | None) -> Term:
-    word = cur.expect("ident")
-    match word:
-        case "tt":
-            return App(TT_OP, ())
-        case "refl":
-            return App(REFL_OP, ())
-        case "inl":
-            return App(INL_OP, _parse_args(cur, _parse_exp, bound, 1))
-        case "pair":
-            return App(PAIR_OP, _parse_args(cur, _parse_exp, bound, 2))
-        case name if name == bound:
-            return SLOT
-    raise cur.error(f"unknown or unbound name {word!r}", cur.pos - 1)
-
-
-def _parse_args(
-    cur: Cursor, parse, bound: str | None, count: int
-) -> tuple[Term, ...]:
-    cur.expect("(")
-    args = [parse(cur, bound)]
-    for _ in range(count - 1):
+    op = forms.get(word)
+    if op is None:
+        if forms is _PROPS:
+            raise cur.error(f"unknown proposition form {word!r}", cur.pos - 1)
+        if word != bound:
+            raise cur.error(f"unknown or unbound name {word!r}", cur.pos - 1)
+        return SLOT
+    if op is SIG_OP:
+        # sig(x. body, base): a body sees only its own binder
+        cur.expect("(")
+        binder = cur.expect("ident")
+        if not binder.isidentifier() or binder in _EXPS:
+            raise cur.error(f"bad binder {binder!r}", cur.pos - 1)
+        cur.expect(".")
+        body = _parse(cur, _PROPS, binder)
         cur.expect(",")
-        args.append(parse(cur, bound))
+        base = _parse(cur, _PROPS, bound)
+        cur.expect(")")
+        return App(SIG_OP, (base, body))
+    arg_forms = _ARG_FORMS[op]
+    if not arg_forms:
+        return App(op, ())
+    cur.expect("(")
+    args = [_parse(cur, arg_forms[0], bound)]
+    for forms in arg_forms[1:]:
+        cur.expect(",")
+        args.append(_parse(cur, forms, bound))
     cur.expect(")")
-    return tuple(args)
+    return App(op, tuple(args))

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 from weakref import KeyedRef
 
 
@@ -507,8 +507,18 @@ def freshen_context(
     return tuple(out), rename
 
 
-def render_term(t: Term) -> str:
-    # a stack of terms and the text between them, so deep terms print
+def render_term(
+    t: Term, notation: Mapping[Operator, Callable[[App], Sequence]] | None = None
+) -> str:
+    """t as text: a variable by its name, an App as `op(arg, …)`, or its
+    operator's name alone when it has no arguments.
+
+    `notation` gives some operators their own form: a function from an
+    App to the pieces it prints as, in order, each a string or a term.
+    One loop over an explicit stack of pieces prints every term, so a
+    deep term takes no Python frames.
+    """
+    notation = notation or {}
     out: list[str] = []
     stack: list[Term | str] = [t]
     while stack:
@@ -517,13 +527,15 @@ def render_term(t: Term) -> str:
             out.append(t)
         elif isinstance(t, Var):
             out.append(t.name)
-        elif isinstance(t, App):
+        elif not isinstance(t, App):
+            raise UnsortedTerm(f"not a term: {t!r}")
+        elif t.op in notation:
+            stack.extend(reversed(notation[t.op](t)))
+        else:
             out.append(t.op.name)
             if t.args:
                 out.append("(")
                 stack.append(")")
                 between = [x for a in t.args for x in (a, ", ")][:-1]
                 stack.extend(reversed(between))
-        else:
-            raise UnsortedTerm(f"not a term: {t!r}")
     return "".join(out)

@@ -383,6 +383,63 @@ def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):
     )
 
 
+def or_chain(levels):
+    """or(or(…or(top, top)…, top), top), levels deep."""
+    return "or(" * levels + "top" + ", top)" * levels
+
+
+def test_a_deep_or_chain_prints_its_residual(capsys):
+    # printing a proposition is one loop, so a chain the parser reads
+    # prints, where a printer taking a frame per level ran out of them
+    prop = or_chain(450)
+    argv = ["--logic", "dep", "--goal", "true " + prop, "--script", "id"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "status: incomplete\nsteps_used: 0\nresidual:\n"
+        f"e : true {prop}.\n▹ [e]\n"
+    )
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "incomplete",
+        "steps_used": 0,
+        "residual_goals": [f"true {prop}"],
+        "extract": None,
+    }
+
+
+def test_a_deep_or_chain_traces_its_depth_first_proof(capsys):
+    levels = 450
+    argv = ["--logic", "dep", "--goal", "true " + or_chain(levels), "--script",
+            "(or_i1 | top_i)*", "--trace"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "status: complete"
+    assert captured.out.splitlines()[2] == (
+        "extract: " + "inl(" * levels + "tt" + ")" * levels
+    )
+    # each level is shown as its pass finishes it, innermost first
+    assert captured.err.splitlines() == [
+        f"[{k}] true {or_chain(k - 1)} => state (complete)"
+        for k in range(1, levels + 1)
+    ]
+
+
+@pytest.mark.parametrize("levels, code", [(900, 0), (1100, 5)])
+def test_an_or_chain_parses_as_deep_as_a_sig_chain(levels, code, capsys):
+    # the goal reader takes one frame per level of every form
+    argv = ["--logic", "dep", "--goal", "true " + or_chain(levels), "--script",
+            dep.AUTO_SCRIPT]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.startswith("status: complete\n")
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: nesting too deep in the goal or the script\n"
+        )
+
+
 def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):
     from refkit.logics import arith
     from refkit.rule import Rule

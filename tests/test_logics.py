@@ -478,6 +478,30 @@ def test_render_and_oracle_match_the_replace_var_reference():
     assert provable >= 30
 
 
+def test_the_printers_take_no_frame_per_level():
+    # 5000 levels lie well past Python's default limit of 1000 frames
+    levels = 5000
+    chain = dep.top()
+    for _ in range(levels):
+        chain = dep.or_(chain, dep.top())
+    assert dep.render_prop(chain) == (
+        "or(" * levels + "top" + ", top)" * levels
+    )
+    sigs = dep.top()
+    for _ in range(levels):
+        sigs = App(dep.SIG_OP, (sigs, dep.eq(dep.SLOT, dep.tt())))
+    assert dep.render_prop(sigs) == (
+        "sig(x. eq(x, tt), " * levels + "top" + ")" * levels
+    )
+    total = arith.num(1)
+    for _ in range(levels):
+        total = arith.plus(arith.num(1), total)
+    # the innermost sum's right operand is a numeral, so it has none
+    assert arith.render_expr(total) == (
+        "num 1 + (" * (levels - 1) + "num 1 + num 1" + ")" * (levels - 1)
+    )
+
+
 def primed_binders(state):
     return any("'" in n for names, _ in tele_goals(state.telescope) for n in names)
 
