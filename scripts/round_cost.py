@@ -14,6 +14,14 @@ number of goals.  A round's outputs are kept with the atoms they answer
 and the evidence is put together once, where the run's state is named,
 so the terms built per level should be the same on both chains.
 
+`(id; all(num_eval | plus_eval)*); [...]`, with 6n tactics
+`num_eval | plus_eval | add` in the list, evaluates the leaves of the
+left comb of n `+` breadth-first and leaves 3n `add` goals, which the
+positional sweep `[...]` then answers in order.  Each goal is handed
+over with the evidence of the entries before it put in, read through one
+image of the names in scope, so the time per entry should be the same
+on both combs.
+
 Each time is the best of at least three runs and of BUDGET seconds of
 them; the terms built are counted in one more run.
 """
@@ -25,6 +33,8 @@ from functools import partial
 from typing import Any, Callable
 
 from refkit.logics import arith, dep
+from refkit.script import compile_text
+from refkit.state import Subgoals, TeleNil
 from refkit.tactic import Resolved, run_delayed
 from refkit.theory import App
 
@@ -42,6 +52,12 @@ def sig_chain(levels: int):
     for _ in range(levels):
         prop = f"sig(x. eq(x, x), {prop})"
     return dep.parse_goal("true " + prop)
+
+
+def wide_each(pluses: int) -> Any:
+    adds = ", ".join(["num_eval | plus_eval | add"] * (6 * pluses))
+    script = f"(id; all(num_eval | plus_eval)*); [{adds}]"
+    return compile_text(arith.STRUCTURE, arith.RULES, script)
 
 
 def solve(tactic: Any, goal: Any, fuel: int) -> Any:
@@ -94,6 +110,13 @@ def main() -> int:
         built = terms_built(run)
         rounds = got.steps + 1
         print(f"{n:>6} {rounds:>6} {runs:>5} {best / n * 1e6:>9.1f} {built / n:>11.1f}")
+    print(f"{'pluses':>6} {'entries':>7} {'runs':>5} {'us/entry':>9}")
+    for n in SIZES:
+        best, runs, got = timed(partial(solve, wide_each(n), left_comb(n), 10 * n))
+        assert isinstance(got, Resolved) and got.steps == n + 1
+        assert isinstance(got.value, Subgoals) and isinstance(got.value.telescope, TeleNil)
+        entries = 3 * n
+        print(f"{n:>6} {entries:>7} {runs:>5} {best / entries * 1e6:>9.1f}")
     return 0
 
 

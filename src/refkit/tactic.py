@@ -40,6 +40,7 @@ from .state import (
 )
 from .theory import (
     Context,
+    ContextMismatch,
     NameSupply,
     Substitution,
     Term,
@@ -275,10 +276,11 @@ class _Fix(_Node):
 #   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
 #   (_THEN, seq)                    hand the state to seq's multitactic
 #   (_FLATTEN, structure)           flatten the state of states
-#   (_SWEEP, sweep, state, tele, done, index, memo, goal, sub)
+#   (_SWEEP, sweep, state, tele, done, index, image, goal)
 #       take the answer to goal, the entry at the head of tele (none when
-#       goal is None), and attack the next; memo holds the evidence found
-#       so far (each)
+#       goal is None), and attack the next; image sends each name in
+#       scope to the evidence found for it, or to itself (each), and is
+#       extended in place, which a run resumed twice extends alike
 #   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
 # A round of `all(t)*` with t natural takes no frame: _Rounds runs it
 # over a telescope of its own, which a run resumes from by _resume_rounds
@@ -297,8 +299,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     continuation resumes it on k; a productive round of `m*` returns one
     Later that resumes it, and so does a star's pass at each goal deeper
     than any it has attacked (_walk): those are the steps a run is
-    charged.  A leaf's answer of the wrong kind raises TheoryError as it
-    is taken, before any frame sees it.
+    charged.  An answer is checked where it is taken, before any frame
+    sees it: a leaf's for its kind, one a sweep takes for its target (_taken).
     """
     while True:
         if node is not None:
@@ -314,7 +316,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     raise TheoryError(f"subgoal is not a proof state: {value!r}")
             elif cls is _All or cls is _Each:
                 if isinstance(x, Subgoals):
-                    k = ((_SWEEP, node, x, x.telescope, None, 0, {}, None, None), k)
+                    image = None if cls is _All else {n: Var(n, s) for n, s in x.context.entries}
+                    k = ((_SWEEP, node, x, x.telescope, None, 0, image, None), k)
                 else:
                     value = x
             elif cls is _Id:
@@ -356,19 +359,18 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     _, node, ctx, x = frame
                     break
             elif tag == _SWEEP:
-                _, sweep, state, tele, done, index, memo, goal, sub = frame
+                _, sweep, state, tele, done, index, image, goal = frame
                 if goal is not None:
+                    _taken(sweep.structure, goal, value)
                     if _trace_hook is not None:
                         _trace_hook(*_event(goal, value))
-                    if (
-                        sub is not None
-                        and isinstance(value, Subgoals)
-                        and isinstance(value.telescope, TeleNil)
-                    ):
-                        # entry fully discharged: record its evidence for
-                        # instantiating the goals that bound these names
-                        resolved = (subst_apply(t, sub) for t in value.validation.terms)
-                        memo = memo | dict(zip(tele.names, resolved))
+                    if image is not None:
+                        # the names stand for the evidence if the entry is discharged
+                        if isinstance(value, Subgoals) and isinstance(value.telescope, TeleNil):
+                            terms = _substituted(value.validation.terms, image)
+                        else:
+                            terms = map(Var, tele.names, [s for _, s in value.target.entries])
+                        image.update(zip(tele.names, terms))
                     done = ((tele.names, value), done)
                     tele, index = tele.rest, index + 1
                 if not isinstance(tele, TeleCons):
@@ -378,16 +380,14 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     value = Subgoals(tele, state.validation)
                     continue
                 ctx, goal, structure = tele.goal.context, tele.goal, sweep.structure
-                if type(sweep) is _All:
+                if image is None:
                     node = sweep.tactic
                 else:
-                    pending = (memo.get(n, Var(n, sort)) for n, sort in ctx.entries)
-                    sub = Substitution(ctx, ctx, tuple(pending))
-                    goal = structure.subst(goal, sub)
+                    goal = structure.subst(goal, _Reindexing(ctx, ctx, image))
                     node = sweep.tactics[index] if index < len(sweep.tactics) else None
                     if node is None:
                         value = state_unit(structure, goal)
-                k = ((_SWEEP, sweep, state, tele, done, index, memo, goal, sub), k)
+                k = ((_SWEEP, sweep, state, tele, done, index, image, goal), k)
                 if node is not None:
                     x = goal
                     break
@@ -415,6 +415,14 @@ def _proof_state(value: Any) -> ProofState:
     if not isinstance(value, (Subgoals, Fail, Bot)):
         raise TheoryError(f"subgoal is not a proof state: {value!r}")
     return value
+
+
+def _taken(structure: JudgmentStructure, goal: Any, answer: ProofState) -> ProofState:
+    """answer, taken for goal, checked to target goal's outputs."""
+    target = answer.target
+    if target is not structure.output(goal) and target != structure.output(goal):
+        raise ContextMismatch(f"answer to {structure.render(goal)!r} is not over its outputs")
+    return answer
 
 
 def _walk(
@@ -450,7 +458,7 @@ def _walk(
             resume = partial(_walk, star, ctx, goal, path, depth, bound + 1, steps, stood, k)
             return Later(resume)
         # a natural tactic answers at once
-        answer = _run(tactic, ctx, goal, None).value
+        answer = _taken(structure, goal, _run(tactic, ctx, goal, None).value)
         if isinstance(answer, Subgoals):
             path = ((goal, answer, answer.telescope, stood), path)
             depth += 1
@@ -610,7 +618,7 @@ class _Rounds:
     def _attack(self, entry: _Entry) -> ProofState:
         goal = entry.goal
         # a natural tactic answers at once
-        answer = _run(self.tactic, goal.context, goal, None).value
+        answer = _taken(self.structure, goal, _run(self.tactic, goal.context, goal, None).value)
         if isinstance(answer, (Fail, Bot)):
             entry.refusal = type(answer)
             entry.stems = self.structure.output(goal).names

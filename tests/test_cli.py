@@ -35,7 +35,7 @@ from refkit.tactic import set_trace_hook
 
 from reference import ref_execute, ref_state_alpha_eq
 from strategies import rand_closed_expr, rand_dep_closed_prop, rand_script_tactic
-from test_tactic import counted_rules
+from test_tactic import counted_rules, wide_each
 
 BREADTH = "id; all(num_eval | plus_eval | add)*"
 DEPTH = "(num_eval | plus_eval | add)*"
@@ -709,6 +709,16 @@ def test_runs_agree_with_the_reference_interpreter(seed):
     structure = LOGICS[config.logic].STRUCTURE
     assert render_pretty(structure, got) == render_pretty(structure, want)
     assert render_json(structure, got) == render_json(structure, want)
+
+
+@pytest.mark.parametrize("pluses", [1, 2, 4])
+def test_a_wide_positional_sweep_agrees_with_the_reference_interpreter(pluses):
+    config = RunConfig("arith", *wide_each(pluses))
+    got = execute(config)
+    want = RunOutcome(*ref_execute(config.logic, config.goal, config.script, config.fuel))
+    assert (got.status, got.steps) == (want.status, want.steps) == ("complete", pluses + 1)
+    assert ref_state_alpha_eq(got.state, want.state)
+    assert render_json(arith.STRUCTURE, got) == render_json(arith.STRUCTURE, want)
 
 
 @pytest.mark.parametrize(

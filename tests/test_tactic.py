@@ -10,6 +10,7 @@ from refkit import tactic
 from refkit.cli import RunConfig, _trace_tag, execute
 from refkit.logics import arith, dep
 from refkit.rule import Rule, clause_rule
+from refkit.script import compile_text
 from refkit.state import (
     Bot,
     Fail,
@@ -49,7 +50,15 @@ from refkit.tactic import (
     then_tactic,
     try_tactic,
 )
-from refkit.theory import App, Context, Substitution, TheoryError, Var, render_term
+from refkit.theory import (
+    App,
+    Context,
+    ContextMismatch,
+    Substitution,
+    TheoryError,
+    Var,
+    render_term,
+)
 
 from reference import full_sweep_repeat, ref_round
 from strategies import (
@@ -721,6 +730,35 @@ def left_comb(pluses):
     return "eval " + " + ".join(["num 1"] * (pluses + 1))
 
 
+def wide_each(pluses):
+    """A left comb of pluses `+` as goal text, and a script that evaluates
+    its leaves breadth-first and then answers the add goals left, one
+    tactic per entry, each seeing the evidence of the entries before it."""
+    adds = ", ".join(["num_eval | plus_eval | add"] * (6 * pluses))
+    return left_comb(pluses), f"(id; all(num_eval | plus_eval)*); [{adds}]"
+
+
+def test_a_positional_sweep_does_work_linear_in_its_entries(monkeypatch):
+    # each entry's goal is moved through one image of the names in scope;
+    # a checked substitution over each entry's whole context checked 7,432
+    # and 29,252 terms here
+    checked, post_init = [0], Substitution.__post_init__
+
+    def counted(self):
+        checked[0] += len(self.terms)
+        post_init(self)
+
+    monkeypatch.setattr(Substitution, "__post_init__", counted)
+    counts = []
+    for pluses in (40, 80):
+        checked[0] = 0
+        out = execute(RunConfig("arith", *wide_each(pluses)))
+        assert out.status == "complete"
+        assert out.steps == pluses + 1
+        counts.append(checked[0])
+    assert counts[1] <= 2.5 * counts[0]
+
+
 @pytest.mark.parametrize(
     "goal, steps, rule_calls",
     [
@@ -990,6 +1028,31 @@ def test_a_plain_tactic_answering_a_state_not_a_delayed_raises_where_it_answers(
     t = orelse(lambda ctx, g: state_unit(J, g), id_tactic(J))
     with pytest.raises(TheoryError, match="^tactic answered Subgoals, not a Delayed$"):
         resolve(t, goal)
+
+
+def answer_seven(ctx, goal):
+    """A complete state with one output, whatever the goal's outputs."""
+    return Subgoals(TeleNil(ctx), Substitution(ctx, arith.ADD_OUTPUT, (arith.nat(7),)))
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "plus_eval; all(w)",
+        "plus_eval; [w, w, w, w, w]",
+        "(plus_eval | w)*",
+        "id; all(plus_eval | w)*",
+        "id; all(w)*",
+    ],
+)
+def test_an_answer_not_over_the_goals_outputs_raises_where_it_is_taken(script):
+    # a sweep, a depth-first pass and a round each check the target of the
+    # answers they take; unchecked, the flattening dropped the outputs the
+    # answer lacked and the first four runs gave the extract [7, 7]
+    rules = dict(arith.RULES, w=Rule("w", answer_seven))
+    tac = compile_text(J, rules, script)
+    with pytest.raises(ContextMismatch, match="^answer to 'eval num 1"):
+        resolve(tac, arith.parse_goal("eval num 1 + num 2"))
 
 
 def test_a_depth_first_star_step_forced_twice_answers_alike():
