@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .logics import arith, dep
 from .refiner import UnknownRuleName
@@ -184,10 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built once per process: parsing keeps no
+    state in it, and help is laid out anew each time it is printed."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         script = args.script
         if script is None:
             try:

@@ -14,7 +14,10 @@ answer the same way, up to the primes of its binders' names, which keep
 their stems; so a rule may not look at which other entries are in
 scope.  Breadth-first rounds rely on this twice: they hand a rule the
 goal over the context of its free variables alone, and they leave a
-refused goal alone when a round only renamed it.  check_support_locality
+refused goal alone when a round only renamed it.  The rounds and the
+depth-first star rely on it a third time: each run keeps a table of the
+goal shapes its tactic refused, and refuses a goal of such a shape
+without running the tactic.  check_support_locality
 probes the verdicts on the moves support_moves builds; the tests also
 compare whole answers over the goal's context and over its support.
 Lax naturality alone does not give it: a rule may answer BOT on a goal

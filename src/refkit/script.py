@@ -216,7 +216,7 @@ def compile_script(
     def build(ast):
         match ast:
             case RuleName(name):
-                return from_rule(lookup(name))
+                return from_rule(lookup(name), structure)
             case IdTac():
                 return id_tactic(structure)
             case OrElse(left, right):

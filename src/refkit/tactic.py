@@ -39,6 +39,7 @@ from .state import (
     tele_goals,
 )
 from .theory import (
+    App,
     Context,
     ContextMismatch,
     NameSupply,
@@ -188,7 +189,13 @@ class _Node:
     rules, id and `|` only.  Such a tactic answers at once, and it refuses
     a goal moved by a renaming as it refused the goal, since every rule
     is support-local (rule.py); repeat_multitactic relies on this to keep
-    a refusal standing.  A plain callable is a tactic too, never natural.
+    a refusal standing, and it and repeat to refuse a goal of a shape
+    refused before (_attack).  A plain callable is a tactic too, never
+    natural.
+
+    A run of a tactic node whose structure is known checks that the answer
+    it hands back targets the goal's outputs (_checked), as a sweep checks
+    the answers it takes.
     """
 
     __slots__ = ()
@@ -199,7 +206,7 @@ class _Node:
             setattr(self, name, value)
 
     def __call__(self, ctx: Context, x: Any) -> Delayed:
-        return _run(self, ctx, x, None)
+        return _run(self, ctx, x, _checked(self, x))
 
 
 def _is_natural(t: Tactic) -> bool:
@@ -207,7 +214,7 @@ def _is_natural(t: Tactic) -> bool:
 
 
 class _Rule(_Node):
-    __slots__ = ("rule",)
+    __slots__ = ("rule", "structure")
     natural = True
 
 
@@ -217,10 +224,14 @@ class _Id(_Node):
 
 
 class _OrElse(_Node):
-    __slots__ = ("first", "second", "natural")
+    __slots__ = ("first", "second", "natural", "structure")
 
     def __init__(self, first: Tactic, second: Tactic):
-        super().__init__(first, second, _is_natural(first) and _is_natural(second))
+        structure = getattr(first, "structure", None)
+        if structure is None:
+            structure = getattr(second, "structure", None)
+        natural = _is_natural(first) and _is_natural(second)
+        super().__init__(first, second, natural, structure)
 
 
 class _Seq(_Node):
@@ -257,18 +268,30 @@ class _Star(_Node):
 
 
 class _Fix(_Node):
-    __slots__ = ("transform", "approximants")
+    __slots__ = ("transform", "approximants", "structure")
 
-    def __init__(self, transform: Callable[[Tactic], Tactic]):
-        super().__init__(transform, [never_tactic])
+    def __init__(self, transform: Callable[[Tactic], Tactic], structure: Any = None):
+        super().__init__(transform, [never_tactic], structure)
 
     def __call__(self, ctx: Context, goal: Any) -> Delayed:
+        k = _checked(self, goal)
+
         def approximant(n: int) -> Delayed:
             while len(self.approximants) <= n:
                 self.approximants.append(self.transform(self.approximants[-1]))
-            return _run(self.approximants[n], ctx, goal, None)
+            return _run(self.approximants[n], ctx, goal, k)
 
         return lub(approximant)
+
+
+def _checked(t: _Node, goal: Any) -> Any:
+    """The stack a run of t on goal hands its answer to: a frame that
+    checks the answer targets goal's outputs, if t is a tactic whose
+    structure is known, else none."""
+    structure = getattr(t, "structure", None)
+    if structure is None or isinstance(t, (_All, _Each, _Repeat)):
+        return None
+    return ((_TAKE, structure, goal), None)
 
 
 # The machine's stack is a linked list of frames, (frame, rest) or None,
@@ -282,11 +305,12 @@ class _Fix(_Node):
 #       scope to the evidence found for it, or to itself (each), and is
 #       extended in place, which a run resumed twice extends alike
 #   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
+#   (_TAKE, structure, goal)        check the answer to the run's own goal
 # A round of `all(t)*` with t natural takes no frame: _Rounds runs it
 # over a telescope of its own, which a run resumes from by _resume_rounds
 # once only, since a round changes it in place.  Nor does the pass of a
 # star `t*` with t natural: _walk runs it over a path of its own.
-_FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND = range(5)
+_FALLBACK, _THEN, _FLATTEN, _SWEEP, _ROUND, _TAKE = range(6)
 
 
 def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
@@ -300,7 +324,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     Later that resumes it, and so does a star's pass at each goal deeper
     than any it has attacked (_walk): those are the steps a run is
     charged.  An answer is checked where it is taken, before any frame
-    sees it: a leaf's for its kind, one a sweep takes for its target (_taken).
+    sees it: a leaf's for its kind, one a sweep takes, and the one a run
+    hands back (_checked), for its target (_taken).
     """
     while True:
         if node is not None:
@@ -343,7 +368,7 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     continue
             elif cls is _Star:
                 # approximant 0 never answers: one step
-                return Later(partial(_walk, node, ctx, x, None, 0, 0, None, 0, k))
+                return Later(partial(_walk, node, ctx, x, None, 0, 0, None, 0, k, {}))
             else:
                 m = node(ctx, x)
                 if isinstance(m, (Later, Race)):
@@ -398,6 +423,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 break
             elif tag == _FLATTEN:
                 value = state_mul(frame[1], value)
+            elif tag == _TAKE:
+                _taken(frame[1], frame[2], value)
             else:
                 _, repeat, state, ctx = frame
                 advanced, stop = _next_round(repeat.structure, state, value)
@@ -425,9 +452,54 @@ def _taken(structure: JudgmentStructure, goal: Any, answer: ProofState) -> Proof
     return answer
 
 
+def _shape(goal: Any) -> tuple | None:
+    """goal up to an injective renaming of its free variables, or None if
+    a term field of it is open.
+
+    Each variable field is (Var, the index of the variable's first
+    occurrence, its sort), each closed term is itself, as terms are
+    interned, and any other field is kept raw; the context is left out.
+    """
+    shape: list[Any] = [goal.__class__]
+    first: dict[str, int] = {}
+    for field, value in vars(goal).items():
+        cls = value.__class__
+        if cls is Var:
+            shape.append((Var, first.setdefault(value.name, len(first)), value.sort))
+        elif cls is App:
+            if value.free:
+                return None
+            shape.append(value)
+        elif field != "context":
+            shape.append(value)
+    return tuple(shape)
+
+
+def _attack(
+    structure: JudgmentStructure, tactic: Tactic, ctx: Context, goal: Any, refused: dict
+) -> ProofState:
+    """tactic's answer to goal, checked to target its outputs, where tactic
+    is natural and refused maps the shapes (_shape) of the goals it has
+    refused to the kind of each refusal.
+
+    A goal of a shape refused before is refused alike without running
+    tactic: every rule is support-local (rule.py), so a natural tactic
+    gives goals of one shape one verdict.
+    """
+    shape = _shape(goal)
+    kind = None if shape is None else refused.get(shape)
+    if kind is not None:
+        return kind(ctx, structure.output(goal))
+    # a natural tactic answers at once
+    answer = _taken(structure, goal, _run(tactic, ctx, goal, None).value)
+    if shape is not None and answer.__class__ is not Subgoals:
+        refused[shape] = answer.__class__
+    return answer
+
+
 def _walk(
     star: _Star, ctx: Any, goal: Any, path: Any, depth: int, bound: int,
-    steps: Any, stood: int, k: Any,
+    steps: Any, stood: int, k: Any, refused: dict,
 ) -> Delayed:
     """Go on with star's pass at goal, depth levels below the star's goal,
     bounded at bound levels, and hand the state it ends on to the frames
@@ -441,8 +513,9 @@ def _walk(
     records what the pass handed to a level above, the last at its head,
     each ((goal, goals), step): the goal that ended, the number of goals
     that stand for it, and its step of the flattening (state_spliced).
-    Nothing is changed in place, so a Later forced twice resumes the same
-    pass twice.
+    refused is the pass's table of refused shapes (_attack).  Nothing
+    else is changed in place, and the table only caches what the tactic
+    answers, so a Later forced twice resumes the same pass twice.
     """
     if _trace_hook is not None:
         # approximant bound shows again what the one before it showed
@@ -455,10 +528,11 @@ def _walk(
     structure, tactic = star.structure, star.tactic
     while True:
         if depth >= bound:
-            resume = partial(_walk, star, ctx, goal, path, depth, bound + 1, steps, stood, k)
+            resume = partial(
+                _walk, star, ctx, goal, path, depth, bound + 1, steps, stood, k, refused
+            )
             return Later(resume)
-        # a natural tactic answers at once
-        answer = _taken(structure, goal, _run(tactic, ctx, goal, None).value)
+        answer = _attack(structure, tactic, ctx, goal, refused)
         if isinstance(answer, Subgoals):
             path = ((goal, answer, answer.telescope, stood), path)
             depth += 1
@@ -565,6 +639,7 @@ class _Rounds:
         self.uses: dict[str, dict[_Entry, None]] = {}
         self.work: dict[_Entry, None] = {}
         self.rounds = 0
+        self.refused: dict[tuple, type] = {}
         self.head = _Entry(None, (), ())
         image: dict[str, Term] = {n: Var(n, sort) for n, sort in self.root.entries}
         self._link(self.head, self._entries(state.telescope, image), None)
@@ -617,8 +692,7 @@ class _Rounds:
 
     def _attack(self, entry: _Entry) -> ProofState:
         goal = entry.goal
-        # a natural tactic answers at once
-        answer = _taken(self.structure, goal, _run(self.tactic, goal.context, goal, None).value)
+        answer = _attack(self.structure, self.tactic, goal.context, goal, self.refused)
         if isinstance(answer, (Fail, Bot)):
             entry.refusal = type(answer)
             entry.stems = self.structure.output(goal).names
@@ -770,8 +844,10 @@ def id_tactic(structure: JudgmentStructure) -> Tactic:
     return _Id(structure)
 
 
-def from_rule(rule: Any) -> Tactic:
-    return _Rule(rule)
+def from_rule(rule: Any, structure: JudgmentStructure | None = None) -> Tactic:
+    """The tactic that runs rule; given the structure of its goals, a run
+    of the tactic alone checks the answer's target."""
+    return _Rule(rule, structure)
 
 
 def orelse(t1: Tactic, t2: Tactic) -> Tactic:
@@ -845,15 +921,16 @@ def repeat(structure: JudgmentStructure, t: Tactic) -> Tactic:
     each goal and each level hands to the level above, and each step
     shows the record again, if a hook is installed, before it resumes.
     Watched or not, the pass makes the same rule calls.  A goal t refuses
-    stands, without a unit state.  The record is the flattening of the
-    pass's answers as builder steps, and the pass splices it once, at its
-    end (state_spliced).  Flattening is associative, so that is the
-    race's state, and each goal is spliced once, not once per level above
-    it.
+    stands, without a unit state, and a goal of a shape t refused before
+    in the pass is refused without t running (_attack).  The record is
+    the flattening of the pass's answers as builder steps, and the pass
+    splices it once, at its end (state_spliced).  Flattening is
+    associative, so that is the race's state, and each goal is spliced
+    once, not once per level above it.
     """
     if _is_natural(t):
         return _Star(structure, t)
-    return fix(lambda rec: try_tactic(structure, then_tactic(structure, t, rec)))
+    return _Fix(lambda rec: try_tactic(structure, then_tactic(structure, t, rec)), structure)
 
 
 def _next_round(
@@ -898,19 +975,21 @@ def repeat_multitactic(
     and the goals whose variables the round before sent to something other
     than distinct variables.  A goal refused before and only renamed since
     keeps its refusal without t running on it: t answers at once, and
-    every rule is support-local (rule.py).  A round splices only the
-    entries that answered with subgoals, and puts their outputs only into
-    the goals that use them, so it costs the goals that answered and those
-    that depend on them.  Each output is kept with its atom (bound), and
-    the validation is put together once, where the state is named.  A
-    round that keeps the number of goals names them before and after and
-    compares them as `state_alpha_eq` does, building the validations only
-    if the goals match.  Binders are named only where a name is read:
-    there, in the stable state handed back and, while a trace hook is
-    installed, in each round's goals, named before the round attacks any.
-    After the attacks the hook sees those goals in telescope order, each
-    with its answer or with its standing refusal.  So the rounds, their
-    states and the trace are those of a full sweep, and a watched round
-    attacks as an unwatched one does.
+    every rule is support-local (rule.py).  For the same reason a goal of
+    a shape refused before in the run is refused without t running
+    (_attack).  A round splices only the entries that answered with
+    subgoals, and puts their outputs only into the goals that use them, so
+    it costs the goals that answered and those that depend on them.  Each
+    output is kept with its atom (bound), and the validation is put
+    together once, where the state is named.  A round that keeps the
+    number of goals names them before and after and compares them as
+    `state_alpha_eq` does, building the validations only if the goals
+    match.  Binders are named only where a name is read: there, in the
+    stable state handed back and, while a trace hook is installed, in each
+    round's goals, named before the round attacks any.  After the attacks
+    the hook sees those goals in telescope order, each with its answer or
+    with its standing refusal.  So the rounds, their states and the trace
+    are those of a full sweep, and a watched round attacks as an unwatched
+    one does.
     """
     return _Repeat(structure, mt)

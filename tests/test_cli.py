@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refkit import cli
 from refkit.cli import (
     LOGICS,
     RunConfig,
@@ -281,6 +282,35 @@ def test_main_usage_errors_exit_five(tmp_path, capsys):
         assert "internal" not in captured.err, argv
 
 
+def test_main_builds_its_parser_once_and_answers_alike_each_call(monkeypatch, capsys):
+    built, build = [0], cli.build_parser
+
+    def counted():
+        built[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        runs = []
+        for argv in (["--help"], ["--logic", "arith"], ["--logic", "arith", "--goal",
+                     "eval num 1", "--script", "num_eval"]):
+            for _ in range(2):
+                try:
+                    code = main(argv)
+                except SystemExit as stop:
+                    code = ("exit", stop.code)
+                captured = capsys.readouterr()
+                runs.append((code, captured.out, captured.err))
+    finally:
+        cli._parser.cache_clear()
+    assert built[0] == 1
+    assert runs[0] == runs[1] == (("exit", 0), build().format_help(), "")
+    assert runs[2] == runs[3] and runs[2][0] == 5
+    assert runs[2][2].startswith("error: the following arguments are required: --goal")
+    assert runs[4] == runs[5] == (0, "status: complete\nsteps_used: 0\nextract: [0, 1]\n", "")
+
+
 def test_the_longest_printable_numeral_still_runs(capsys):
     argv = ["--logic", "arith", "--goal", f"add {NINES} 0", "--script", BREADTH]
     assert main(argv) == 0
@@ -353,7 +383,9 @@ def test_a_breadth_first_comb_of_1000_additions_completes(capsys):
 
 def test_a_depth_first_comb_of_1000_additions_flattens_once(monkeypatch, capsys):
     # the pass keeps each level's answer nested and flattens it once, at
-    # its end, so the comb takes 12n + 1 rule calls, as for 64 and 128
+    # its end, and refuses each goal shape once, so the comb takes 3n + 7
+    # rule calls, as for 64 and 128; without the table of refused shapes
+    # it took 12n + 1, 12,001 here
     calls = counted_rules(monkeypatch)
     goal = "eval " + " + ".join(["num 1"] * 1001)
     argv = ["--logic", "arith", "--goal", goal, "--script",
@@ -362,7 +394,7 @@ def test_a_depth_first_comb_of_1000_additions_flattens_once(monkeypatch, capsys)
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "incomplete"
     assert report["steps_used"] == 1002
-    assert calls[0] == 12_001
+    assert calls[0] == 3_007
 
 
 def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):

@@ -762,16 +762,18 @@ def test_a_positional_sweep_does_work_linear_in_its_entries(monkeypatch):
 @pytest.mark.parametrize(
     "goal, steps, rule_calls",
     [
-        (left_comb(32), 97, 859),
-        (f"eval {balanced_sum(5)}", 16, 652),
+        (left_comb(32), 97, 397),
+        (f"eval {balanced_sum(5)}", 16, 379),
     ],
     ids=["left comb of 32", "balanced tree of depth 5"],
 )
 def test_breadth_first_auto_attacks_only_goals_that_may_answer(
     monkeypatch, goal, steps, rule_calls
 ):
-    # a goal refused and only renamed since keeps its refusal: a full
-    # re-sweep makes 12,673 and 1,369 rule calls on these goals
+    # a goal refused and only renamed since keeps its refusal, and a goal
+    # of a shape refused before is refused without a rule call: a full
+    # re-sweep makes 12,673 and 1,369 rule calls on these goals, and the
+    # rounds without the table of refused shapes 859 and 652
     calls = counted_rules(monkeypatch)
     out = execute(RunConfig("arith", goal, arith.AUTO_SCRIPT))
     assert out.status == "complete"
@@ -833,12 +835,13 @@ def test_natural_follows_how_the_tactic_was_built():
 
 @pytest.mark.parametrize(
     "wrap, rule_calls",
-    [(lambda step: step, 859), (lambda step: lambda ctx, g: step(ctx, g), 12673)],
+    [(lambda step: step, 397), (lambda step: lambda ctx, g: step(ctx, g), 12673)],
     ids=["natural step", "step behind a plain callable"],
 )
 def test_the_auto_script_built_in_python_runs_as_compiled(monkeypatch, wrap, rule_calls):
     # a plain callable runs as a leaf that is not natural: the rounds
-    # re-attack every goal, with the same states and steps
+    # re-attack every goal, with the same states and steps (the natural
+    # step made 859 calls before refused shapes were tabled)
     calls = counted_rules(monkeypatch)
     step = orelse(
         from_rule(arith.RULES["num_eval"]),
@@ -899,15 +902,17 @@ def test_the_depth_first_star_agrees_with_the_race(seed):
 
 @pytest.mark.parametrize(
     "pluses, rule_calls, trace",
-    [(64, 769, False), (128, 1537, False), (64, 769, True), (128, 1537, True)],
+    [(64, 199, False), (128, 391, False), (64, 199, True), (128, 391, True)],
     ids=["comb of 64", "comb of 128", "traced comb of 64", "traced comb of 128"],
 )
 def test_the_depth_first_star_does_work_linear_in_the_comb(
     monkeypatch, capsys, pluses, rule_calls, trace
 ):
-    # each step resumes the pass at the goal where the last one stopped;
-    # raced from scratch, the approximants made 4,929 and 18,049 calls.
-    # A traced step shows the pass's log again and calls no rule for it.
+    # each step resumes the pass at the goal where the last one stopped,
+    # and a goal of a shape refused before costs no rule call; raced from
+    # scratch, the approximants made 4,929 and 18,049 calls, and the pass
+    # without the table of refused shapes 769 and 1,537.  A traced step
+    # shows the pass's log again and calls no rule for it.
     calls = counted_rules(monkeypatch)
     config = RunConfig("arith", left_comb(pluses), arith.AUTO_NAIVE_SCRIPT, trace=trace)
     out = execute(config)
@@ -1055,6 +1060,16 @@ def test_an_answer_not_over_the_goals_outputs_raises_where_it_is_taken(script):
         resolve(tac, arith.parse_goal("eval num 1 + num 2"))
 
 
+@pytest.mark.parametrize("script", ["w", "w; all(id)", "w | id", "(w; all(id))*"])
+def test_an_answer_to_the_runs_own_goal_not_over_its_outputs_raises(script):
+    # the answer a run hands back is checked as the answers it takes are;
+    # unchecked, each of these runs gave a complete state with extract [7]
+    rules = dict(arith.RULES, w=Rule("w", answer_seven))
+    tac = compile_text(J, rules, script)
+    with pytest.raises(ContextMismatch, match="^answer to 'eval num 1 \\+ num 2' is not over"):
+        resolve(tac, arith.parse_goal("eval num 1 + num 2"))
+
+
 def test_a_depth_first_star_step_forced_twice_answers_alike():
     goal = eval_goal(arith.plus(arith.plus(arith.num(1), arith.num(2)), arith.num(3)))
     star = repeat(J, orelse(NUM_EVAL, orelse(PLUS_EVAL, ADD)))
@@ -1092,3 +1107,101 @@ def test_a_hook_installed_mid_star_is_shown_what_the_race_shows(forces):
             set_trace_hook(None)
         runs.append((got, fired))
     assert runs[0] == runs[1]
+
+
+# refused shapes: a natural tactic refuses each goal shape once per run
+
+
+def counted_step(calls):
+    """The auto step, num_eval | plus_eval | add, counting its rule calls
+    by name in calls."""
+
+    def counted(rule):
+        def run(ctx, goal):
+            calls[rule.name] = calls.get(rule.name, 0) + 1
+            return rule.run(ctx, goal)
+
+        return from_rule(Rule(rule.name, run))
+
+    return orelse(counted(arith.NUM_EVAL), orelse(counted(arith.PLUS_EVAL), counted(arith.ADD)))
+
+
+def test_a_pass_refuses_two_goals_of_one_shape_with_one_attack():
+    # plus_eval leaves `add xc yc`, `add 1 zc` and `add xv yv` over the
+    # outputs of two evals; the first and the last differ only in their
+    # variables, so the pass attacks them once: untabled, each of the three
+    # add goals cost a num_eval, a plus_eval and an add call
+    calls = {}
+    goal = arith.parse_goal(left_comb(1))
+    got = final(repeat(J, counted_step(calls)), goal)
+    want = final(race_star(J, orelse(NUM_EVAL, orelse(PLUS_EVAL, ADD))), goal)
+    assert got == want
+    assert len(tele_goals(got.telescope)) == 3
+    assert calls == {"num_eval": 5, "plus_eval": 3, "add": 2}
+
+
+def add_twice_applies(ctx, g):
+    return isinstance(g, arith.AddGoal) and g.lhs == g.rhs and isinstance(g.lhs, Var)
+
+
+def add_twice_build(ctx, g):
+    return Subgoals(TeleNil(ctx), Substitution(ctx, arith.ADD_OUTPUT, (g.lhs,)))
+
+
+# answers `add v v`, for a variable v, with v itself
+add_twice = clause_rule(J, "add_twice", ((add_twice_applies, add_twice_build),))
+
+
+def test_a_variable_twice_and_two_variables_are_two_shapes():
+    x, y = Var("x", arith.NUM), Var("y", arith.NUM)
+    ctx = Context((("x", arith.NUM), ("y", arith.NUM)))
+    b = TeleBuilder(J, ctx)
+    b.push(arith.AddGoal(b.prefix, x, y), ("n",))
+    b.push(arith.AddGoal(b.prefix, y, y), ("n",))
+    state = b.close(Substitution(b.prefix, EMPTY, ()))
+    calls = [0]
+
+    def counted(ctx, g):
+        calls[0] += 1
+        return add_twice.run(ctx, g)
+
+    t = from_rule(Rule("add_twice", counted))
+    got, got_trace = traced_run(repeat_multitactic(J, all_mt(J, t)), state, 20)
+    assert calls[0] == 2
+    want, want_trace = traced_run(full_sweep_repeat(all_mt(J, t)), state, 20)
+    assert got == want and got_trace == want_trace
+    [(_, settled)] = tele_goals(got.value.telescope)
+    assert [J.render(g) for _, g in tele_goals(settled.telescope)] == ["add x y"]
+    # as goals do not share a shape when their variables' sorts differ
+    e = Var("e", arith.EXP)
+    shapes = {tactic._shape(arith.EvalGoal(ctx, v)) for v in (x, e, Var("f", arith.EXP))}
+    assert len(shapes) == 2
+
+
+def test_a_goal_with_an_open_term_is_never_served_from_the_table():
+    # the step refuses `eval num x` and `eval num y`, which differ only in
+    # their variables; a goal with an open term has no shape, so both are
+    # attacked
+    ctx = Context((("x", arith.NUM), ("y", arith.NUM)))
+    b = TeleBuilder(J, ctx)
+    for v in ("x", "y"):
+        b.push(arith.EvalGoal(b.prefix, App(arith.NUM_OP, (Var(v, arith.NUM),))), ("c", "v"))
+    state = b.close(Substitution(b.prefix, EMPTY, ()))
+    assert all(tactic._shape(g) is None for _, g in tele_goals(state.telescope))
+    calls = {}
+    got = resolve(repeat_multitactic(J, all_mt(J, counted_step(calls))), state, 20)
+    assert isinstance(got, Resolved)
+    assert calls == {"num_eval": 2, "plus_eval": 2, "add": 2}
+
+
+@pytest.mark.parametrize("script", [arith.AUTO_SCRIPT, arith.AUTO_NAIVE_SCRIPT])
+def test_a_traced_run_makes_the_rule_calls_an_untraced_one_makes(monkeypatch, capsys, script):
+    calls = counted_rules(monkeypatch)
+    counts = []
+    for trace in (False, True):
+        calls[0] = 0
+        out = execute(RunConfig("arith", f"eval {balanced_sum(4)}", script, trace=trace))
+        assert out.status in ("complete", "incomplete")
+        counts.append(calls[0])
+    assert capsys.readouterr().err
+    assert counts[0] == counts[1]
