@@ -4,13 +4,16 @@ A rule is lax natural when substituting into its answer refines the
 answer it gives on the substituted goal: rule(X)[s] approximates
 rule(X[s]).  It is support-local when its verdict (subgoals, FAIL or
 BOT) on a goal is its verdict on the goal moved by an injective renaming
-of its free variables, whatever happens to the rest of the context.  The
-check runs each rule over a grid of goals crossed with substitutions,
-and over the same goals moved, and prints the counterexample counts.  A
-deliberately broken or-introduction, which fails on variable goals
-instead of leaving them undetermined, shows what a violation of the
-first looks like; a rule that answers BOT unless a number is in scope
-violates the second.
+of its free variables, whatever happens to the rest of the context.  Its
+heads hold when it answers FAIL on every goal its entry in the logic's
+index by goal head excludes, since a compiled script skips it there.
+The check runs each rule over a grid of goals crossed with
+substitutions, over the same goals moved, and over the grid's goals and
+their instances, and prints the counterexample counts.  A deliberately
+broken or-introduction, which fails on variable goals instead of leaving
+them undetermined, shows what a violation of the first looks like; a
+rule that answers BOT unless a number is in scope violates the second;
+an entry for plus_eval that admits only numerals violates the third.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 from refkit.logics import arith, dep
 from refkit.rule import (
     Rule,
+    check_heads,
     check_lax_naturality,
     check_support_locality,
     clause_rule,
@@ -102,12 +106,17 @@ def verdict(failures) -> str:
     return "ok" if not failures else f"{len(failures)} counterexamples"
 
 
-def report(structure, rules, samples, moved) -> None:
-    print(f"  {'':<14} {'lax natural':<20} support-local")
+def report(structure, rules, heads, samples, moved) -> None:
+    """One line per rule: the counterexamples to each law.  A rule with
+    no entry in heads is run on every goal, so its heads hold."""
+    goals = [g for goal, s in samples for g in (goal, structure.subst(goal, s))]
+    print(f"  {'':<14} {'lax natural':<20} {'support-local':<20} heads")
     for name, rule in rules.items():
         lax = verdict(check_lax_naturality(structure, rule, samples))
         local = verdict(check_support_locality(structure, rule, moved))
-        print(f"  {name:<14} {lax:<20} {local}")
+        entry = heads.get(name)
+        held = "ok" if entry is None else verdict(check_heads(structure, rule, entry, goals))
+        print(f"  {name:<14} {lax:<20} {local:<20} {held}")
 
 
 def main() -> int:
@@ -124,7 +133,7 @@ def main() -> int:
         {arith.EXP: arith.num(0), arith.NUM: arith.nat(3)},
         Context((("k", arith.NUM),)),
     )
-    report(arith.STRUCTURE, arith.RULES, arith_grid, arith_moves)
+    report(arith.STRUCTURE, arith.RULES, arith.HEADS, arith_grid, arith_moves)
     print("dep rules:")
     samples = dep_samples(rng, args.samples)
     dep_moves = support_moves(
@@ -132,7 +141,7 @@ def main() -> int:
         {dep.EXP: dep.tt(), dep.PROP: dep.top()},
         Context((("k", dep.EXP),)),
     )
-    report(dep.STRUCTURE, dep.RULES, samples, dep_moves)
+    report(dep.STRUCTURE, dep.RULES, dep.HEADS, samples, dep_moves)
 
     # the shipped or_i1 answers BOT on a variable proposition; dropping
     # that clause makes a variable goal FAIL, and substitution can then
@@ -143,7 +152,7 @@ def main() -> int:
         ((dep._prop_is(dep.OR_OP), dep._or_i1_build),),
     )
     print("broken variants:")
-    report(dep.STRUCTURE, {"or_i1_strict": strict}, samples, dep_moves)
+    report(dep.STRUCTURE, {"or_i1_strict": strict}, {}, samples, dep_moves)
 
     failures = check_lax_naturality(dep.STRUCTURE, strict, samples)
     if failures:
@@ -166,7 +175,14 @@ def main() -> int:
 
     nosy = Rule("num_in_scope", nosy_run)
     print()
-    report(arith.STRUCTURE, {"num_in_scope": nosy}, arith_grid, arith_moves)
+    report(arith.STRUCTURE, {"num_in_scope": nosy}, {}, arith_grid, arith_moves)
+
+    # an entry that excludes goals the rule answers: a compiled script
+    # would answer FAIL on every + goal without running plus_eval
+    numerals_only = {"plus_eval": {arith.EvalGoal: ("expr", (arith.NUM_OP,))}}
+    print()
+    rules = {"plus_eval": arith.PLUS_EVAL}
+    report(arith.STRUCTURE, rules, numerals_only, arith_grid, arith_moves)
     return 0
 
 

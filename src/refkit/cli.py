@@ -65,7 +65,7 @@ def execute(config: RunConfig) -> RunOutcome:
     structure = module.STRUCTURE
     try:
         goal = module.parse_goal(config.goal)
-        tactic = compile_text(structure, module.RULES, config.script)
+        tactic = compile_text(structure, module.RULES, config.script, module.HEADS)
     except (ValueError, UnknownRuleName) as err:
         raise UsageError(str(err)) from err
     except RecursionError as err:

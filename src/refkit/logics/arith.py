@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
-from ..rule import Rule, clause_rule
+from ..rule import Heads, Rule, clause_rule
 from ..script import compile_text
 from ..state import Bot, Subgoals, TeleBuilder, TeleNil
 from ..syntax import Cursor
@@ -226,6 +226,13 @@ RULES: dict[str, Rule] = {
     "add": ADD,
 }
 
+# the goals each rule can answer with anything but FAIL (rule.Heads)
+HEADS: dict[str, Heads] = {
+    "num_eval": {EvalGoal: ("expr", (NUM_OP,))},
+    "plus_eval": {EvalGoal: ("expr", (PLUS_OP,))},
+    "add": {AddGoal: None},
+}
+
 
 _STEP = "num_eval | plus_eval | add"
 AUTO_SCRIPT = f"id; all({_STEP})*"
@@ -234,17 +241,17 @@ AUTO_NAIVE_SCRIPT = f"({_STEP})*"
 
 def aux_tactic() -> Tactic:
     """First rule that forms subgoals wins: numerals, then +, then sums."""
-    return compile_text(STRUCTURE, RULES, _STEP)
+    return compile_text(STRUCTURE, RULES, _STEP, HEADS)
 
 
 def auto_naive() -> Tactic:
     """Depth-first automation; freezes on goals blocked by open outputs."""
-    return compile_text(STRUCTURE, RULES, AUTO_NAIVE_SCRIPT)
+    return compile_text(STRUCTURE, RULES, AUTO_NAIVE_SCRIPT, HEADS)
 
 
 def auto() -> Tactic:
     """Round-based automation: retries every goal after each flattening."""
-    return compile_text(STRUCTURE, RULES, AUTO_SCRIPT)
+    return compile_text(STRUCTURE, RULES, AUTO_SCRIPT, HEADS)
 
 
 def eval_oracle(t: Term) -> tuple[int, int]:

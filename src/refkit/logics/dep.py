@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..judgment import JudgmentStructure, require_boundary
-from ..rule import Rule, clause_rule
+from ..rule import Heads, Rule, clause_rule
 from ..script import compile_text
 from ..state import Bot, Subgoals, TeleBuilder, TeleNil
 from ..syntax import Cursor
@@ -240,12 +240,20 @@ RULES: dict[str, Rule] = {
     "sig_i": SIG_I,
 }
 
+# the goals each rule can answer with anything but FAIL (rule.Heads)
+HEADS: dict[str, Heads] = {
+    "top_i": {TruthGoal: ("prop", (TOP_OP,))},
+    "or_i1": {TruthGoal: ("prop", (OR_OP,))},
+    "eq_refl": {TruthGoal: ("prop", (EQ_OP,))},
+    "sig_i": {TruthGoal: ("prop", (SIG_OP,))},
+}
+
 _STEP = "top_i | or_i1 | eq_refl | sig_i"
 AUTO_SCRIPT = f"id; all({_STEP})*"
 
 
 def auto() -> Tactic:
-    return compile_text(STRUCTURE, RULES, AUTO_SCRIPT)
+    return compile_text(STRUCTURE, RULES, AUTO_SCRIPT, HEADS)
 
 
 def prove_oracle(t: Term) -> Term | None:

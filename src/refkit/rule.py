@@ -22,6 +22,16 @@ probes the verdicts on the moves support_moves builds; the tests also
 compare whole answers over the goal's context and over its support.
 Lax naturality alone does not give it: a rule may answer BOT on a goal
 and FAIL on a renaming of it and still be lax natural.
+
+A logic may index its rules by goal head: beside its table of rules it
+declares, per rule name, the goals the rule can answer with anything
+but FAIL (Heads).  A compiled script's rule leaf answers FAIL, as a
+clause table's fall-through does, without running the rule on a goal
+its entry excludes.  Substitution never changes the operator at the
+head of an App, so that FAIL holds for every instance of the goal, and a
+variable in the indexed field is always admitted, since substitution
+can fill it.  An entry that excludes a goal the rule answers changes
+the run's answers; check_heads probes that it does not.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .state import (
     state_subst,
     state_unit,
 )
-from .theory import Context, NameSupply, Sort, Substitution, Term, Var
+from .theory import App, Context, NameSupply, Sort, Substitution, Term, Var
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,26 @@ class Rule:
 Clause = tuple[
     Callable[[Context, Any], bool], Callable[[Context, Any], ProofState]
 ]
+
+# A rule's entry in its logic's index: per goal class the rule can answer
+# with anything but FAIL, the name of one term field and the operators
+# its head may have, or None for every goal of the class.
+Heads = dict[type, tuple[str, tuple[Any, ...]] | None]
+
+
+def _admits(heads: Heads, goal: Any) -> bool:
+    """Whether a rule with these heads may answer goal with anything but
+    FAIL: the goal's class is listed, and the indexed field is a variable
+    or has one of the listed operators at its head."""
+    cls = goal.__class__
+    if cls not in heads:
+        return False
+    index = heads[cls]
+    if index is None:
+        return True
+    field, ops = index
+    term = getattr(goal, field)
+    return term.__class__ is not App or term.op in ops
 
 
 def clause_rule(
@@ -125,6 +155,32 @@ def check_support_locality(
         moved = rule.run(s.source, structure.subst(goal, s))
         if type(answer) is not type(moved):
             failures.append(LocalityFailure(rule.name, goal, s, answer, moved))
+    return failures
+
+
+class HeadsFailure(NamedTuple):
+    rule: str
+    goal: Any
+    answer: ProofState
+
+
+def check_heads(
+    structure: JudgmentStructure, rule: Rule, heads: Heads, goals: Iterable[Any]
+) -> list[HeadsFailure]:
+    """Probe that the rule answers on every goal its heads exclude what
+    an indexed leaf answers without running it: FAIL over the goal's
+    context, targeting its outputs.
+
+    A goal the heads admit is not run.  Returns the list of
+    counterexamples found.
+    """
+    failures = []
+    for goal in dict.fromkeys(goals):
+        if _admits(heads, goal):
+            continue
+        answer = rule.run(goal.context, goal)
+        if answer != Fail(goal.context, structure.output(goal)):
+            failures.append(HeadsFailure(rule.name, goal, answer))
     return failures
 
 

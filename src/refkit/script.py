@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Union
 
 from .judgment import JudgmentStructure
 from .refiner import Refiner
-from .rule import Rule
+from .rule import Heads, Rule
 from .syntax import Cursor, ParseError, kind_of  # noqa: F401 (ParseError is re-exported)
 from .tactic import (
     Tactic,
@@ -209,14 +209,16 @@ def compile_script(
     structure: JudgmentStructure,
     lookup: Callable[[str], Rule],
     ast: TacticAst | MultiAst,
+    heads: Mapping[str, Heads] = {},
 ) -> Tactic:
     """Elaborate a script into a runnable tactic, node for node; names
-    resolve eagerly."""
+    resolve eagerly, each with its entry in heads, the logic's index of
+    rules by goal head, if it has one."""
 
     def build(ast):
         match ast:
             case RuleName(name):
-                return from_rule(lookup(name), structure)
+                return from_rule(lookup(name), structure, heads.get(name))
             case IdTac():
                 return id_tactic(structure)
             case OrElse(left, right):
@@ -237,8 +239,12 @@ def compile_script(
 
 
 def compile_text(
-    structure: JudgmentStructure, rules: Mapping[str, Rule], text: str
+    structure: JudgmentStructure,
+    rules: Mapping[str, Rule],
+    text: str,
+    heads: Mapping[str, Heads] = {},
 ) -> Tactic:
-    """Parse script text and elaborate it against a table of rules."""
+    """Parse script text and elaborate it against a table of rules and
+    their index by goal head."""
     lookup = Refiner(structure, dict(rules)).lookup
-    return compile_script(structure, lookup, parse_script(text))
+    return compile_script(structure, lookup, parse_script(text), heads)

@@ -21,6 +21,7 @@ from functools import partial
 from typing import Any, Callable, Sequence, Union
 
 from .judgment import JudgmentStructure, goal_support
+from .rule import Heads, _admits
 from .state import (
     Bot,
     Fail,
@@ -214,7 +215,7 @@ def _is_natural(t: Tactic) -> bool:
 
 
 class _Rule(_Node):
-    __slots__ = ("rule", "structure")
+    __slots__ = ("rule", "structure", "heads")
     natural = True
 
 
@@ -335,10 +336,14 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 node = node.first
                 continue
             if cls is _Rule:
-                value = node.rule.run(ctx, x)
-                kind = value.__class__
-                if kind is not Subgoals and kind is not Fail and kind is not Bot:
-                    raise TheoryError(f"subgoal is not a proof state: {value!r}")
+                if node.heads is not None and not _admits(node.heads, x):
+                    # the answer the rule's clauses fall through to
+                    value = Fail(ctx, node.structure.output(x))
+                else:
+                    value = node.rule.run(ctx, x)
+                    kind = value.__class__
+                    if kind is not Subgoals and kind is not Fail and kind is not Bot:
+                        raise TheoryError(f"subgoal is not a proof state: {value!r}")
             elif cls is _All or cls is _Each:
                 if isinstance(x, Subgoals):
                     image = None if cls is _All else {n: Var(n, s) for n, s in x.context.entries}
@@ -844,10 +849,16 @@ def id_tactic(structure: JudgmentStructure) -> Tactic:
     return _Id(structure)
 
 
-def from_rule(rule: Any, structure: JudgmentStructure | None = None) -> Tactic:
+def from_rule(
+    rule: Any, structure: JudgmentStructure | None = None, heads: Heads | None = None
+) -> Tactic:
     """The tactic that runs rule; given the structure of its goals, a run
-    of the tactic alone checks the answer's target."""
-    return _Rule(rule, structure)
+    of the tactic alone checks the answer's target.  Given the rule's
+    entry in its logic's index (rule.py), the tactic answers FAIL without
+    running the rule on a goal the entry excludes."""
+    if heads is not None and structure is None:
+        raise TypeError("a rule indexed by goal head needs its structure")
+    return _Rule(rule, structure, heads)
 
 
 def orelse(t1: Tactic, t2: Tactic) -> Tactic:

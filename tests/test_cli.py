@@ -383,9 +383,10 @@ def test_a_breadth_first_comb_of_1000_additions_completes(capsys):
 
 def test_a_depth_first_comb_of_1000_additions_flattens_once(monkeypatch, capsys):
     # the pass keeps each level's answer nested and flattens it once, at
-    # its end, and refuses each goal shape once, so the comb takes 3n + 7
-    # rule calls, as for 64 and 128; without the table of refused shapes
-    # it took 12n + 1, 12,001 here
+    # its end, refuses each goal shape once, and runs no rule on a goal
+    # its head excludes, so the comb takes 2n + 3 rule calls, as for 64
+    # and 128; without the index by goal head it took 3n + 7, 3,007 here,
+    # and without the table of refused shapes too 12n + 1, 12,001
     calls = counted_rules(monkeypatch)
     goal = "eval " + " + ".join(["num 1"] * 1001)
     argv = ["--logic", "arith", "--goal", goal, "--script",
@@ -394,7 +395,31 @@ def test_a_depth_first_comb_of_1000_additions_flattens_once(monkeypatch, capsys)
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "incomplete"
     assert report["steps_used"] == 1002
-    assert calls[0] == 3_007
+    assert calls[0] == 2_003
+
+
+@pytest.mark.parametrize("levels", [20, 50])
+def test_the_sig_rounds_call_sig_i_once_per_level(monkeypatch, capsys, levels):
+    # each round opens one sig, and the eq goals left standing have a head
+    # sig_i's entry excludes, so they cost it no call; without the index
+    # by goal head every round re-ran sig_i on each of them, (n+1)(n+2)/2
+    # calls in all, 1,326 at 50 levels, with the same output
+    calls = recorded_rules(monkeypatch, dep)
+    prop = "top"
+    for _ in range(levels):
+        prop = f"sig(x. eq(x, x), {prop})"
+    argv = ["--logic", "dep", "--goal", "true " + prop, "--script",
+            "id; all(sig_i)*"]
+    runs = []
+    for heads in (dep.HEADS, {}):
+        monkeypatch.setattr(dep, "HEADS", heads)
+        calls.clear()
+        assert main(argv) == 1
+        runs.append((capsys.readouterr(), [name for name, _ in calls]))
+    (indexed, indexed_calls), (plain, plain_calls) = runs
+    assert indexed_calls == ["sig_i"] * levels
+    assert plain_calls == ["sig_i"] * ((levels + 1) * (levels + 2) // 2)
+    assert indexed == plain
 
 
 def test_a_dep_chain_too_deep_to_parse_is_a_usage_error(capsys):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from refkit.logics import arith, dep
 from refkit.rule import (
     Rule,
+    _admits,
+    check_heads,
     check_lax_naturality,
     check_support_locality,
     clause_rule,
@@ -203,6 +205,51 @@ def test_shipped_rules_are_support_local_on_the_criterion_03_pools():
         assert check_support_locality(J, rule, arith_moves) == []
     for rule in dep.RULES.values():
         assert check_support_locality(D, rule, dep_moves) == []
+
+
+def _pool(structure, samples):
+    """The criterion 03 goals, each with its instance under the sample's
+    substitution."""
+    for goal, s in samples:
+        yield goal
+        yield structure.subst(goal, s)
+
+
+def test_shipped_heads_hold_on_the_criterion_03_pools():
+    # every goal a rule's entry excludes, the rule answers FAIL on, as the
+    # leaf that skips it does; each entry excludes some pooled goals
+    for module, samples in ((arith, criterion_03_arith()), (dep, criterion_03_dep())):
+        structure = module.STRUCTURE
+        goals = list(dict.fromkeys(_pool(structure, samples)))
+        assert module.HEADS.keys() == module.RULES.keys()
+        for name, rule in module.RULES.items():
+            heads = module.HEADS[name]
+            assert check_heads(structure, rule, heads, goals) == []
+            assert not all(_admits(heads, goal) for goal in goals)
+
+
+def test_a_wrong_entry_is_caught_by_the_heads_law():
+    # plus_eval admitting only numerals would skip it on every + goal
+    goals = list(_pool(J, criterion_03_arith()))
+    wrong = {arith.EvalGoal: ("expr", (arith.NUM_OP,))}
+    failures = check_heads(J, arith.PLUS_EVAL, wrong, goals)
+    assert failures
+    for failure in failures:
+        assert failure.rule == "plus_eval"
+        assert failure.goal.expr.op is arith.PLUS_OP
+        assert isinstance(failure.answer, Subgoals)
+    # leaving out a class the rule answers on is caught as well
+    assert check_heads(J, arith.ADD, {arith.EvalGoal: None}, goals)
+
+
+def test_a_variable_in_the_indexed_field_is_admitted():
+    # substitution can fill the variable with any head, so the rule runs
+    ctx = Context((("x", arith.EXP),))
+    goal = arith.EvalGoal(ctx, Var("x", arith.EXP))
+    for name in ("num_eval", "plus_eval"):
+        assert _admits(arith.HEADS[name], goal)
+        assert isinstance(run_on(arith.RULES[name], goal), Bot)
+    assert not _admits(arith.HEADS["add"], goal)
 
 
 @settings(max_examples=300, deadline=None)

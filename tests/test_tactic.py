@@ -762,18 +762,20 @@ def test_a_positional_sweep_does_work_linear_in_its_entries(monkeypatch):
 @pytest.mark.parametrize(
     "goal, steps, rule_calls",
     [
-        (left_comb(32), 97, 397),
-        (f"eval {balanced_sum(5)}", 16, 379),
+        (left_comb(32), 97, 165),
+        (f"eval {balanced_sum(5)}", 16, 158),
     ],
     ids=["left comb of 32", "balanced tree of depth 5"],
 )
 def test_breadth_first_auto_attacks_only_goals_that_may_answer(
     monkeypatch, goal, steps, rule_calls
 ):
-    # a goal refused and only renamed since keeps its refusal, and a goal
-    # of a shape refused before is refused without a rule call: a full
-    # re-sweep makes 12,673 and 1,369 rule calls on these goals, and the
-    # rounds without the table of refused shapes 859 and 652
+    # a goal refused and only renamed since keeps its refusal, a goal of
+    # a shape refused before is refused without a rule call, and so is a
+    # goal whose head a rule's entry in arith.HEADS excludes: a full
+    # re-sweep makes 12,673 and 1,369 rule calls on these goals, the
+    # rounds without the table of refused shapes 859 and 652, and the
+    # rounds without the index by goal head 397 and 379
     calls = counted_rules(monkeypatch)
     out = execute(RunConfig("arith", goal, arith.AUTO_SCRIPT))
     assert out.status == "complete"
@@ -834,19 +836,28 @@ def test_natural_follows_how_the_tactic_was_built():
 
 
 @pytest.mark.parametrize(
-    "wrap, rule_calls",
-    [(lambda step: step, 397), (lambda step: lambda ctx, g: step(ctx, g), 12673)],
+    "wrap, heads, rule_calls",
+    [
+        (lambda step: step, arith.HEADS, 165),
+        (lambda step: lambda ctx, g: step(ctx, g), {}, 12673),
+    ],
     ids=["natural step", "step behind a plain callable"],
 )
-def test_the_auto_script_built_in_python_runs_as_compiled(monkeypatch, wrap, rule_calls):
+def test_the_auto_script_built_in_python_runs_as_compiled(
+    monkeypatch, wrap, heads, rule_calls
+):
     # a plain callable runs as a leaf that is not natural: the rounds
-    # re-attack every goal, with the same states and steps (the natural
-    # step made 859 calls before refused shapes were tabled)
+    # re-attack every goal, with the same states and steps.  The natural
+    # step's rules carry their entries in arith.HEADS, as a compiled
+    # script's do, so it makes the compiled script's rule calls (397
+    # without the index by goal head, 859 before refused shapes were
+    # tabled)
     calls = counted_rules(monkeypatch)
-    step = orelse(
-        from_rule(arith.RULES["num_eval"]),
-        orelse(from_rule(arith.RULES["plus_eval"]), from_rule(arith.RULES["add"])),
-    )
+
+    def leaf(name):
+        return from_rule(arith.RULES[name], J, heads.get(name))
+
+    step = orelse(leaf("num_eval"), orelse(leaf("plus_eval"), leaf("add")))
     auto = seq(J, id_tactic(J), repeat_multitactic(J, all_mt(J, wrap(step))))
     goal = arith.parse_goal(left_comb(32))
     got = run_delayed(auto(goal.context, goal), 1000)
@@ -900,19 +911,80 @@ def test_the_depth_first_star_agrees_with_the_race(seed):
         assert got_trace == want_trace
 
 
+def counted_twin(t, structure, heads, calls):
+    """The natural tactic t rebuilt with each rule leaf counting its calls
+    in calls and carrying its entry in heads, if heads has one."""
+    if isinstance(t, tactic._OrElse):
+        return orelse(
+            counted_twin(t.first, structure, heads, calls),
+            counted_twin(t.second, structure, heads, calls),
+        )
+    if isinstance(t, tactic._Rule):
+        rule = t.rule
+
+        def run(ctx, goal):
+            calls[0] += 1
+            return rule.run(ctx, goal)
+
+        return from_rule(Rule(rule.name, run), structure, heads.get(rule.name))
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_index_by_goal_head_changes_nothing_but_rule_calls(seed):
+    # a leaf whose entry excludes the goal answers the FAIL its rule
+    # would: under a star, under all(...)* and bare, the runs agree in
+    # outcome, steps, state and trace lines, with no more rule calls
+    structure, t, goal = rand_star_case(random.Random(seed))
+    heads = arith.HEADS if structure is J else dep.HEADS
+    state = state_unit(structure, goal)
+    runs = []
+    for index in ({}, heads):
+        calls = [0]
+        u = counted_twin(t, structure, index, calls)
+        cases = (
+            (repeat(structure, u), goal),
+            (repeat_multitactic(structure, all_mt(structure, u)), state),
+            (u, goal),
+        )
+        outcomes = []
+        for tac, x in cases:
+            got, fired = traced_run(tac, x, STAR_FUEL)
+            lines = [f"{structure.render(g)} => {tag}" for g, tag in fired]
+            outcomes.append((got, lines))
+        runs.append((outcomes, calls[0]))
+    (plain, plain_calls), (indexed, indexed_calls) = runs
+    for (got, got_lines), (want, want_lines) in zip(indexed, plain):
+        assert type(got) is type(want)
+        assert got.steps == want.steps
+        if isinstance(want, Resolved):
+            assert got.value == want.value
+        assert got_lines == want_lines
+    assert indexed_calls <= plain_calls
+
+
+def test_an_indexed_rule_leaf_needs_its_structure():
+    # the FAIL it answers in the rule's place targets the goal's outputs
+    with pytest.raises(TypeError, match="needs its structure"):
+        from_rule(arith.ADD, None, arith.HEADS["add"])
+
+
 @pytest.mark.parametrize(
     "pluses, rule_calls, trace",
-    [(64, 199, False), (128, 391, False), (64, 199, True), (128, 391, True)],
+    [(64, 131, False), (128, 259, False), (64, 131, True), (128, 259, True)],
     ids=["comb of 64", "comb of 128", "traced comb of 64", "traced comb of 128"],
 )
 def test_the_depth_first_star_does_work_linear_in_the_comb(
     monkeypatch, capsys, pluses, rule_calls, trace
 ):
     # each step resumes the pass at the goal where the last one stopped,
-    # and a goal of a shape refused before costs no rule call; raced from
-    # scratch, the approximants made 4,929 and 18,049 calls, and the pass
-    # without the table of refused shapes 769 and 1,537.  A traced step
-    # shows the pass's log again and calls no rule for it.
+    # and a goal of a shape refused before, or of a head a rule's entry
+    # excludes, costs that rule no call; raced from scratch, the
+    # approximants made 4,929 and 18,049 calls, the pass without the
+    # table of refused shapes 769 and 1,537, and the pass without the
+    # index by goal head 199 and 391.  A traced step shows the pass's log
+    # again and calls no rule for it.
     calls = counted_rules(monkeypatch)
     config = RunConfig("arith", left_comb(pluses), arith.AUTO_NAIVE_SCRIPT, trace=trace)
     out = execute(config)
