@@ -298,13 +298,17 @@ def _checked(t: _Node, goal: Any) -> Any:
 # The machine's stack is a linked list of frames, (frame, rest) or None,
 # so a suspended run can be resumed any number of times.  The frames:
 #   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
-#   (_THEN, seq)                    hand the state to seq's multitactic
+#   (_THEN, seq)                    hand the state to seq's multitactic, and
+#       flatten its answer by a _FLATTEN frame, or for `[...]` by the sweep
 #   (_FLATTEN, structure)           flatten the state of states
-#   (_SWEEP, sweep, state, tele, done, index, image, goal)
+#   (_SWEEP, sweep, state, tele, done, index, image, goal, flat)
 #       take the answer to goal, the entry at the head of tele (none when
 #       goal is None), and attack the next; image sends each name in
 #       scope to the evidence found for it, or to itself (each), and is
-#       extended in place, which a run resumed twice extends alike
+#       extended in place, which a run resumed twice extends alike; flat
+#       is the structure _THEN flattens by while every entry taken was
+#       discharged in place (_in_place), so that image is the flattening's
+#       map, and at the first other entry turns into a _FLATTEN frame
 #   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
 #   (_TAKE, structure, goal)        check the answer to the run's own goal
 # A round of `all(t)*` with t natural takes no frame: _Rounds runs it
@@ -328,6 +332,7 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     sees it: a leaf's for its kind, one a sweep takes, and the one a run
     hands back (_checked), for its target (_taken).
     """
+    flat = None
     while True:
         if node is not None:
             cls = type(node)
@@ -347,7 +352,8 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
             elif cls is _All or cls is _Each:
                 if isinstance(x, Subgoals):
                     image = None if cls is _All else {n: Var(n, s) for n, s in x.context.entries}
-                    k = ((_SWEEP, node, x, x.telescope, None, 0, image, None), k)
+                    k = ((_SWEEP, node, x, x.telescope, None, 0, image, None, flat), k)
+                    flat = None
                 else:
                     value = x
             elif cls is _Id:
@@ -389,7 +395,7 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     _, node, ctx, x = frame
                     break
             elif tag == _SWEEP:
-                _, sweep, state, tele, done, index, image, goal = frame
+                _, sweep, state, tele, done, index, image, goal, flat = frame
                 if goal is not None:
                     _taken(sweep.structure, goal, value)
                     if _trace_hook is not None:
@@ -401,13 +407,22 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                         else:
                             terms = map(Var, tele.names, [s for _, s in value.target.entries])
                         image.update(zip(tele.names, terms))
+                    if flat is not None and not _in_place(tele, value):
+                        k, flat = ((_FLATTEN, flat), k), None
                     done = ((tele.names, value), done)
                     tele, index = tele.rest, index + 1
                 if not isinstance(tele, TeleCons):
+                    validation = state.validation
+                    if flat is not None and done is not None:
+                        # every entry discharged in place: image is the flattening
+                        root = state.context
+                        move = _Reindexing(root, tele.context, image)
+                        validation = subst_compose(move, validation)
+                        tele, done = TeleNil(root), None
                     while done is not None:
                         (names, result), done = done
                         tele = TeleCons(names, result, tele)
-                    value = Subgoals(tele, state.validation)
+                    value = Subgoals(tele, validation)
                     continue
                 ctx, goal, structure = tele.goal.context, tele.goal, sweep.structure
                 if image is None:
@@ -417,14 +432,18 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     node = sweep.tactics[index] if index < len(sweep.tactics) else None
                     if node is None:
                         value = state_unit(structure, goal)
-                k = ((_SWEEP, sweep, state, tele, done, index, image, goal), k)
+                k = ((_SWEEP, sweep, state, tele, done, index, image, goal, flat), k)
                 if node is not None:
                     x = goal
                     break
             elif tag == _THEN:
                 seq, ctx, x = frame[1], value.context, value
-                k = ((_FLATTEN, seq.structure), k)
                 node = seq.then
+                if node.__class__ is _Each and x.__class__ is Subgoals:
+                    # the sweep flattens its answer itself
+                    flat = seq.structure
+                else:
+                    k = ((_FLATTEN, seq.structure), k)
                 break
             elif tag == _FLATTEN:
                 value = state_mul(frame[1], value)
@@ -455,6 +474,19 @@ def _taken(structure: JudgmentStructure, goal: Any, answer: ProofState) -> Proof
     if target is not structure.output(goal) and target != structure.output(goal):
         raise ContextMismatch(f"answer to {structure.render(goal)!r} is not over its outputs")
     return answer
+
+
+def _in_place(entry: TeleCons, answer: ProofState) -> bool:
+    """Whether answer discharges entry's goal over the goal's context, and
+    the context after entry is that one followed by entry's binders: the
+    scope checks state_mul makes of a discharged answer.  Over entries
+    that all pass them, its map of names is the sweep's image."""
+    if answer.__class__ is not Subgoals or answer.telescope.__class__ is not TeleNil:
+        return False
+    ctx, rest = entry.goal.context, entry.rest
+    after = rest.goal.context if rest.__class__ is TeleCons else rest.context
+    in_scope = answer.telescope.context == ctx == answer.validation.source
+    return in_scope and after._extends(ctx, entry.names)
 
 
 def _shape(goal: Any) -> tuple | None:

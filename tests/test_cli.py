@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refkit import cli
+from refkit import cli, tactic
 from refkit.cli import (
     LOGICS,
     RunConfig,
     RunOutcome,
     UsageError,
+    _trace_tag,
     execute,
     main,
     render_json,
@@ -23,6 +24,7 @@ from refkit.logics import arith, dep
 from refkit.script import (
     AllM,
     EachM,
+    IdTac,
     MStar,
     OrElse,
     RuleName,
@@ -31,10 +33,10 @@ from refkit.script import (
     print_script,
 )
 from refkit.rule import Rule
-from refkit.state import Bot, Subgoals
+from refkit.state import Bot, Subgoals, tele_goals
 from refkit.tactic import set_trace_hook
 
-from reference import ref_execute, ref_state_alpha_eq
+from reference import ref_execute, ref_open, ref_prove_oracle, ref_state_alpha_eq
 from strategies import rand_closed_expr, rand_dep_closed_prop, rand_script_tactic
 from test_tactic import counted_rules, wide_each
 
@@ -776,6 +778,115 @@ def test_a_wide_positional_sweep_agrees_with_the_reference_interpreter(pluses):
     assert (got.status, got.steps) == (want.status, want.steps) == ("complete", pluses + 1)
     assert ref_state_alpha_eq(got.state, want.state)
     assert render_json(arith.STRUCTURE, got) == render_json(arith.STRUCTURE, want)
+
+
+def proof_script(rng, logic, term, stray):
+    """A positional script for the goal on the closed term term, each
+    entry drawn alike for the goal it meets.  Left alone it discharges
+    every goal it can; with chance stray an entry stands (`id`), is a rule
+    drawn at random, which may refuse, or falls back to its own script
+    after such a rule, and a list loses tactics at its end, whose goals
+    then stand, or gains tactics past its last goal, which do not run."""
+    names = tuple(LOGICS[logic].RULES)
+
+    def entry(t):
+        script, roll = proof_script(rng, logic, t, stray), rng.random() / stray
+        if roll < 1 / 3:
+            return IdTac()
+        if roll < 2 / 3:
+            return RuleName(rng.choice(names))
+        return OrElse(RuleName(rng.choice(names)), script) if roll < 1 else script
+
+    if logic == "arith":
+        if term.op is not arith.PLUS_OP:
+            return RuleName("num_eval")
+        head, goals = "plus_eval", [*map(entry, term.args), *[RuleName("add")] * 3]
+    elif term.op is dep.OR_OP:
+        head, goals = "or_i1", [entry(term.args[0])]
+    elif term.op is dep.SIG_OP:
+        base, body = term.args
+        witness = ref_prove_oracle(base) or dep.tt()
+        head, goals = "sig_i", [entry(base), entry(ref_open(body, dep.SLOT, witness))]
+    else:
+        return RuleName("top_i" if term.op is dep.TOP_OP else "eq_refl")
+    roll = rng.random() / stray
+    if roll < 1 / 2:
+        goals = goals[: rng.randrange(len(goals))]
+    elif roll < 1:
+        goals += [RuleName(rng.choice(names)) for _ in range(rng.randrange(1, 3))]
+    return SeqTac(RuleName(head), EachM(tuple(goals)))
+
+
+def trace_line(structure, n, goal, answer):
+    """The n-th line of a `--trace` run, for goal answered with answer."""
+    goals = len(tele_goals(answer.telescope)) if isinstance(answer, Subgoals) else 0
+    return f"[{n}] {structure.render(goal)} => {_trace_tag(type(answer), goals)}"
+
+
+def test_positional_runs_agree_with_the_reference_interpreter(monkeypatch, capsys):
+    # the reference shows its sweeps' answers as a trace does, and counts
+    # its flattenings and the `[...]` sweeps over goals that discharge
+    # every entry, which the kernel does not flatten again
+    import reference
+
+    shown, discharged, flattenings = [], [], [0]
+    ref_sweep = reference._sweep
+
+    def traced_sweep(state, fuel, attack, pending):
+        answers = []
+
+        def traced(i, goal, fuel):
+            got = attack(i, goal, fuel)
+            answers.append(got[0])
+            shown.append((goal, got[0]))
+            return got
+
+        got = ref_sweep(state, fuel, traced, pending)
+        if pending is not None and isinstance(state, Subgoals):
+            discharged.append(all(
+                isinstance(a, Subgoals) and not tele_goals(a.telescope) for a in answers
+            ))
+        return got
+
+    def counted(mul):
+        def run(*args):
+            flattenings[0] += 1
+            return mul(*args)
+
+        return run
+
+    monkeypatch.setattr(reference, "_sweep", traced_sweep)
+    monkeypatch.setattr(reference, "ref_state_mul", counted(reference.ref_state_mul))
+    monkeypatch.setattr(tactic, "state_mul", counted(tactic.state_mul))
+    drawn = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            logic, term = "arith", rand_closed_expr(rng, rng.randrange(2, 5))
+            goal = f"eval {arith.render_expr(term)}"
+        else:
+            logic, term = "dep", rand_dep_closed_prop(rng, rng.randrange(2, 5))
+            goal = f"true {dep.render_prop(term)}"
+        script = print_script(proof_script(rng, logic, term, 0.15))
+        structure = LOGICS[logic].STRUCTURE
+        shown.clear()
+        discharged.clear()
+        flattenings[0] = 0
+        want = RunOutcome(*ref_execute(logic, goal, script, RUN_FUEL))
+        expected = flattenings[0] - sum(discharged)
+        flattenings[0] = 0
+        got = execute(RunConfig(logic, goal, script, RUN_FUEL, trace=True))
+        lines = [trace_line(structure, n, *event) for n, event in enumerate(shown, 1)]
+        assert capsys.readouterr().err.splitlines() == lines, script
+        assert (got.status, got.exit_code, got.steps) == (
+            want.status, want.exit_code, want.steps
+        ), script
+        assert ref_state_alpha_eq(got.state, want.state), script
+        assert render_pretty(structure, got) == render_pretty(structure, want), script
+        assert flattenings[0] == expected, script
+        drawn.update(discharged)
+    # both sweeps that discharge every entry and sweeps that do not ran
+    assert drawn == {False, True}
 
 
 @pytest.mark.parametrize(

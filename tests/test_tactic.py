@@ -1,5 +1,6 @@
 """Delayed computations, tacticals, and repetition."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refkit import tactic
-from refkit.cli import RunConfig, _trace_tag, execute
+from refkit.cli import RunConfig, _trace_tag, execute, main
 from refkit.logics import arith, dep
 from refkit.rule import Rule, clause_rule
 from refkit.script import compile_text
@@ -757,6 +758,60 @@ def test_a_positional_sweep_does_work_linear_in_its_entries(monkeypatch):
         assert out.steps == pluses + 1
         counts.append(checked[0])
     assert counts[1] <= 2.5 * counts[0]
+
+
+def dep_nest(levels, ors):
+    """A nest of levels levels over `top` as goal text, the levels in ors
+    `or(A, top)`, the others `sig(x. eq(x, W), A)` with A the level below
+    and W its witness, and the positional script that proves it: every
+    entry of every `[...]` is discharged."""
+    prop, witness, script = "top", "tt", "top_i"
+    for level in range(levels):
+        if level in ors:
+            prop, witness = f"or({prop}, top)", f"inl({witness})"
+            script = f"or_i1; [{script}]"
+        else:
+            prop, witness = f"sig(x. eq(x, {witness}), {prop})", f"pair({witness}, refl)"
+            script = f"sig_i; [{script}, eq_refl]"
+    return "true " + prop, script
+
+
+# (logic, goal, script, state_mul calls per run): a sweep that discharges
+# every entry hands back the flat state itself, one that leaves an entry
+# standing or refused has its state of states flattened
+POSITIONAL_RUNS = [
+    ("dep", *dep_nest(40, range(1, 40, 3)), 0),
+    ("arith", "eval num 1 + num 2", "plus_eval; [num_eval, num_eval, add, add, add]", 0),
+    ("dep", "true sig(x. eq(x, tt), top)", "sig_i; [top_i, id]", 1),
+    ("dep", "true sig(x. eq(x, tt), top)", "sig_i; [id, eq_refl]", 1),
+]
+
+# one sha256 over the exit code, stdout and stderr of each run above in
+# the three output modes, pinned from a run of the code that flattened
+# every sweep's state of states with state_mul
+POSITIONAL_DIGEST = (
+    "9f198332139e58773090457bda13907b969d9a517473167cff0f61727196ba9f"
+)
+
+
+def test_a_sweep_that_discharges_every_entry_is_not_flattened_again(monkeypatch, capsys):
+    calls, real = [], tactic.state_mul
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tactic, "state_mul", counted)
+    digest = hashlib.sha256()
+    for logic, goal, script, flattenings in POSITIONAL_RUNS:
+        for mode in ((), ("--json",), ("--trace",)):
+            calls.clear()
+            code = main(["--logic", logic, "--goal", goal, "--script", script, *mode])
+            captured = capsys.readouterr()
+            assert len(calls) == flattenings, script
+            for part in (str(code), captured.out, captured.err):
+                digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == POSITIONAL_DIGEST
 
 
 @pytest.mark.parametrize(
