@@ -298,17 +298,16 @@ def _checked(t: _Node, goal: Any) -> Any:
 # The machine's stack is a linked list of frames, (frame, rest) or None,
 # so a suspended run can be resumed any number of times.  The frames:
 #   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
-#   (_THEN, seq)                    hand the state to seq's multitactic, and
-#       flatten its answer by a _FLATTEN frame, or for `[...]` by the sweep
+#   (_THEN, seq)                    hand the state to seq's multitactic and
+#       flatten its answer by a _FLATTEN frame or, for `[...]`, the sweep
 #   (_FLATTEN, structure)           flatten the state of states
 #   (_SWEEP, sweep, state, tele, done, index, image, goal, flat)
 #       take the answer to goal, the entry at the head of tele (none when
 #       goal is None), and attack the next; image sends each name in
 #       scope to the evidence found for it, or to itself (each), and is
-#       extended in place, which a run resumed twice extends alike; flat
-#       is the structure _THEN flattens by while every entry taken was
-#       discharged in place (_in_place), so that image is the flattening's
-#       map, and at the first other entry turns into a _FLATTEN frame
+#       extended in place, which a run resumed twice extends alike; with
+#       flat, _THEN's structure, image is the flattening's map while every
+#       entry is discharged in place (_in_place), else a _FLATTEN is pushed
 #   (_ROUND, repeat, state, ctx)    heal, flatten, compare, and go round
 #   (_TAKE, structure, goal)        check the answer to the run's own goal
 # A round of `all(t)*` with t natural takes no frame: _Rounds runs it
@@ -332,7 +331,6 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     sees it: a leaf's for its kind, one a sweep takes, and the one a run
     hands back (_checked), for its target (_taken).
     """
-    flat = None
     while True:
         if node is not None:
             cls = type(node)
@@ -351,9 +349,7 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                         raise TheoryError(f"subgoal is not a proof state: {value!r}")
             elif cls is _All or cls is _Each:
                 if isinstance(x, Subgoals):
-                    image = None if cls is _All else {n: Var(n, s) for n, s in x.context.entries}
-                    k = ((_SWEEP, node, x, x.telescope, None, 0, image, None, flat), k)
-                    flat = None
+                    k = (_sweep(node, x, None), k)
                 else:
                     value = x
             elif cls is _Id:
@@ -412,17 +408,16 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                     done = ((tele.names, value), done)
                     tele, index = tele.rest, index + 1
                 if not isinstance(tele, TeleCons):
-                    validation = state.validation
                     if flat is not None and done is not None:
                         # every entry discharged in place: image is the flattening
                         root = state.context
                         move = _Reindexing(root, tele.context, image)
-                        validation = subst_compose(move, validation)
-                        tele, done = TeleNil(root), None
+                        value = Subgoals(TeleNil(root), subst_compose(move, state.validation))
+                        continue
                     while done is not None:
                         (names, result), done = done
                         tele = TeleCons(names, result, tele)
-                    value = Subgoals(tele, validation)
+                    value = Subgoals(tele, state.validation)
                     continue
                 ctx, goal, structure = tele.goal.context, tele.goal, sweep.structure
                 if image is None:
@@ -441,9 +436,9 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 node = seq.then
                 if node.__class__ is _Each and x.__class__ is Subgoals:
                     # the sweep flattens its answer itself
-                    flat = seq.structure
-                else:
-                    k = ((_FLATTEN, seq.structure), k)
+                    k = (_sweep(node, x, seq.structure), k)
+                    continue
+                k = ((_FLATTEN, seq.structure), k)
                 break
             elif tag == _FLATTEN:
                 value = state_mul(frame[1], value)
@@ -459,6 +454,12 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
                 return Later(partial(_run, repeat.body, ctx, advanced, k))
         else:
             return Now(value)
+
+
+def _sweep(sweep: _All | _Each, state: Subgoals, flat: JudgmentStructure | None) -> tuple:
+    """The _SWEEP frame that attacks the first entry of state."""
+    image = None if sweep.__class__ is _All else {n: Var(n, s) for n, s in state.context.entries}
+    return (_SWEEP, sweep, state, state.telescope, None, 0, image, None, flat)
 
 
 def _proof_state(value: Any) -> ProofState:
@@ -477,16 +478,14 @@ def _taken(structure: JudgmentStructure, goal: Any, answer: ProofState) -> Proof
 
 
 def _in_place(entry: TeleCons, answer: ProofState) -> bool:
-    """Whether answer discharges entry's goal over the goal's context, and
-    the context after entry is that one followed by entry's binders: the
-    scope checks state_mul makes of a discharged answer.  Over entries
-    that all pass them, its map of names is the sweep's image."""
+    """Whether answer discharges entry's goal by evidence over its context,
+    which entry's binders extend to the next entry's: then the scope checks
+    of TeleBuilder.rejoin pass, and state_mul's map of names is the image."""
     if answer.__class__ is not Subgoals or answer.telescope.__class__ is not TeleNil:
         return False
     ctx, rest = entry.goal.context, entry.rest
     after = rest.goal.context if rest.__class__ is TeleCons else rest.context
-    in_scope = answer.telescope.context == ctx == answer.validation.source
-    return in_scope and after._extends(ctx, entry.names)
+    return answer.validation.source == ctx and after._extends(ctx, entry.names)
 
 
 def _shape(goal: Any) -> tuple | None:

@@ -786,7 +786,9 @@ def proof_script(rng, logic, term, stray):
     every goal it can; with chance stray an entry stands (`id`), is a rule
     drawn at random, which may refuse, or falls back to its own script
     after such a rule, and a list loses tactics at its end, whose goals
-    then stand, or gains tactics past its last goal, which do not run."""
+    then stand, or gains tactics past its last goal, which do not run;
+    with chance stray, too, the head's subgoals are swept not by `[...]`
+    but by `all(t)`, t one of the list's tactics, or by `[...]*`."""
     names = tuple(LOGICS[logic].RULES)
 
     def entry(t):
@@ -814,6 +816,11 @@ def proof_script(rng, logic, term, stray):
         goals = goals[: rng.randrange(len(goals))]
     elif roll < 1:
         goals += [RuleName(rng.choice(names)) for _ in range(rng.randrange(1, 3))]
+    roll = rng.random() / stray
+    if roll < 1 / 2:
+        return SeqTac(RuleName(head), AllM(rng.choice(goals) if goals else IdTac()))
+    if roll < 1:
+        return SeqTac(RuleName(head), MStar(EachM(tuple(goals))))
     return SeqTac(RuleName(head), EachM(tuple(goals)))
 
 
@@ -823,30 +830,64 @@ def trace_line(structure, n, goal, answer):
     return f"[{n}] {structure.render(goal)} => {_trace_tag(type(answer), goals)}"
 
 
+# `[...]` entries that sweep their own subgoals by another multitactic,
+# run while the enclosing sweep has discharged every entry before them
+NESTED_SWEEPS = [
+    ("dep", "true or(or(top, top), top)", "or_i1; [or_i1; all(top_i)]"),
+    ("dep", "true or(or(top, top), top)", "or_i1; [or_i1; all(id)]"),
+    ("dep", "true or(sig(x. eq(x, tt), top), top)", "or_i1; [sig_i; all(id)]"),
+    ("dep", "true or(or(top, top), top)", "or_i1; [or_i1; [top_i]*]"),
+    ("dep", "true or(or(top, top), top)", "or_i1; [or_i1; [id]*]"),
+    ("dep", "true sig(x. eq(x, inl(tt)), or(top, top))", "sig_i; [or_i1; all(top_i), eq_refl]"),
+    ("arith", "eval num 1 + num 2", "plus_eval; [num_eval; all(id), num_eval, add]"),
+]
+
+
 def test_positional_runs_agree_with_the_reference_interpreter(monkeypatch, capsys):
     # the reference shows its sweeps' answers as a trace does, and counts
-    # its flattenings and the `[...]` sweeps over goals that discharge
-    # every entry, which the kernel does not flatten again
+    # its flattenings, the `[...]` sweeps under `;` over goals that
+    # discharge every entry, which the kernel does not flatten again, and
+    # the `all(t)` and `m*` run by an entry while its sweep under `;` has
+    # discharged every entry so far
     import reference
 
-    shown, discharged, flattenings = [], [], [0]
-    ref_sweep = reference._sweep
+    shown, discharged, flattenings, nested = [], [], [0], [0]
+    ref_sweep, ref_run_multi = reference._sweep, reference._run_multi
+    # per multitactic run, whether `;` flattens it and its round body;
+    # per entry attacked, whether its sweep is under `;` and clean so far
+    multis, clean = [], []
 
     def traced_sweep(state, fuel, attack, pending):
-        answers = []
+        answers, under_seq = [], pending is not None and multis[-1][0]
 
         def traced(i, goal, fuel):
-            got = attack(i, goal, fuel)
+            clean.append(under_seq and all(
+                isinstance(a, Subgoals) and not tele_goals(a.telescope) for a in answers
+            ))
+            try:
+                got = attack(i, goal, fuel)
+            finally:
+                clean.pop()
             answers.append(got[0])
             shown.append((goal, got[0]))
             return got
 
         got = ref_sweep(state, fuel, traced, pending)
-        if pending is not None and isinstance(state, Subgoals):
+        if under_seq and isinstance(state, Subgoals):
             discharged.append(all(
                 isinstance(a, Subgoals) and not tele_goals(a.telescope) for a in answers
             ))
         return got
+
+    def traced_run_multi(rules, ast, state, fuel):
+        if not isinstance(ast, EachM) and clean and clean[-1]:
+            nested[0] += 1
+        under_seq = not multis or multis[-1][1] is not ast
+        multis.append((under_seq, ast.body if isinstance(ast, MStar) else None))
+        try:
+            return ref_run_multi(rules, ast, state, fuel)
+        finally:
+            multis.pop()
 
     def counted(mul):
         def run(*args):
@@ -855,19 +896,24 @@ def test_positional_runs_agree_with_the_reference_interpreter(monkeypatch, capsy
 
         return run
 
+    def cases():
+        yield from NESTED_SWEEPS
+        for seed in range(200):
+            rng = random.Random(seed)
+            if rng.random() < 0.5:
+                logic, term = "arith", rand_closed_expr(rng, rng.randrange(2, 5))
+                goal = f"eval {arith.render_expr(term)}"
+            else:
+                logic, term = "dep", rand_dep_closed_prop(rng, rng.randrange(2, 5))
+                goal = f"true {dep.render_prop(term)}"
+            yield logic, goal, print_script(proof_script(rng, logic, term, 0.15))
+
     monkeypatch.setattr(reference, "_sweep", traced_sweep)
+    monkeypatch.setattr(reference, "_run_multi", traced_run_multi)
     monkeypatch.setattr(reference, "ref_state_mul", counted(reference.ref_state_mul))
     monkeypatch.setattr(tactic, "state_mul", counted(tactic.state_mul))
     drawn = set()
-    for seed in range(200):
-        rng = random.Random(seed)
-        if rng.random() < 0.5:
-            logic, term = "arith", rand_closed_expr(rng, rng.randrange(2, 5))
-            goal = f"eval {arith.render_expr(term)}"
-        else:
-            logic, term = "dep", rand_dep_closed_prop(rng, rng.randrange(2, 5))
-            goal = f"true {dep.render_prop(term)}"
-        script = print_script(proof_script(rng, logic, term, 0.15))
+    for n, (logic, goal, script) in enumerate(cases()):
         structure = LOGICS[logic].STRUCTURE
         shown.clear()
         discharged.clear()
@@ -885,8 +931,13 @@ def test_positional_runs_agree_with_the_reference_interpreter(monkeypatch, capsy
         assert render_pretty(structure, got) == render_pretty(structure, want), script
         assert flattenings[0] == expected, script
         drawn.update(discharged)
-    # both sweeps that discharge every entry and sweeps that do not ran
+        if n < len(NESTED_SWEEPS):
+            assert nested[0] == n + 1, script
+    # both sweeps that discharge every entry and sweeps that do not ran,
+    # and drawn entries, not only the fixed ones, ran `all(t)` or `m*`
+    # inside a sweep under `;` that was clean so far
     assert drawn == {False, True}
+    assert nested[0] > len(NESTED_SWEEPS)
 
 
 @pytest.mark.parametrize(
