@@ -5,10 +5,18 @@ positional proof: level k is `sig(x. eq(x, W), A)`, whose base A is the
 level below and whose body spells out W, the witness of that level, so
 the text grows quadratically with n while its distinct subterms grow
 linearly.  Its script proves it positionally, `sig_i; [..., eq_refl]`.
-An arith comb is `eval num 1 + num 2 + ...`, a left comb whose leaves
-are all distinct.  `compile_script` is timed on the parsed script, per
-character of the script's text.  Each row is the best of at least three
-runs and of BUDGET seconds of them.
+A flat chain of n levels, `sig(x. eq(x, x), ...)`, repeats no witness:
+its text and its distinct subterms both grow linearly.  An arith comb is
+`eval num 1 + num 2 + ...`, a left comb whose leaves are all distinct.
+`compile_script` is timed on the parsed script, per character of the
+script's text.  Each row is the best of at least three runs and of
+BUDGET seconds of them.
+
+The dep.parse_goal rows also count the terms the reader constructs per
+level of the chain.  Read once per distinct witness, a dep chain takes
+about four a level (a sig, an eq, a pair and a refl) and a flat chain
+two; a reader that read every word of every witness took about n + 2 a
+level on a dep chain.
 """
 
 from __future__ import annotations
@@ -34,6 +42,31 @@ def dep_chain(levels: int) -> tuple[str, str]:
     return "true " + prop, script
 
 
+def flat_chain(levels: int) -> str:
+    """The goal text of a sig chain whose bodies spell out no witness."""
+    prop = "top"
+    for _ in range(levels):
+        prop = f"sig(x. eq(x, x), {prop})"
+    return "true " + prop
+
+
+def apps_per_level(goal: str, levels: int) -> float:
+    """How many terms dep.parse_goal constructs reading goal, per level."""
+    made, real = 0, dep.App
+
+    def counted(op, args):
+        nonlocal made
+        made += 1
+        return real(op, args)
+
+    dep.App = counted
+    try:
+        dep.parse_goal(goal)
+    finally:
+        dep.App = real
+    return made / levels
+
+
 def arith_comb(leaves: int) -> str:
     return "eval " + " + ".join(f"num {i}" for i in range(1, leaves + 1))
 
@@ -56,24 +89,30 @@ def main() -> int:
     rows = []
     for n in DEP_LEVELS:
         goal, script = dep_chain(n)
+        flat = flat_chain(n)
         ast = parse_script(script)
         rows += [
             ("dep.parse_goal", f"dep chain {n}", goal,
-             lambda goal=goal: dep.parse_goal(goal)),
+             lambda goal=goal: dep.parse_goal(goal), apps_per_level(goal, n)),
+            ("dep.parse_goal", f"flat chain {n}", flat,
+             lambda flat=flat: dep.parse_goal(flat), apps_per_level(flat, n)),
             ("parse_script", f"dep chain {n}", script,
-             lambda script=script: parse_script(script)),
+             lambda script=script: parse_script(script), None),
             ("compile_script", f"dep chain {n}", script,
-             lambda ast=ast: compile_script(dep.STRUCTURE, lookup, ast)),
+             lambda ast=ast: compile_script(dep.STRUCTURE, lookup, ast), None),
         ]
     for leaves in COMB_LEAVES:
         goal = arith_comb(leaves)
         rows.append(("arith.parse_goal", f"arith comb {leaves}", goal,
-                     lambda goal=goal: arith.parse_goal(goal)))
-    print(f"{'function':<17} {'input':<15} {'chars':>7} {'runs':>5} {'us/char':>8}")
-    for name, label, text, run in rows:
+                     lambda goal=goal: arith.parse_goal(goal), None))
+    print(f"{'function':<17} {'input':<15} {'chars':>7} {'runs':>5} {'us/char':>8}"
+          f" {'apps/level':>10}")
+    for name, label, text, run, apps in rows:
         best, runs = best_time(run)
         per_char = best / len(text) * 1e6
-        print(f"{name:<17} {label:<15} {len(text):>7} {runs:>5} {per_char:>8.3f}")
+        apps = "" if apps is None else f"{apps:.2f}"
+        print(f"{name:<17} {label:<15} {len(text):>7} {runs:>5} {per_char:>8.3f}"
+              f" {apps:>10}")
     return 0
 
 

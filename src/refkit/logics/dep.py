@@ -17,6 +17,18 @@ A sig body's scope holds only its own binder, because a nested sig's
 slot would capture an outer one: the parser rejects a body that mentions
 an outer binder.  A nested sig's base keeps the enclosing scope.  The
 expression forms tt, refl, inl and pair are reserved: none is a binder.
+
+A positional goal spells each level's witness out again in the level
+above, so its text grows quadratically in its levels while its distinct
+expressions grow linearly.  The reader keeps each expression form with
+arguments it reads on the cursor (`Cursor.recall`), and where the same
+words come again under the same binder it hands that term back and
+skips them.  The binder is part of the key because words that read as
+a term under one binder may not read under another: `x` is the slot
+inside `sig(x. …)` and an unbound name outside it.  The reader also
+counts the forms open around each one, so that a term is never handed
+back deeper than it was read: where reading the words would recurse too
+deep, they are read, and the goal is a usage error as it was before.
 """
 
 from __future__ import annotations
@@ -284,7 +296,7 @@ def parse_goal(text: str):
     cur = Cursor(text, "(),.")
     if not cur.take("true"):
         raise cur.error("expected: true <proposition>")
-    prop = _parse(cur, _PROPS, None)
+    prop = _parse(cur, _PROPS, None, 0)
     cur.expect_end()
     return TruthGoal(Context(), prop)
 
@@ -299,11 +311,14 @@ _ARG_FORMS = {
 }
 
 
-def _parse(cur: Cursor, forms: dict[str, Operator], bound: str | None) -> Term:
+def _parse(
+    cur: Cursor, forms: dict[str, Operator], bound: str | None, depth: int
+) -> Term:
     """A form of the table `forms`: its name, then its arguments in
     parentheses, each read at the sort its operator declares.  `bound`
     names the binder of the innermost sig body, read where an
-    expression is expected."""
+    expression is expected; `depth` counts the forms open around this
+    one."""
     word = cur.expect("ident")
     op = forms.get(word)
     if op is None:
@@ -312,6 +327,7 @@ def _parse(cur: Cursor, forms: dict[str, Operator], bound: str | None) -> Term:
         if word != bound:
             raise cur.error(f"unknown or unbound name {word!r}", cur.pos - 1)
         return SLOT
+    depth += 1
     if op is SIG_OP:
         # sig(x. body, base): a body sees only its own binder
         cur.expect("(")
@@ -319,18 +335,27 @@ def _parse(cur: Cursor, forms: dict[str, Operator], bound: str | None) -> Term:
         if not binder.isidentifier() or binder in _EXPS:
             raise cur.error(f"bad binder {binder!r}", cur.pos - 1)
         cur.expect(".")
-        body = _parse(cur, _PROPS, binder)
+        body = _parse(cur, _PROPS, binder, depth)
         cur.expect(",")
-        base = _parse(cur, _PROPS, bound)
+        base = _parse(cur, _PROPS, bound, depth)
         cur.expect(")")
         return App(SIG_OP, (base, body))
     arg_forms = _ARG_FORMS[op]
     if not arg_forms:
         return App(op, ())
+    # an expression spelled out again under the same binder is read once
+    memo = forms is _EXPS
+    if memo:
+        term = cur.recall((bound, op), depth)
+        if term is not None:
+            return term
     cur.expect("(")
-    args = [_parse(cur, arg_forms[0], bound)]
+    args = [_parse(cur, arg_forms[0], bound, depth)]
     for forms in arg_forms[1:]:
         cur.expect(",")
-        args.append(_parse(cur, forms, bound))
+        args.append(_parse(cur, forms, bound, depth))
     cur.expect(")")
-    return App(op, tuple(args))
+    term = App(op, tuple(args))
+    if memo:
+        cur.remember(term)
+    return term

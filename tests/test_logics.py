@@ -1,6 +1,7 @@
 """The two packaged logics: expression costing and dependent truth."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,7 @@ from strategies import (
     rand_closed_expr,
     rand_dep_closed_prop,
     rand_dep_context,
+    rand_dep_exp,
     rand_dep_prop,
     rand_dep_subst,
     rand_expr,
@@ -260,6 +262,107 @@ def test_a_repeated_witness_is_parsed_once():
     for outer, inner in zip(witnesses, witnesses[1:]):
         assert outer.args[0] is inner
     assert_shared(*sigs)
+
+
+def positional_chain(levels):
+    """`true` and a positional sig chain: each level's body spells out the
+    witness of the level below, as in the dep-positional workload."""
+    prop, witness = "top", "tt"
+    for _ in range(levels):
+        prop = f"sig(x. eq(x, {witness}), {prop})"
+        witness = f"pair({witness}, refl)"
+    return "true " + prop
+
+
+def counted_apps(monkeypatch):
+    """A list that grows by one per App the dep reader constructs."""
+    made = []
+
+    def app(op, args):
+        made.append(op)
+        return App(op, args)
+
+    monkeypatch.setattr(dep, "App", app)
+    return made
+
+
+@pytest.mark.parametrize("levels", [24, 48, 96])
+def test_a_positional_chain_is_read_in_linear_work(monkeypatch, levels):
+    # each level's sig and eq, the top level's witness spelled out once
+    # (a pair and a refl per level below, and tt), top, and the tt of the
+    # lowest body: 4n + 1 terms; reading every word of every witness made
+    # (n + 1)^2
+    made = counted_apps(monkeypatch)
+    text = positional_chain(levels)
+    prop = dep.parse_goal(text).prop
+    assert len(made) == 4 * levels + 1
+    assert dep.render_prop(prop) == text[len("true "):]
+
+
+def test_a_repeated_expression_under_another_binder_is_read_again():
+    # pair(x, tt) reads as a term under the binder x and not under y
+    with pytest.raises(ParseError) as err:
+        dep.parse_goal(
+            "true sig(x. eq(x, pair(x, tt)), sig(y. eq(y, pair(x, tt)), top))"
+        )
+    assert str(err.value) == "unknown or unbound name 'x' (at offset 50)"
+    # nor in the sig's base, which is outside the body
+    with pytest.raises(ParseError) as err:
+        dep.parse_goal("true sig(x. eq(x, pair(x, tt)), eq(pair(x, tt), tt))")
+    assert str(err.value) == "unknown or unbound name 'x' (at offset 40)"
+    # the slot is one variable, so under two binders named x the same
+    # words are one term
+    goal = dep.parse_goal(
+        "true sig(x. eq(x, pair(x, tt)), sig(x. eq(x, pair(x, tt)), top))"
+    )
+    base, body = goal.prop.args
+    assert base.args[1].args[1] is body.args[1]
+
+
+def test_goals_with_repeated_parts_read_back():
+    # the reader hands a repeated expression back from its memo; the term
+    # is the one reading the words again makes
+    rng = random.Random(5150)
+    slot = slot_extend(EMPTY)
+    for _ in range(150):
+        p, q = rand_dep_closed_prop(rng, 4), rand_dep_closed_prop(rng, 4)
+        e, f = rand_dep_exp(rng, slot, 4), rand_dep_exp(rng, EMPTY, 3)
+        body = dep.or_(dep.eq(e, f), dep.or_(p, dep.eq(dep.pair(f, e), dep.inl(e))))
+        prop = dep.or_(App(dep.SIG_OP, (dep.eq(f, f), body)), dep.or_(q, p))
+        assert dep.parse_goal("true " + ref_render_prop(prop)).prop is prop
+
+
+def test_a_900_level_repeated_witness_is_read_in_little_memory():
+    # the memo keeps a start, a length and a depth per form, not its words
+    witness = "tt"
+    for _ in range(900):
+        witness = f"pair({witness}, refl)"
+    text = f"true eq({witness}, {witness})"
+    tracemalloc.start()
+    try:
+        goal = dep.parse_goal(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    left, right = goal.prop.args
+    assert left is right
+    assert peak < 4_000_000
+
+
+def test_a_witness_repeated_deeper_than_it_was_read_stays_a_usage_error(capsys):
+    # the second copy sits 700 levels deeper than the first; reading it
+    # recurses too deep, so the goal is a usage error, and the memo does
+    # not hand the first copy back there
+    witness = "tt"
+    for _ in range(400):
+        witness = f"pair({witness}, refl)"
+    deep = "or(" * 700 + f"eq({witness}, tt)" + ", top)" * 700
+    goal = f"true or(eq({witness}, tt), {deep})"
+    argv = ["--logic", "dep", "--goal", goal, "--script", dep.AUTO_SCRIPT]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nesting too deep in the goal or the script\n"
 
 
 # ------------------------------------------------------------------ dep
