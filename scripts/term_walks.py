@@ -21,6 +21,11 @@ Each walks an explicit stack, so DEPTH lies past the ~1000 frames of
 Python's default recursion limit.  The last two time `==` on two closed
 spines built apart, equal ones and ones that differ at the leaf: equal
 terms are one object, so neither walks the spines.
+
+Four rows time building a term: `arith.num(k)` and `dep.pair` of two
+live terms, each on a table hit, while the term built is alive, and on a
+miss, once it is dropped, so each call builds it anew (for `num k` its
+numeral and that numeral's operator too) and forgets it again.
 """
 
 from __future__ import annotations
@@ -149,6 +154,18 @@ def main() -> int:
     ):
         us = per_call_us(walk)
         print(f"{name:<16} {'deep':<7} {size(term):>6} {us:>10.2f}")
+    left, right = dep.inl(dep.tt()), dep.refl()
+    for name, build in (
+        ("num k", lambda: arith.num(987654)),
+        ("dep.pair", lambda: dep.pair(left, right)),
+    ):
+        kept = build()
+        hit = per_call_us(build)
+        nodes = size(kept)
+        del kept
+        miss = per_call_us(build)
+        print(f"{name:<16} {'hit':<7} {nodes:>6} {hit:>10.2f}")
+        print(f"{name:<16} {'miss':<7} {nodes:>6} {miss:>10.2f}")
     return 0
 
 

@@ -17,11 +17,12 @@ The loop hands back a subterm whose free variables are all bound, a
 closed one among them, as it is, and keeps an explicit stack, so a deep
 term takes no Python frames.
 
-Terms are hash-consed: `App` and `Operator` look their fields up in one
-table per process, which holds its objects weakly, and build an object
-only on a miss.  So equal terms are one object, `==` is identity, and
-an App's sort checks, free variables and hash, hash((op, args)), are
-found once (`App.__post_init__`); a term that fails them is not kept.
+Sorts, operators and terms are hash-consed: `Sort`, `Operator` and
+`App` look their fields up in one table per process, which holds its
+objects weakly, and build an object only on a miss.  So equal ones are
+one object, and `==` and the hash are identity, which run no Python
+code.  An App's sort checks and free variables are found once
+(`App.__post_init__`); a term that fails them is not kept.
 
 A context is a snoc list, as in the paper's Γ, x : A: a nonempty
 context is its last entry over its parent, the context before it.
@@ -55,16 +56,9 @@ class ContextMismatch(TheoryError):
     """A context, variable, or substitution boundary did not line up."""
 
 
-@dataclass(frozen=True)
-class Sort:
-    name: str
-
-    def __repr__(self) -> str:
-        return f"Sort({self.name!r})"
-
-
-# The one live App or Operator per key, its fields: (op, args) or
-# (name, arg_sorts, result, binds), whose lengths keep the two apart.
+# The one live Sort, App or Operator per key, its fields: (name,),
+# (op, args) or (name, arg_sorts, result, binds), whose lengths keep the
+# three apart.
 _TABLE: dict[tuple, KeyedRef] = {}
 
 
@@ -95,6 +89,20 @@ class _Weak:
 
     __slots__ = ("__weakref__",)
 
+    def __post_init__(self) -> None:
+        """Nothing to check unless a subclass says so (see _interned)."""
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Sort(_Weak):
+    name: str
+
+    def __new__(cls, name: str) -> Sort:
+        return _interned(cls, (name,))
+
+    def __repr__(self) -> str:
+        return f"Sort({self.name!r})"
+
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
 class Operator(_Weak):
@@ -108,9 +116,6 @@ class Operator(_Weak):
 
     def __new__(cls, name: str, arg_sorts: tuple, result: Sort, binds: tuple = ()):
         return _interned(cls, (name, arg_sorts, result, binds))
-
-    def __post_init__(self) -> None:
-        """An operator has nothing to check (see _interned)."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,8 @@ _NO_VARS: frozenset[Var] = frozenset()
 class App(_Weak):
     op: Operator
     args: tuple["Term", ...]
-    # the free variables below, and hash((op, args)); left out of repr
+    # the free variables below; left out of repr
     free: frozenset[Var] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
     def __new__(cls, op: Operator, args: tuple[Term, ...]) -> App:
         return _interned(cls, (op, args))
@@ -156,14 +160,10 @@ class App(_Weak):
             if below:
                 free = free | below if free else below
         object.__setattr__(self, "free", free)
-        object.__setattr__(self, "_hash", hash((op, self.args)))
 
     @property
     def closed(self) -> bool:
         return not self.free
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 Term = Union[Var, App]

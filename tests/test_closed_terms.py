@@ -7,6 +7,8 @@ walks in `tests/reference.py` and raise the same errors.
 
 import gc
 import random
+import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -19,6 +21,7 @@ from refkit.theory import (
     Context,
     ContextMismatch,
     Operator,
+    Sort,
     Substitution,
     UnsortedTerm,
     Var,
@@ -114,7 +117,8 @@ def test_the_flag_stays_out_of_repr_equality_and_hash():
         "result=Sort('prop'))"
     )
     assert closed.closed and not t.closed
-    assert hash(t) == hash((t.op, t.args))
+    again = arith.plus(arith.num(1), Var("x", arith.EXP))
+    assert again is t and hash(again) == hash(t)
     assert t == arith.plus(arith.num(1), Var("x", arith.EXP))
 
 
@@ -295,8 +299,9 @@ def test_the_walks_take_no_frame_per_level(build):
         flat(check_term, Context(), t)
     target = Context((("t", t.op.result),))
     assert flat(Substitution, ctx, target, (t,)).terms == (t,)
-    # each App keeps its hash, found below first
-    assert flat(hash, want) == hash((want.op, want.args)) == hash(build(dep.tt()))
+    # built again, the same object, with the same hash
+    again = build(dep.tt())
+    assert again is want and flat(hash, want) == hash(again)
 
 
 def test_equality_matches_the_field_tuples():
@@ -396,5 +401,51 @@ def test_a_state_holding_a_deep_goal_hashes():
     # a left comb of 1500 +, as the goal parser builds it
     goal = arith.parse_goal("eval " + " + ".join(["num 1"] * 1501))
     state = state_unit(arith.STRUCTURE, goal)
-    assert flat(hash, goal.expr) == hash((goal.expr.op, goal.expr.args))
+    again = App(goal.expr.op, goal.expr.args)
+    assert again is goal.expr and flat(hash, goal.expr) == hash(again)
     assert flat(hash, state) == hash(state_unit(arith.STRUCTURE, goal))
+
+
+def test_a_sort_is_one_object_per_name():
+    assert Sort("exp") is arith.EXP is dep.EXP
+    assert Sort(name="num") is arith.NUM
+    assert repr(dep.EXP) == "Sort('exp')"
+    with pytest.raises(FrozenInstanceError):
+        dep.EXP.name = "prop"
+    assert dep.EXP.name == "exp"
+
+
+def test_the_table_holds_sorts_weakly():
+    gc.collect()
+    before = len(theory._TABLE)
+    sort = Sort("held by nothing else")
+    assert theory._TABLE[("held by nothing else",)]() is sort
+    del sort
+    gc.collect()
+    assert ("held by nothing else",) not in theory._TABLE
+    assert len(theory._TABLE) == before
+
+
+def test_a_term_hashes_by_identity():
+    assert App.__hash__ is object.__hash__
+    t = dep.pair(dep.tt(), dep.refl())
+    assert hash(t) == object.__hash__(t)
+
+
+def test_building_a_term_runs_no_python_hash_or_eq():
+    """The table lookup, the sort checks and the free sets of a fresh
+    closed term hash and compare in C only."""
+    calls = []
+
+    def probe(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__hash__", "__eq__"):
+            calls.append(f"{code.co_filename}:{code.co_firstlineno} {code.co_name}")
+
+    sys.setprofile(probe)
+    try:
+        dep.pair(dep.inl(dep.pair(dep.tt(), dep.refl())), dep.refl())
+        arith.num(987654)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
