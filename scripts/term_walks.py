@@ -22,10 +22,12 @@ Python's default recursion limit.  The last two time `==` on two closed
 spines built apart, equal ones and ones that differ at the leaf: equal
 terms are one object, so neither walks the spines.
 
-Four rows time building a term: `arith.num(k)` and `dep.pair` of two
-live terms, each on a table hit, while the term built is alive, and on a
-miss, once it is dropped, so each call builds it anew (for `num k` its
-numeral and that numeral's operator too) and forgets it again.
+Seven rows time building: a variable, `Var(name, sort)`, and three
+terms, `arith.num(k)`, `dep.pair` of two live closed terms and the open
+`dep.pair` of a live term and a variable, each on a table hit, while the
+term built is alive, and on a miss, once it is dropped, so each call
+builds it anew (for `num k` its numeral and that numeral's operator too)
+and forgets it again.
 """
 
 from __future__ import annotations
@@ -154,10 +156,13 @@ def main() -> int:
     ):
         us = per_call_us(walk)
         print(f"{name:<16} {'deep':<7} {size(term):>6} {us:>10.2f}")
+    us = per_call_us(lambda: Var("x", dep.EXP))
+    print(f"{'Var':<16} {'new':<7} {1:>6} {us:>10.2f}")
     left, right = dep.inl(dep.tt()), dep.refl()
     for name, build in (
         ("num k", lambda: arith.num(987654)),
         ("dep.pair", lambda: dep.pair(left, right)),
+        ("dep.pair open", lambda: dep.pair(left, g)),
     ):
         kept = build()
         hit = per_call_us(build)

@@ -1,6 +1,7 @@
 """Judgment structures: the interface a logic exposes to the kernel.
 
-A judgment is any value carrying a `context` attribute; the structure
+A judgment is any value carrying a `context` attribute, whose class
+names its fields in `__match_args__` as a dataclass does; the structure
 object says how to check it, substitute into it, read off the context of
 outputs it synthesizes, and compare candidate results.
 """
@@ -62,6 +63,8 @@ def require_boundary(judgment: Any, s: Substitution) -> None:
 
 
 def goal_support(goal: Any) -> set[str]:
-    """The names free in a goal: the free variables of its term fields."""
-    terms = [v for v in vars(goal).values() if isinstance(v, (Var, App))]
+    """The names free in a goal: the free variables of its term fields,
+    read through its class's `__match_args__`."""
+    fields = goal.__match_args__
+    terms = [v for f in fields if isinstance(v := getattr(goal, f), (Var, App))]
     return set().union(*map(term_vars, terms))

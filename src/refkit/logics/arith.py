@@ -66,13 +66,13 @@ def numeral_value(t: Term) -> int:
     return int(t.op.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalGoal:
     context: Context
     expr: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddGoal:
     context: Context
     lhs: Term

@@ -107,7 +107,7 @@ def pair(a: Term, b: Term) -> Term:
     return App(PAIR_OP, (a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthGoal:
     context: Context
     prop: Term

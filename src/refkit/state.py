@@ -31,12 +31,12 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeleNil:
     context: Context
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeleCons:
     """One subgoal binding `names` for its outputs over the rest."""
 
@@ -70,7 +70,7 @@ class TeleCons:
 Telescope = Union[TeleNil, TeleCons]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgoals:
     telescope: Telescope
     validation: Substitution
@@ -84,13 +84,13 @@ class Subgoals:
         return self.validation.target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fail:
     context: Context
     target: Context
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot:
     context: Context
     target: Context
@@ -397,6 +397,18 @@ class TeleBuilder:
     def close(self, validation: Substitution) -> Subgoals:
         """The state of the goals pushed, with a validation over the prefix."""
         return Subgoals(self.telescope, validation)
+
+
+def _in_place(entry: TeleCons, answer: ProofState) -> bool:
+    """Whether answer discharges entry's goal by evidence over its context,
+    which entry's binders extend to the next entry's: the scope checks that
+    TeleBuilder.rejoin and the next reindexing make of answer, so where they
+    hold, a sweep's map of names is the flattening's (tactic._run)."""
+    if answer.__class__ is not Subgoals or answer.telescope.__class__ is not TeleNil:
+        return False
+    ctx, rest = entry.goal.context, entry.rest
+    after = rest.goal.context if rest.__class__ is TeleCons else rest.context
+    return answer.validation.source == ctx and after._extends(ctx, entry.names)
 
 
 def _mul_tele(

@@ -32,6 +32,7 @@ from .state import (
     TeleCons,
     TeleNil,
     _Reindexing,
+    _in_place,
     _renaming,
     state_alpha_eq,
     state_mul,
@@ -53,17 +54,17 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Now:
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Later:
     thunk: Callable[[], "Delayed"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Race:
     """Two still-running computations advancing in lockstep.
 
@@ -477,28 +478,19 @@ def _taken(structure: JudgmentStructure, goal: Any, answer: ProofState) -> Proof
     return answer
 
 
-def _in_place(entry: TeleCons, answer: ProofState) -> bool:
-    """Whether answer discharges entry's goal by evidence over its context,
-    which entry's binders extend to the next entry's: then the scope checks
-    of TeleBuilder.rejoin pass, and state_mul's map of names is the image."""
-    if answer.__class__ is not Subgoals or answer.telescope.__class__ is not TeleNil:
-        return False
-    ctx, rest = entry.goal.context, entry.rest
-    after = rest.goal.context if rest.__class__ is TeleCons else rest.context
-    return answer.validation.source == ctx and after._extends(ctx, entry.names)
-
-
 def _shape(goal: Any) -> tuple | None:
     """goal up to an injective renaming of its free variables, or None if
     a term field of it is open.
 
-    Each variable field is (Var, the index of the variable's first
+    The fields are read through the class's `__match_args__`.  Each
+    variable field is (Var, the index of the variable's first
     occurrence, its sort), each closed term is itself, as terms are
     interned, and any other field is kept raw; the context is left out.
     """
     shape: list[Any] = [goal.__class__]
     first: dict[str, int] = {}
-    for field, value in vars(goal).items():
+    for field in goal.__match_args__:
+        value = getattr(goal, field)
         cls = value.__class__
         if cls is Var:
             shape.append((Var, first.setdefault(value.name, len(first)), value.sort))

@@ -22,7 +22,10 @@ Sorts, operators and terms are hash-consed: `Sort`, `Operator` and
 objects weakly, and build an object only on a miss.  So equal ones are
 one object, and `==` and the hash are identity, which run no Python
 code.  An App's sort checks and free variables are found once
-(`App.__post_init__`); a term that fails them is not kept.
+(`App.__post_init__`); a term that fails them is not kept.  A variable
+is not interned: `Var` is a named tuple of its name and sort, which
+hashes and compares as the tuple `(name, sort)`, in C, and so equals
+that plain tuple; no table here keys both.
 
 A context is a snoc list, as in the paper's Γ, x : A: a nonempty
 context is its last entry over its parent, the context before it.
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 from weakref import KeyedRef
 
 
@@ -118,8 +121,7 @@ class Operator(_Weak):
         return _interned(cls, (name, arg_sorts, result, binds))
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     sort: Sort
 
@@ -367,7 +369,7 @@ def check_term(ctx: Context, t: Term) -> None:
         _replace(t, partial(_in_scope, ctx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Substitution:
     """A sort-preserving map from target variables to terms over source.
 

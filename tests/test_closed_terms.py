@@ -8,14 +8,15 @@ walks in `tests/reference.py` and raise the same errors.
 import gc
 import random
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from refkit import theory
+from refkit import tactic, theory
 from refkit.cli import RunConfig, execute
+from refkit.judgment import goal_support
 from refkit.logics import arith, dep
-from refkit.state import state_unit
+from refkit.state import Bot, Fail, Subgoals, TeleCons, TeleNil, state_unit
 from refkit.theory import (
     App,
     Context,
@@ -48,6 +49,7 @@ from strategies import (
     rand_dep_prop,
     rand_dep_subst,
     rand_expr,
+    rand_goal,
     rand_num_term,
     rand_subst,
 )
@@ -449,3 +451,124 @@ def test_building_a_term_runs_no_python_hash_or_eq():
     finally:
         sys.setprofile(None)
     assert calls == []
+
+
+def test_building_an_open_term_or_a_rule_answer_runs_no_python_hash_or_eq():
+    """Open terms, a sig body opened by instantiate and a rule's answer,
+    with its fresh binders, hash and compare their variables in C only."""
+    calls = []
+
+    def probe(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__hash__", "__eq__"):
+            calls.append(f"{code.co_filename}:{code.co_firstlineno} {code.co_name}")
+
+    body = dep.eq(dep.SLOT, dep.inl(dep.refl()))
+    empty = Context(())
+    goal = arith.EvalGoal(empty, arith.plus(arith.num(3), arith.num(4)))
+    sys.setprofile(probe)
+    try:
+        dep.pair(dep.tt(), dep.SLOT)
+        arith.plus(arith.num(1), Var("x", arith.EXP))
+        instantiate(body, dep.SLOT, dep.pair(dep.tt(), dep.refl()))
+        answer = arith.PLUS_EVAL.run(empty, goal)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert isinstance(answer.telescope, TeleCons)
+
+
+# ---------------------------------------------------------- kernel values
+
+
+def test_a_var_is_its_name_and_sort():
+    """A Var is a named tuple of its name and sort: its repr is the one a
+    data class prints, and it is equal to, and hashes as, another Var with
+    the same name and sort.  So a Var now equals the plain tuple
+    (name, sort) too; no kernel table keys both, as `_TABLE` keys only
+    field tuples of sorts, operators and terms, and a context's entries
+    are never looked up among variables."""
+    x = Var("x", arith.EXP)
+    assert repr(x) == "Var(name='x', sort=Sort('exp'))"
+    assert x == Var("x", arith.EXP) and hash(x) == hash(Var("x", arith.EXP))
+    assert x != Var("x", arith.NUM) and x != Var("y", arith.EXP)
+    # the hash a frozen data class of these two fields had
+    assert hash(x) == hash((x.name, x.sort))
+    assert x == ("x", arith.EXP)
+    assert x != arith.num(1) and arith.num(1) != x
+    match x:
+        case Var(name, sort):
+            assert (name, sort) == ("x", arith.EXP)
+        case _:
+            pytest.fail("a Var does not match Var(name, sort)")
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    assert x.name == "x"
+
+
+def test_kernel_values_have_no_instance_dict():
+    ctx = Context((("g0", arith.NUM),))
+    state = state_unit(arith.STRUCTURE, arith.EvalGoal(ctx, arith.num(1)))
+    values = [
+        state.telescope.goal,
+        arith.AddGoal(ctx, arith.nat(1), arith.nat(2)),
+        dep.TruthGoal(ctx, dep.top()),
+        state,
+        state.telescope,
+        state.telescope.rest,
+        state.validation,
+        Fail(ctx, ctx),
+        Bot(ctx, ctx),
+        tactic.Now(state),
+        tactic.NEVER,
+        tactic.Race(tactic.NEVER, tactic.NEVER),
+    ]
+    assert {type(v) for v in values} == {
+        arith.EvalGoal, arith.AddGoal, dep.TruthGoal, Subgoals, TeleCons,
+        TeleNil, Substitution, Fail, Bot, tactic.Now, tactic.Later, tactic.Race,
+    }
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, fields(value)[0].name, None)
+
+
+def field_shape(goal):
+    """tactic._shape, read through dataclasses.fields."""
+    shape = [goal.__class__]
+    first = {}
+    for f in fields(goal):
+        value = getattr(goal, f.name)
+        if isinstance(value, Var):
+            shape.append((Var, first.setdefault(value.name, len(first)), value.sort))
+        elif isinstance(value, App):
+            if ref_free(value):
+                return None
+            shape.append(value)
+        elif f.name != "context":
+            shape.append(value)
+    return tuple(shape)
+
+
+def field_support(goal):
+    """judgment.goal_support, read through dataclasses.fields."""
+    values = [getattr(goal, f.name) for f in fields(goal)]
+    return {v.name for t in values if isinstance(t, (Var, App)) for v in ref_free(t)}
+
+
+def test_shape_and_support_read_every_field_of_a_goal():
+    shapes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = rand_context(rng, 3)
+        dep_ctx = rand_dep_context(rng)
+        for goal in (
+            rand_goal(rng, ctx, 3),
+            rand_goal(rng, Context(()), 3),
+            dep.TruthGoal(dep_ctx, rand_dep_prop(rng, dep_ctx, 3)),
+        ):
+            shape = tactic._shape(goal)
+            assert shape == field_shape(goal)
+            assert goal_support(goal) == field_support(goal)
+            shapes.add(shape is None)
+    assert shapes == {True, False}
