@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
-from .theory import App, Context, ContextMismatch, Substitution, Var, term_vars
+from .theory import App, Context, ContextMismatch, Substitution, Var
 
 
 class JudgmentStructure(ABC):
@@ -65,6 +65,12 @@ def require_boundary(judgment: Any, s: Substitution) -> None:
 def goal_support(goal: Any) -> set[str]:
     """The names free in a goal: the free variables of its term fields,
     read through its class's `__match_args__`."""
-    fields = goal.__match_args__
-    terms = [v for f in fields if isinstance(v := getattr(goal, f), (Var, App))]
-    return set().union(*map(term_vars, terms))
+    names = set()
+    for field in goal.__match_args__:
+        value = getattr(goal, field)
+        cls = value.__class__
+        if cls is Var:
+            names.add(value.name)
+        elif cls is App:
+            names.update([v.name for v in value.free])
+    return names

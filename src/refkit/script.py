@@ -205,6 +205,10 @@ def _print_multi(ast: MultiAst) -> str:
     raise TypeError(f"not a multitactic: {ast!r}")
 
 
+# the nodes the reader builds in loops, each with its field that nests
+_LEFT = {OrElse: "left", SeqTac: "first", Star: "body", MStar: "body"}
+
+
 def compile_script(
     structure: JudgmentStructure,
     lookup: Callable[[str], Rule],
@@ -213,7 +217,9 @@ def compile_script(
 ) -> Tactic:
     """Elaborate a script into a runnable tactic, node for node; names
     resolve eagerly, each with its entry in heads, the logic's index of
-    rules by goal head, if it has one."""
+    rules by goal head, if it has one.  The left spines of `|`, `;` and
+    the stars, which the parser reads in loops, are folded in a loop too,
+    so a flat chain takes no Python frame per link."""
 
     def build(ast):
         match ast:
@@ -221,19 +227,28 @@ def compile_script(
                 return from_rule(lookup(name), structure, heads.get(name))
             case IdTac():
                 return id_tactic(structure)
-            case OrElse(left, right):
-                return orelse(build(left), build(right))
-            case Star(body):
-                return repeat(structure, build(body))
-            case SeqTac(first, rest):
-                return seq(structure, build(first), build(rest))
             case AllM(body):
                 return all_mt(structure, build(body))
             case EachM(bodies):
                 return each_mt(structure, tuple(map(build, bodies)))
-            case MStar(body):
-                return repeat_multitactic(structure, build(body))
-        raise TypeError(f"not a script: {ast!r}")
+        spine = []
+        while ast.__class__ in _LEFT:
+            spine.append(ast)
+            ast = getattr(ast, _LEFT[ast.__class__])
+        if not spine:
+            raise TypeError(f"not a script: {ast!r}")
+        tactic = build(ast)
+        for link in reversed(spine):
+            cls = link.__class__
+            if cls is OrElse:
+                tactic = orelse(tactic, build(link.right))
+            elif cls is SeqTac:
+                tactic = seq(structure, tactic, build(link.rest))
+            elif cls is Star:
+                tactic = repeat(structure, tactic)
+            else:
+                tactic = repeat_multitactic(structure, tactic)
+        return tactic
 
     return build(ast)
 

@@ -226,14 +226,17 @@ class _Id(_Node):
 
 
 class _OrElse(_Node):
-    __slots__ = ("first", "second", "natural", "structure")
+    """t1 | t2; leaves, for a natural one, is None until it first answers
+    (_answer)."""
+
+    __slots__ = ("first", "second", "natural", "structure", "leaves")
 
     def __init__(self, first: Tactic, second: Tactic):
         structure = getattr(first, "structure", None)
         if structure is None:
             structure = getattr(second, "structure", None)
         natural = _is_natural(first) and _is_natural(second)
-        super().__init__(first, second, natural, structure)
+        super().__init__(first, second, natural, structure, None)
 
 
 class _Seq(_Node):
@@ -298,7 +301,9 @@ def _checked(t: _Node, goal: Any) -> Any:
 
 # The machine's stack is a linked list of frames, (frame, rest) or None,
 # so a suspended run can be resumed any number of times.  The frames:
-#   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has subgoals
+#   (_FALLBACK, tactic, ctx, goal)  run tactic unless the answer has
+#       subgoals; only a `|` with a side that is not natural pushes one,
+#       since a natural node answers in one call (_answer)
 #   (_THEN, seq)                    hand the state to seq's multitactic and
 #       flatten its answer by a _FLATTEN frame or, for `[...]`, the sweep
 #   (_FLATTEN, structure)           flatten the state of states
@@ -322,39 +327,32 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
     """Run node on x, a goal or a state, and hand its answer to the frames
     of k; with no node, hand them value.
 
-    An answer that is already resolved is taken in the same loop, so no
-    Python frame is spent per goal level.  A leaf that takes steps, a
-    fixed point or a plain callable, suspends the run as one bind whose
-    continuation resumes it on k; a productive round of `m*` returns one
-    Later that resumes it, and so does a star's pass at each goal deeper
-    than any it has attacked (_walk): those are the steps a run is
-    charged.  An answer is checked where it is taken, before any frame
-    sees it: a leaf's for its kind, one a sweep takes, and the one a run
-    hands back (_checked), for its target (_taken).
+    A natural node, a rule, id or a `|` of natural tactics, is answered
+    in one call (_answer) and pushes no frame.  An answer that is already
+    resolved is taken in the same loop, so no Python frame is spent per
+    goal level.  A leaf that takes steps, a fixed point or a plain
+    callable, suspends the run as one bind whose continuation resumes it
+    on k; a productive round of `m*` returns one Later that resumes it,
+    and so does a star's pass at each goal deeper than any it has
+    attacked (_walk): those are the steps a run is charged.  An answer is
+    checked where it is taken, before any frame sees it: a leaf's for its
+    kind, one a sweep takes, and the one a run hands back (_checked), for
+    its target (_taken).
     """
     while True:
         if node is not None:
             cls = type(node)
-            if cls is _OrElse:
+            if cls is _Rule or cls is _Id or (cls is _OrElse and node.natural):
+                value = _answer(node, ctx, x)
+            elif cls is _OrElse:
                 k = ((_FALLBACK, node.second, ctx, x), k)
                 node = node.first
                 continue
-            if cls is _Rule:
-                if node.heads is not None and not _admits(node.heads, x):
-                    # the answer the rule's clauses fall through to
-                    value = Fail(ctx, node.structure.output(x))
-                else:
-                    value = node.rule.run(ctx, x)
-                    kind = value.__class__
-                    if kind is not Subgoals and kind is not Fail and kind is not Bot:
-                        raise TheoryError(f"subgoal is not a proof state: {value!r}")
             elif cls is _All or cls is _Each:
                 if isinstance(x, Subgoals):
                     k = (_sweep(node, x, None), k)
                 else:
                     value = x
-            elif cls is _Id:
-                value = state_unit(node.structure, x)
             elif cls is _Seq:
                 k = ((_THEN, node), k)
                 node = node.first
@@ -457,6 +455,47 @@ def _run(node: Any, ctx: Any, x: Any, k: Any, value: Any = None) -> Delayed:
             return Now(value)
 
 
+def _answer(node: _Node, ctx: Context, goal: Any) -> ProofState:
+    """The answer of node, a natural tactic, to goal: the first answer
+    with subgoals among its leaves', rules and id in order, else the last
+    leaf's refusal.
+
+    A rule leaf whose index entry excludes goal is not run; if it is the
+    last leaf, its answer is the one its clauses fall through to.  An
+    answer that is not a proof state raises TheoryError.  A natural `|`
+    flattens its leaves once, on first use, over an explicit stack.
+    """
+    if node.__class__ is _OrElse:
+        leaves = node.leaves
+        if leaves is None:
+            leaves, stack = [], [node]
+            while stack:
+                t = stack.pop()
+                if t.__class__ is _OrElse:
+                    stack += (t.second, t.first)
+                else:
+                    leaves.append(t)
+            leaves = node.leaves = tuple(leaves)
+        last = leaves[-1]
+    else:
+        leaves, last = (node,), node
+    for leaf in leaves:
+        if leaf.__class__ is _Id:
+            return state_unit(leaf.structure, goal)
+        heads = leaf.heads
+        if heads is not None and not _admits(heads, goal):
+            if leaf is last:
+                return Fail(ctx, leaf.structure.output(goal))
+            continue
+        answer = leaf.rule.run(ctx, goal)
+        kind = answer.__class__
+        if kind is Subgoals:
+            return answer
+        if kind is not Fail and kind is not Bot:
+            raise TheoryError(f"subgoal is not a proof state: {answer!r}")
+    return answer
+
+
 def _sweep(sweep: _All | _Each, state: Subgoals, flat: JudgmentStructure | None) -> tuple:
     """The _SWEEP frame that attacks the first entry of state."""
     image = None if sweep.__class__ is _All else {n: Var(n, s) for n, s in state.context.entries}
@@ -518,8 +557,7 @@ def _attack(
     kind = None if shape is None else refused.get(shape)
     if kind is not None:
         return kind(ctx, structure.output(goal))
-    # a natural tactic answers at once
-    answer = _taken(structure, goal, _run(tactic, ctx, goal, None).value)
+    answer = _taken(structure, goal, _answer(tactic, ctx, goal))
     if shape is not None and answer.__class__ is not Subgoals:
         refused[shape] = answer.__class__
     return answer

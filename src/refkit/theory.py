@@ -31,11 +31,13 @@ A context is a snoc list, as in the paper's Γ, x : A: a nonempty
 context is its last entry over its parent, the context before it.
 Extending a context conses new cells onto it and writes nothing the
 context shares, so every context extended from another keeps it as an
-ancestor, and an extension that raises changes nothing.  `entries` and
-`names` are built on first read, from the nearest ancestor that has
-them.  A lookup walks back from the end, so it costs its distance from
-there, and `Context._extends` tells in O(k) whether a context is another
-followed by k given names by walking back k cells.
+ancestor, and an extension that raises changes nothing.  A context
+built from entries conses its cells in one pass and has `entries` and
+`names` at once; an extension builds them on first read, from the
+nearest ancestor that has them.  A lookup walks back from the end, so
+it costs its distance from there, and `Context._extends` tells in O(k)
+whether a context is another followed by k given names by walking back
+k cells.
 """
 
 from __future__ import annotations
@@ -199,13 +201,19 @@ class Context:
 
     def __init__(self, entries: tuple[tuple[str, Sort], ...] = ()):
         state = self.__dict__
-        if entries:
-            # the last cell of entries consed onto the empty context
-            state.update(Context._extended(Context(()), entries).__dict__)
-        else:
-            state["_length"] = 0
-            state["names"] = ()
         state["entries"] = entries
+        state["names"] = names = tuple([name for name, _ in entries])
+        state["_length"] = len(names)
+        if len(set(names)) < len(names):
+            # raises for the first duplicate
+            Context._extended(_EMPTY, entries)
+        if names:
+            # self is the last cell of entries consed onto the empty context
+            parent = _EMPTY
+            for name, sort in entries[:-1]:
+                parent = parent._snoc(name, sort)
+            state["_parent"] = parent
+            state["_name"], state["_sort"] = entries[-1]
 
     def _snoc(self, name: str, sort: Sort) -> "Context":
         """self followed by name : sort, which the caller has made sure
@@ -303,6 +311,10 @@ class Context:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# the root every context built from entries walks back to
+_EMPTY = Context(())
 
 
 def ctx_concat(left: Context, right: Context) -> Context:

@@ -1,6 +1,7 @@
 """The command line driver: statuses, exit codes, output formats."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -497,6 +498,70 @@ def test_an_or_chain_parses_as_deep_as_a_sig_chain(levels, code, capsys):
         assert captured.err == (
             "error: nesting too deep in the goal or the script\n"
         )
+
+
+def test_a_flat_chain_compiles_without_a_frame_per_link(capsys):
+    # the reader reads `a | b | …` and `t; m; m; …` in loops, and the
+    # compiler folds their left spines in a loop: a chain whose text
+    # nests nothing is never too deep
+    goal = "eval " + " + ".join(["num 1"] * 51)
+    wide = "id; all(" + "num_eval | " * 5000 + "plus_eval | add)*"
+    for mode in ((), ("--json",), ("--trace",)):
+        runs = []
+        for script in (wide, BREADTH):
+            code = main(["--logic", "arith", "--goal", goal, "--script", script, *mode])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+    long = "id" + "; all(id)" * 1999
+    assert main(["--logic", "arith", "--goal", goal, "--script", long]) in (0, 1)
+    assert "nesting too deep" not in capsys.readouterr().err
+
+
+TOWER_GOALS = [
+    "eval " + " + ".join(f"num {k}" for k in range(1, 7)),
+    "eval ((num 1 + num 2) + (num 3 + num 4)) + ((num 5 + num 6) + (num 7 + num 8))",
+    "add 1 2",
+]
+
+
+def tower_runs(capsys):
+    """Every output of arith's towers in every order, with and without a
+    trailing `| id`, under three scripts, on TOWER_GOALS, in each mode."""
+    runs = []
+    for order in itertools.permutations(("num_eval", "plus_eval", "add")):
+        for tail in ((), ("id",)):
+            tower = " | ".join(order + tail)
+            scripts = (
+                f"id; all({tower})*",
+                f"({tower})*",
+                f"plus_eval; [{', '.join([tower] * 5)}]",
+            )
+            for script in scripts:
+                for goal in TOWER_GOALS:
+                    for mode in ((), ("--json",), ("--trace",)):
+                        argv = ["--logic", "arith", "--goal", goal, "--script", script,
+                                "--fuel", "8", *mode]
+                        runs.append((argv, main(argv), capsys.readouterr()))
+    return runs
+
+
+def test_the_index_changes_no_answer_in_any_tower_order(monkeypatch, capsys):
+    # a tower answers with the first subgoals its leaves give, else with
+    # its last leaf's refusal, whether that leaf ran or the index skipped it
+    indexed = tower_runs(capsys)
+    monkeypatch.setattr(arith, "HEADS", {})
+    assert tower_runs(capsys) == indexed
+    # add refuses its blocked goals with bot, but plus_eval's fail is the
+    # tower's answer
+    for heads in (arith.HEADS, {}):
+        monkeypatch.setattr(arith, "HEADS", heads)
+        argv = ["--logic", "arith", "--goal", TWO_PLUS_THREE, "--script",
+                "id; all(add | num_eval | plus_eval)*", "--trace"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "] add xc yc => fail\n" in err
+        assert "] add 1 n => fail\n" in err
+        assert "=> bot" not in err
 
 
 def test_internal_errors_exit_six_with_one_line(monkeypatch, capsys):

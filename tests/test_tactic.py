@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -1017,6 +1018,29 @@ def test_the_index_by_goal_head_changes_nothing_but_rule_calls(seed):
             assert got.value == want.value
         assert got_lines == want_lines
     assert indexed_calls <= plain_calls
+
+
+def test_a_tower_answers_in_linear_memory():
+    # `|` nests to the left, so leaves kept per node would hold about
+    # 4.5M references here; the tower's leaves are listed once, by the
+    # node that answers
+    def leaf(name):
+        return from_rule(arith.RULES[name], J, arith.HEADS[name])
+
+    goal = arith.parse_goal("add 1 2")
+    tracemalloc.start()
+    try:
+        tower = leaf("num_eval")
+        for k in range(1, 2999):
+            tower = orelse(tower, leaf("plus_eval" if k % 2 else "num_eval"))
+        tower = orelse(tower, leaf("add"))
+        got = run_delayed(tower(goal.context, goal), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == run_delayed(leaf("add")(goal.context, goal), 1)
+    assert isinstance(got.value, Subgoals)
+    assert peak < 4_000_000
 
 
 def test_an_indexed_rule_leaf_needs_its_structure():
