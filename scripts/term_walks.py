@@ -28,6 +28,12 @@ terms, `arith.num(k)`, `dep.pair` of two live closed terms and the open
 term built is alive, and on a miss, once it is dropped, so each call
 builds it anew (for `num k` its numeral and that numeral's operator too)
 and forgets it again.
+
+Eight rows time building a kernel record from live values: arith's
+`EvalGoal` and `AddGoal`, dep's `TruthGoal`, the telescopes `TeleNil`
+and `TeleCons`, the states `Subgoals` and `Bot`, and a `Substitution`
+of one closed term, which its checks take as the term's constructor
+checked it.  Each record writes its slots from its own `__init__`.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import time
 
 from refkit.logics import arith, dep
+from refkit.state import Bot, Subgoals, TeleCons, TeleNil
 from refkit.theory import (
     App,
     Context,
@@ -171,6 +178,20 @@ def main() -> int:
         miss = per_call_us(build)
         print(f"{name:<16} {'hit':<7} {nodes:>6} {hit:>10.2f}")
         print(f"{name:<16} {'miss':<7} {nodes:>6} {miss:>10.2f}")
+    one, two, expr = arith.nat(1), arith.nat(2), arith.num(1)
+    goal, tele = arith.EvalGoal(ctx, expr), TeleNil(ctx)
+    for name, build in (
+        ("EvalGoal", lambda: arith.EvalGoal(ctx, expr)),
+        ("AddGoal", lambda: arith.AddGoal(ctx, one, two)),
+        ("TruthGoal", lambda: dep.TruthGoal(dctx, left)),
+        ("TeleNil", lambda: TeleNil(ctx)),
+        ("TeleCons", lambda: TeleCons(("c", "v"), goal, tele)),
+        ("Subgoals", lambda: Subgoals(tele, to_one)),
+        ("Bot", lambda: Bot(ctx, ctx)),
+        ("Substitution", lambda: Substitution(to_one.source, ctx, (one,))),
+    ):
+        us = per_call_us(build)
+        print(f"{name:<16} {'new':<7} {'-':>6} {us:>10.2f}")
     return 0
 
 

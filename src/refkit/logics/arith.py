@@ -26,6 +26,7 @@ from ..theory import (
     TheoryError,
     UnsortedTerm,
     Var,
+    _slotted,
     check_term,
     render_term,
     subst_apply,
@@ -66,12 +67,14 @@ def numeral_value(t: Term) -> int:
     return int(t.op.name)
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class EvalGoal:
     context: Context
     expr: Term
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class AddGoal:
     context: Context

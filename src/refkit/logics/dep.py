@@ -52,6 +52,7 @@ from ..theory import (
     TheoryError,
     UnsortedTerm,
     Var,
+    _slotted,
     check_term,
     instantiate,
     render_term,
@@ -107,6 +108,7 @@ def pair(a: Term, b: Term) -> Term:
     return App(PAIR_OP, (a, b))
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class TruthGoal:
     context: Context

@@ -24,6 +24,7 @@ from .theory import (
     Term,
     TheoryError,
     Var,
+    _slotted,
     ctx_concat,
     render_term,
     subst_apply,
@@ -31,11 +32,13 @@ from .theory import (
 )
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class TeleNil:
     context: Context
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class TeleCons:
     """One subgoal binding `names` for its outputs over the rest."""
@@ -70,6 +73,7 @@ class TeleCons:
 Telescope = Union[TeleNil, TeleCons]
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Subgoals:
     telescope: Telescope
@@ -84,12 +88,14 @@ class Subgoals:
         return self.validation.target
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Fail:
     context: Context
     target: Context
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Bot:
     context: Context

@@ -49,21 +49,25 @@ from .theory import (
     Term,
     TheoryError,
     Var,
+    _slotted,
     subst_apply,
     subst_compose,
 )
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Now:
     value: Any
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Later:
     thunk: Callable[[], "Delayed"]
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Race:
     """Two still-running computations advancing in lockstep.

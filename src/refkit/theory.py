@@ -21,11 +21,20 @@ Sorts, operators and terms are hash-consed: `Sort`, `Operator` and
 `App` look their fields up in one table per process, which holds its
 objects weakly, and build an object only on a miss.  So equal ones are
 one object, and `==` and the hash are identity, which run no Python
-code.  An App's sort checks and free variables are found once
-(`App.__post_init__`); a term that fails them is not kept.  A variable
-is not interned: `Var` is a named tuple of its name and sort, which
-hashes and compares as the tuple `(name, sort)`, in C, and so equals
-that plain tuple; no table here keys both.
+code.  Each entry of the table is a weak reference that keeps its key,
+an `_Entry`, built and dropped in C, and the entry takes itself out
+when its object dies (`_forget`).  `App.__new__` looks the table up
+itself and, on a miss, writes its slots directly.  An App's sort checks
+and free variables are found once (`App.__post_init__`); a term that
+fails them is not kept.  A variable is not interned: `Var` is a named
+tuple of its name and sort, which hashes and compares as the tuple
+`(name, sort)`, in C, and so equals that plain tuple; no table here
+keys both.
+
+The kernel's records (goals, telescopes, states, substitutions and the
+delay monad's nodes) are frozen slotted dataclasses built through
+`_slotted`, whose `__init__` writes each slot directly and which
+refuses every assignment and deletion with `FrozenInstanceError`.
 
 A context is a snoc list, as in the paper's Γ, x : A: a nonempty
 context is its last entry over its parent, the context before it.
@@ -42,11 +51,11 @@ k cells.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property, partial
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
-from weakref import KeyedRef
+from weakref import ref
 
 
 class TheoryError(Exception):
@@ -61,13 +70,23 @@ class ContextMismatch(TheoryError):
     """A context, variable, or substitution boundary did not line up."""
 
 
+class _Entry(ref):
+    """A weak reference to an object of the table that keeps its key.
+
+    It has no Python `__new__` or `__init__`, so building one runs no
+    Python code: `_Entry(obj, _forget)`, then `entry.key = key`.
+    """
+
+    __slots__ = ("key",)
+
+
 # The one live Sort, App or Operator per key, its fields: (name,),
 # (op, args) or (name, arg_sorts, result, binds), whose lengths keep the
 # three apart.
-_TABLE: dict[tuple, KeyedRef] = {}
+_TABLE: dict[tuple, _Entry] = {}
 
 
-def _forget(entry: KeyedRef) -> None:
+def _forget(entry: _Entry) -> None:
     # an object built after this one died may have taken its key
     if _TABLE.get(entry.key) is entry:
         del _TABLE[entry.key]
@@ -84,8 +103,45 @@ def _interned(cls: type, key: tuple) -> Any:
         for name, value in zip(cls.__match_args__, key):
             object.__setattr__(obj, name, value)
         obj.__post_init__()
-        _TABLE[key] = KeyedRef(obj, _forget, key)
+        entry = _Entry(obj, _forget)
+        entry.key = key
+        _TABLE[key] = entry
     return obj
+
+
+def _refuse_assignment(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _slotted(cls: type) -> type:
+    """cls, a frozen slotted dataclass whose fields have no defaults,
+    built by an `__init__` that writes each slot through its descriptor
+    and then runs `cls.__post_init__`, if cls has one.
+
+    The `__init__` takes the fields by name, as the generated one does.
+    Assigning or deleting any attribute raises `FrozenInstanceError`
+    (the generated `__setattr__` raises `TypeError` for a name that is
+    not a field on Python 3.10 and 3.11).
+    """
+    names = [f.name for f in fields(cls)]
+    # under cls's module's __name__, as a def in that module would be
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    scope["__name__"] = cls.__module__
+    body = [f"_set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    header = f"def __init__(self, {', '.join(names)}):"
+    exec("\n    ".join([header, *body]), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
 
 
 class _Weak:
@@ -139,7 +195,20 @@ class App(_Weak):
     free: frozenset[Var] = field(init=False, repr=False)
 
     def __new__(cls, op: Operator, args: tuple[Term, ...]) -> App:
-        return _interned(cls, (op, args))
+        key = (op, args)
+        entry = _TABLE.get(key)
+        if entry is not None:
+            obj = entry()
+            if obj is not None:
+                return obj
+        obj = object.__new__(cls)
+        _set_op(obj, op)
+        _set_args(obj, args)
+        obj.__post_init__()
+        entry = _Entry(obj, _forget)
+        entry.key = key
+        _TABLE[key] = entry
+        return obj
 
     def __post_init__(self) -> None:
         op = self.op
@@ -163,12 +232,15 @@ class App(_Weak):
                 below = below - {op.binds[i]}
             if below:
                 free = free | below if free else below
-        object.__setattr__(self, "free", free)
+        _set_free(self, free)
 
     @property
     def closed(self) -> bool:
         return not self.free
 
+
+# the slots App.__new__ and App.__post_init__ write
+_set_op, _set_args, _set_free = App.op.__set__, App.args.__set__, App.free.__set__
 
 Term = Union[Var, App]
 
@@ -306,11 +378,8 @@ class Context:
     def __repr__(self) -> str:
         return f"Context(entries={self.entries!r})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
 
 # the root every context built from entries walks back to
@@ -381,6 +450,7 @@ def check_term(ctx: Context, t: Term) -> None:
         _replace(t, partial(_in_scope, ctx))
 
 
+@_slotted
 @dataclass(frozen=True, slots=True)
 class Substitution:
     """A sort-preserving map from target variables to terms over source.
@@ -400,13 +470,16 @@ class Substitution:
                 f"{len(self.target.entries)} target variables"
             )
         for t, (name, sort) in zip(self.terms, self.target.entries):
-            got = term_sort(t)
+            # the constructor has checked a closed term already
+            closed = t.__class__ is App and not t.free
+            got = t.op.result if closed else term_sort(t)
             if got != sort:
                 raise UnsortedTerm(
                     f"substituent for {name!r} has sort {got.name}, "
                     f"expected {sort.name}"
                 )
-            check_term(self.source, t)
+            if not closed:
+                check_term(self.source, t)
 
     def lookup(self, name: str) -> Term | None:
         ctx, terms = self.target, self.terms

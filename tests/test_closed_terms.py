@@ -6,6 +6,7 @@ walks in `tests/reference.py` and raise the same errors.
 """
 
 import gc
+import inspect
 import random
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -478,6 +479,41 @@ def test_building_an_open_term_or_a_rule_answer_runs_no_python_hash_or_eq():
     assert isinstance(answer.telescope, TeleCons)
 
 
+def frames_run(run):
+    """The code objects of the Python frames that run() starts, in order,
+    not counting run's own."""
+    codes = []
+    # so that no collection of earlier garbage runs a callback inside
+    gc.collect()
+
+    def probe(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(probe)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return codes[1:]
+
+
+def test_a_term_miss_runs_only_its_checks_and_its_death_only_forget():
+    """A miss writes the term's slots and keeps its table entry in C: no
+    frame from weakref.py.  When the term dies, only the entry's callback
+    runs."""
+    left, right = dep.inl(dep.inl(dep.refl())), dep.inl(dep.tt())
+    key = (dep.PAIR_OP, (left, right))
+    assert key not in theory._TABLE
+    kept = []
+    built = frames_run(lambda: kept.append(App(*key)))
+    assert built == [App.__new__.__code__, App.__post_init__.__code__]
+    assert theory._TABLE[key]() is kept[0]
+    dropped = frames_run(lambda: kept.clear())
+    assert dropped == [theory._forget.__code__]
+    assert key not in theory._TABLE
+
+
 # ---------------------------------------------------------- kernel values
 
 
@@ -504,6 +540,66 @@ def test_a_var_is_its_name_and_sort():
     with pytest.raises(AttributeError):
         x.name = "y"
     assert x.name == "x"
+
+
+def record_builds():
+    """Each kernel record class, with arguments to build one from."""
+    ctx = Context((("g0", arith.NUM),))
+    goal = arith.EvalGoal(ctx, arith.num(1))
+    to_one = Substitution(Context(), ctx, (arith.nat(1),))
+    return [
+        (arith.EvalGoal, (ctx, arith.num(1))),
+        (arith.AddGoal, (ctx, arith.nat(1), arith.nat(2))),
+        (dep.TruthGoal, (ctx, dep.top())),
+        (TeleNil, (ctx,)),
+        (TeleCons, (("c", "v"), goal, TeleNil(ctx))),
+        (Subgoals, (TeleNil(ctx), to_one)),
+        (Fail, (ctx, ctx)),
+        (Bot, (ctx, ctx)),
+        (Substitution, (Context(), ctx, (arith.nat(1),))),
+        (tactic.Now, (goal,)),
+        (tactic.Later, (lambda: tactic.Now(goal),)),
+        (tactic.Race, (tactic.NEVER, tactic.NEVER)),
+    ]
+
+
+def test_building_a_record_runs_only_its_own_init():
+    """A record writes its slots from its own __init__, which runs no
+    other Python frame but a Substitution's checks; those hand a closed
+    term through without a call."""
+    builds = record_builds()
+    assert len({cls for cls, _ in builds}) == 12
+    for cls, args in builds:
+        want = [cls.__init__.__code__]
+        if cls is Substitution:
+            want.append(Substitution.__post_init__.__code__)
+        assert frames_run(lambda: cls(*args)) == want, cls.__name__
+
+
+def test_a_record_refuses_every_assignment_and_deletion():
+    """Setting or deleting a field or any other name raises
+    FrozenInstanceError, on every Python version (the generated
+    __setattr__ of a slotted frozen dataclass raised TypeError for a
+    name that is not a field on Python 3.10 and 3.11)."""
+    for cls, args in record_builds():
+        value = cls(*args)
+        name = fields(value)[0].name
+        for attr in (name, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, attr)
+        assert getattr(value, name) is args[0], cls.__name__
+        assert not hasattr(value, "extra")
+
+
+def test_a_record_is_built_by_its_field_names():
+    for cls, args in record_builds():
+        names = [f.name for f in fields(cls)]
+        assert list(inspect.signature(cls).parameters) == names
+        assert cls(**dict(zip(names, args))) == cls(*args)
+        with pytest.raises(TypeError):
+            cls(*args, None)
 
 
 def test_kernel_values_have_no_instance_dict():
